@@ -45,6 +45,7 @@ from .kripke import (
     Frame,
     KripkeModel,
     NonTransitiveError,
+    _bits,
     _components,
     cluster_decomposition,
     closures,
@@ -125,10 +126,11 @@ def _maximal_cluster_data(
     maximal = tuple(
         dec.clusters[i] for i in range(len(dec.clusters)) if i not in with_exit
     )
-    sees: dict[str, tuple[int, ...]] = {}
-    for w in frame.worlds:
-        succ = frame.successors(w)
-        sees[w] = tuple(i for i, c in enumerate(maximal) if c <= succ)
+    masks = [frame.mask(c) for c in maximal]
+    sees = {
+        w: tuple(i for i, c in enumerate(masks) if c & ~row == 0)
+        for w, row in zip(frame.worlds, frame.succ)
+    }
     return maximal, sees
 
 
@@ -146,7 +148,7 @@ def filtrate(
     """
     if mode not in ("standard", "refined"):
         raise ValueError(f"unknown filtration mode {mode!r}")
-    if not relation_properties(m.frame).transitive:
+    if not m.frame.transitive:
         raise NonTransitiveError("filtration needs a transitive source model")
 
     ev = Evaluator(m.frame)
@@ -255,20 +257,25 @@ def untangle(
     quotient = fr.filtered_frame()
     dec = cluster_decomposition(quotient)
     member_realized = {
-        g: fr.realized(g) for f in closure.tangle_members for g in f.members
+        g: quotient.mask(fr.realized(g))
+        for f in closure.tangle_members
+        for g in f.members
     }
-    succ_q = {w: frozenset(fr.quotient_map[z] for z in m.frame.successors(w))
-              for w in m.frame.worlds}
+    succ_q = {
+        w: quotient.mask(fr.quotient_map[z] for z in m.frame.successors(w))
+        for w in m.frame.worlds
+    }
 
     clusters: list[frozenset[str]] = []
     critical: list[str] = []
     nuclei: list[frozenset[str]] = []
     for cluster in dec.clusters:
+        cmask = quotient.mask(cluster)
         chosen = None
         for y in m.frame.worlds:
             if fr.quotient_map[y] not in cluster:
                 continue
-            inside = succ_q[y] & cluster
+            inside = succ_q[y] & cmask
             if all(
                 any(not (member_realized[g] & inside) for g in f.members)
                 for f in closure.tangle_members
@@ -283,7 +290,7 @@ def untangle(
             )
         clusters.append(cluster)
         critical.append(chosen)
-        nuclei.append(succ_q[chosen] & cluster)
+        nuclei.append(quotient.unmask(succ_q[chosen] & cmask))
 
     index_of = {w: i for i, c in enumerate(clusters) for w in c}
     r_t = set()
@@ -359,6 +366,9 @@ def reduction_conditions(
     _check_inputs(fr, m, closure)
     out: list[str] = []
     truth = fr.source_truth
+    worlds = m.frame.worlds
+    quotient = fr.filtered_frame()
+    image = [quotient.index[fr.quotient_map[w]] for w in worlds]
 
     for a in sorted(closure.atoms):
         held = frozenset(fr.quotient_val.get(a, ()))
@@ -373,17 +383,18 @@ def reduction_conditions(
             if any((rep in truth[f]) != (x in truth[f]) for f in closure):
                 out.append(f"class of {rep} mixes worlds with different profiles")
                 break
-    for (x, y) in m.frame.rel:
-        if (fr.quotient_map[x], fr.quotient_map[y]) not in fr.r_phi:
-            out.append(f"edge {x}->{y} is lost in the quotient")
+    for i, row in enumerate(m.frame.succ):
+        for j in _bits(row):
+            if not quotient.succ[image[i]] >> image[j] & 1:
+                out.append(f"edge {worlds[i]}->{worlds[j]} is lost in the quotient")
 
     # truth transfer: tangles seen across the quotient relation stay true
     # at the earlier world, and so do diamonds whose body holds later
     tangles = closure.tangle_members
     diamonds = [f for f in closure.diamond_members if isinstance(f, Dia)]
-    for x in m.frame.worlds:
-        for y in m.frame.worlds:
-            if (fr.quotient_map[x], fr.quotient_map[y]) not in fr.r_phi:
+    for x, qx in zip(worlds, image):
+        for y, qy in zip(worlds, image):
+            if not quotient.succ[qx] >> qy & 1:
                 continue
             for f in tangles:
                 if y in truth[f] and x not in truth[f]:
@@ -404,7 +415,7 @@ def reduction_conditions(
             f"{len(fr.quotient_worlds)} quotient worlds exceed the bound {bound}"
         )
 
-    dec = cluster_decomposition(fr.filtered_frame())
+    dec = cluster_decomposition(quotient)
     watched = tuple(tangles) + tuple(closure.diamond_members)
     for cluster in dec.clusters:
         reps = sorted(cluster)
@@ -516,7 +527,8 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
     check, since the sharp ones can legitimately fail when two maximal
     clusters carry the same type set.
     """
-    if not relation_properties(m.frame).transitive:
+    frame = m.frame
+    if not frame.transitive:
         raise NonTransitiveError("characteristic formulas need a transitive model")
     alphabet: tuple[Formula, ...] = tuple(
         sorted((Atom(a) for a in closure.atoms), key=pretty)
@@ -540,9 +552,10 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
     )
     with_exit = {i for (i, _) in dec.order}
     maximal = tuple(i for i in range(len(dec.clusters)) if i not in with_exit)
+    cluster_mask = {i: frame.mask(dec.clusters[i]) for i in maximal}
     sees_maximal = {
-        w: tuple(i for i in maximal if dec.clusters[i] <= m.frame.successors(w))
-        for w in m.frame.worlds
+        w: tuple(i for i in maximal if cluster_mask[i] & ~row == 0)
+        for w, row in zip(frame.worlds, frame.succ)
     }
 
     def chi(s: frozenset[Formula]) -> Formula:
@@ -581,14 +594,13 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
 
     # path components of each successor set, using only edges inside it
     component_formulas: dict[str, tuple[tuple[frozenset[str], Formula], ...]] = {}
-    for x in m.frame.worlds:
-        succ = m.frame.successors(x)
-        inner = [(u, v) for (u, v) in m.frame.rel if u in succ and v in succ]
-        comps = _components(sorted(succ, key=m.frame.worlds.index), inner)
+    for x, row in zip(frame.worlds, frame.succ):
         entries = []
-        for comp in comps:
-            in_comp = tuple(i for i in maximal if dec.clusters[i] <= comp)
-            entries.append((comp, disj(sees_cluster_formula[i] for i in in_comp)))
+        for comp in _components(frame, row):
+            in_comp = tuple(i for i in maximal if cluster_mask[i] & ~comp == 0)
+            entries.append(
+                (frame.unmask(comp), disj(sees_cluster_formula[i] for i in in_comp))
+            )
         component_formulas[x] = tuple(entries)
 
     signature_of = {
@@ -651,10 +663,11 @@ def _verify_characteristics(
     def holds(f: Formula) -> frozenset[str]:
         return ev.unmask(ev.extension(f, masks))
 
+    frame = m.frame
     notes: list[str] = []
     types_distinct = len({cluster_types[i] for i in maximal}) == len(maximal)
-    reachable = {y for (_, y) in m.frame.rel}
-    reachable_serial = all(m.frame.successors(y) for y in reachable)
+    serial = frame.mask(w for w, row in zip(frame.worlds, frame.succ) if row)
+    reachable_serial = all(row & ~serial == 0 for row in frame.succ)
 
     type_description_ok = all(
         holds(chi(s)) == frozenset(w for w in m.frame.worlds if type_of[w] == s)
@@ -706,13 +719,13 @@ def _verify_characteristics(
 
     cover_ok = True
     sharp_component = True
-    for x in m.frame.worlds:
-        succ = m.frame.successors(x)
+    for x, row in zip(frame.worlds, frame.succ):
         for comp, f in component_formulas[x]:
-            got = holds(f) & succ
-            if not all(y in got for y in comp if m.frame.successors(y)):
+            got = ev.extension(f, masks) & row
+            cmask = frame.mask(comp)
+            if cmask & serial & ~got:
                 cover_ok = False
-            if got != comp:
+            if got != cmask:
                 sharp_component = False
 
     if not types_distinct:
@@ -821,9 +834,11 @@ class PreservationReport:
 def preservation_report(
     fr: FiltrationResult, ut: UntangleResult, m: KripkeModel
 ) -> PreservationReport:
+    filtered_frame = fr.filtered_frame()
+    untangled_frame = ut.untangled_frame()
     source = _profile(m.frame)
-    filtered = _profile(fr.filtered_frame())
-    untangled = _profile(ut.untangled_frame())
+    filtered = _profile(filtered_frame)
+    untangled = _profile(untangled_frame)
     warnings: list[str] = []
 
     tracks_successors = Dia(Top()) in fr.closure
@@ -847,16 +862,13 @@ def preservation_report(
             + "), so the type alphabet cannot separate all maximal clusters"
         )
 
+    rt = untangled_frame.succ
     serial_preserved = None
     sees_reflexive = None
     if source.serial:
         serial_preserved = filtered.serial and untangled.serial
-        rt = ut.r_t
-        reflexive_worlds = {w for w in ut.quotient_worlds if (w, w) in rt}
-        sees_reflexive = all(
-            any((w, v) in rt for v in reflexive_worlds)
-            for w in ut.quotient_worlds
-        )
+        reflexive = sum(row & 1 << i for i, row in enumerate(rt))
+        sees_reflexive = all(row & reflexive for row in rt)
     reflexive_preserved = None
     if source.reflexive:
         reflexive_preserved = filtered.reflexive and untangled.reflexive
@@ -867,14 +879,16 @@ def preservation_report(
     path_components_equal = None
     common_successor_ok = None
     if tracks_successors:
-        path_components_equal = set(path_components(fr.filtered_frame())) == set(
-            path_components(ut.untangled_frame())
+        path_components_equal = set(path_components(filtered_frame)) == set(
+            path_components(untangled_frame)
         )
-        rt = ut.r_t
+        # pairs related by the quotient but by neither direction of the
+        # untangled relation still need a common untangled successor
+        rt_pred = untangled_frame.pred
         common_successor_ok = all(
-            any((u, w) in rt and (v, w) in rt for w in ut.quotient_worlds)
-            for (u, v) in fr.r_phi
-            if (u, v) not in rt and (v, u) not in rt
+            rt[u] & rt[v]
+            for u, row in enumerate(filtered_frame.succ)
+            for v in _bits(row & ~rt[u] & ~rt_pred[u])
         )
 
     top = max(

@@ -536,7 +536,7 @@ def pretty(phi: Formula) -> str:
 # Parser
 
 _KEYWORDS = {"mu", "nu", "true", "false", "A", "E"}
-_IDENT = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # token kinds carrying no payload
 _SYMBOLS = [

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping
 
 from .formula import (
     And,
@@ -46,6 +47,14 @@ class NonTransitiveError(ValueError):
 
 @dataclass(frozen=True)
 class Frame:
+    """Worlds in canonical order plus the relation as a set of pairs.
+
+    The relation index (``index``, ``succ``, ``pred``, ``transitive``) is
+    built from ``rel`` on first use and cached on the instance; it takes no
+    part in equality, hashing or ``repr``.  Every structure analysis reads
+    it, so analyses of the same frame object share one index.
+    """
+
     worlds: tuple[str, ...]
     rel: frozenset[tuple[str, str]]
 
@@ -61,8 +70,54 @@ class Frame:
             if pair[0] not in scope or pair[1] not in scope:
                 raise ValueError(f"relation pair {pair} outside the world set")
 
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Position of each world in ``worlds``."""
+        return {w: i for i, w in enumerate(self.worlds)}
+
+    @cached_property
+    def succ(self) -> tuple[int, ...]:
+        """``succ[i]`` has bit ``j`` set iff world ``i`` sees world ``j``."""
+        index = self.index
+        succ = [0] * len(self.worlds)
+        for (u, v) in self.rel:
+            succ[index[u]] |= 1 << index[v]
+        return tuple(succ)
+
+    @cached_property
+    def pred(self) -> tuple[int, ...]:
+        """``pred[j]`` has bit ``i`` set iff world ``i`` sees world ``j``."""
+        pred = [0] * len(self.worlds)
+        for i, row in enumerate(self.succ):
+            for j in _bits(row):
+                pred[j] |= 1 << i
+        return tuple(pred)
+
+    @cached_property
+    def transitive(self) -> bool:
+        succ = self.succ
+        return all(succ[j] & ~row == 0 for row in succ for j in _bits(row))
+
+    def mask(self, worlds: Iterable[str]) -> int:
+        index = self.index
+        m = 0
+        for w in worlds:
+            m |= 1 << index[w]
+        return m
+
+    def unmask(self, mask: int) -> frozenset[str]:
+        return frozenset(self.worlds[i] for i in _bits(mask))
+
     def successors(self, w: str) -> frozenset[str]:
-        return frozenset(v for (u, v) in self.rel if u == w)
+        return self.unmask(self.succ[self.index[w]])
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class KripkeModel:
@@ -108,12 +163,9 @@ class RelationProperties:
 
 
 def relation_properties(frame: Frame) -> RelationProperties:
-    rel = frame.rel
-    reflexive = all((w, w) in rel for w in frame.worlds)
-    serial = all(any((w, v) in rel for v in frame.worlds) for w in frame.worlds)
-    succ = {w: frame.successors(w) for w in frame.worlds}
-    transitive = all(succ[v] <= succ[u] for (u, v) in rel)
-    return RelationProperties(reflexive, transitive, serial)
+    succ = frame.succ
+    reflexive = all(row >> i & 1 for i, row in enumerate(succ))
+    return RelationProperties(reflexive, frame.transitive, all(succ))
 
 
 @dataclass(frozen=True)
@@ -123,30 +175,19 @@ class Closures:
 
 
 def closures(frame: Frame) -> Closures:
-    n = len(frame.worlds)
-    index = {w: i for i, w in enumerate(frame.worlds)}
-    succ = [0] * n
-    for (u, v) in frame.rel:
-        succ[index[u]] |= 1 << index[v]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            acc = succ[i]
-            for k in range(n):
-                if acc & (1 << k):
-                    acc |= succ[k]
-            if acc != succ[i]:
-                succ[i] = acc
-                changed = True
+    worlds = frame.worlds
+    succ = list(frame.succ)
+    # Warshall: after round k, paths through worlds 0..k are shortcut
+    for k in range(len(succ)):
+        bit, row = 1 << k, succ[k]
+        for i, other in enumerate(succ):
+            if other & bit:
+                succ[i] = other | row
     trans_pairs = frozenset(
-        (frame.worlds[i], frame.worlds[j])
-        for i in range(n)
-        for j in range(n)
-        if succ[i] & (1 << j)
+        (worlds[i], worlds[j]) for i, row in enumerate(succ) for j in _bits(row)
     )
-    refl_pairs = trans_pairs | frozenset((w, w) for w in frame.worlds)
-    return Closures(Frame(frame.worlds, trans_pairs), Frame(frame.worlds, refl_pairs))
+    refl_pairs = trans_pairs | frozenset((w, w) for w in worlds)
+    return Closures(Frame(worlds, trans_pairs), Frame(worlds, refl_pairs))
 
 
 @dataclass(frozen=True)
@@ -172,98 +213,92 @@ class ClusterDecomposition:
         raise KeyError(w)
 
 
+def _cluster_masks(frame: Frame) -> list[int]:
+    """World masks of the clusters of a transitive frame, by first world."""
+    succ, pred = frame.succ, frame.pred
+    masks: list[int] = []
+    seen = 0
+    for i, row in enumerate(succ):
+        bit = 1 << i
+        if not seen & bit:
+            mask = row & pred[i] | bit
+            seen |= mask
+            masks.append(mask)
+    return masks
+
+
 def cluster_decomposition(frame: Frame) -> ClusterDecomposition:
-    props = relation_properties(frame)
-    if not props.transitive:
+    if not frame.transitive:
         raise NonTransitiveError("cluster decomposition needs a transitive relation")
-    rel = frame.rel
-    assigned: dict[str, int] = {}
-    clusters: list[frozenset[str]] = []
-    for w in frame.worlds:
-        if w in assigned:
-            continue
-        mates = {w} | {
-            v for v in frame.worlds if v != w and (w, v) in rel and (v, w) in rel
-        }
-        idx = len(clusters)
-        clusters.append(frozenset(mates))
-        for v in mates:
-            assigned[v] = idx
-    degenerate = tuple(
-        len(c) == 1 and (next(iter(c)), next(iter(c))) not in rel for c in clusters
+    succ = frame.succ
+    masks = _cluster_masks(frame)
+    # under transitivity every member of a cluster sees the same worlds, so
+    # the first member speaks for the cluster
+    firsts = [(m & -m).bit_length() - 1 for m in masks]
+    assigned = [0] * len(succ)
+    for c, mask in enumerate(masks):
+        for i in _bits(mask):
+            assigned[i] = c
+    later = [
+        {assigned[j] for j in _bits(succ[first] & ~mask)}
+        for first, mask in zip(firsts, masks)
+    ]
+    # a strictly later cluster sees strictly fewer worlds counting its own,
+    # so ascending by that count every later cluster is ranked first
+    rank = [0] * len(masks)
+    for c in sorted(
+        range(len(masks)), key=lambda c: (succ[firsts[c]] | masks[c]).bit_count()
+    ):
+        rank[c] = 1 + max((rank[d] for d in later[c]), default=0)
+    return ClusterDecomposition(
+        clusters=tuple(frame.unmask(m) for m in masks),
+        degenerate=tuple(not succ[f] & m for f, m in zip(firsts, masks)),
+        order=frozenset((c, d) for c, ds in enumerate(later) for d in ds),
+        rank=tuple(rank),
     )
-    order = frozenset(
-        (assigned[u], assigned[v]) for (u, v) in rel if assigned[u] != assigned[v]
-    )
-    # longest chain of clusters starting at each cluster; the order is a
-    # strict partial order, so plain memoized recursion terminates
-    rank: dict[int, int] = {}
-
-    def rank_of(i: int) -> int:
-        if i not in rank:
-            nexts = [j for (a, j) in order if a == i]
-            rank[i] = 1 + max((rank_of(j) for j in nexts), default=0)
-        return rank[i]
-
-    ranks = tuple(rank_of(i) for i in range(len(clusters)))
-    return ClusterDecomposition(tuple(clusters), degenerate, order, ranks)
 
 
-def _components(worlds: Iterable[str], pairs: Iterable[tuple[str, str]]) -> tuple[frozenset[str], ...]:
-    """Connected components of the symmetrised relation, ordered by first world."""
-    worlds = list(worlds)
-    adj: dict[str, set[str]] = {w: set() for w in worlds}
-    for (u, v) in pairs:
-        if u in adj and v in adj:
-            adj[u].add(v)
-            adj[v].add(u)
-    seen: set[str] = set()
-    out: list[frozenset[str]] = []
-    for w in worlds:
-        if w in seen:
-            continue
-        comp = {w}
-        stack = [w]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        out.append(frozenset(comp))
-    return tuple(out)
+def _components(frame: Frame, mask: int) -> list[int]:
+    """Connected components of the symmetrised relation restricted to the
+    worlds of ``mask``, as masks ordered by first world."""
+    succ, pred = frame.succ, frame.pred
+    out: list[int] = []
+    rest = mask
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reached = 0
+            for i in _bits(frontier):
+                reached |= succ[i] | pred[i]
+            frontier = reached & rest & ~comp
+            comp |= frontier
+        out.append(comp)
+        rest &= ~comp
+    return out
 
 
 def path_components(frame: Frame) -> tuple[frozenset[str], ...]:
     """Partition of the worlds into zigzag-connectivity components."""
-    return _components(frame.worlds, frame.rel)
+    everything = (1 << len(frame.worlds)) - 1
+    return tuple(frame.unmask(c) for c in _components(frame, everything))
+
+
+def _local_component_counts(frame: Frame) -> Iterator[int]:
+    """Per world with successors, the path components of its successor set,
+    where the connecting paths must stay inside that set."""
+    return (len(_components(frame, row)) for row in frame.succ if row)
 
 
 def locally_n_connected(frame: Frame, n: int) -> bool:
     """Every successor set splits into at most ``n`` path components, where
     the connecting paths must stay inside the successor set.  An empty
     successor set has zero components and never violates the bound."""
-    for w in frame.worlds:
-        succ = frame.successors(w)
-        if not succ:
-            continue
-        inner = [(u, v) for (u, v) in frame.rel if u in succ and v in succ]
-        if len(_components(sorted(succ, key=frame.worlds.index), inner)) > n:
-            return False
-    return True
+    return all(count <= n for count in _local_component_counts(frame))
 
 
 def min_local_connectedness(frame: Frame) -> int:
     """Least ``n >= 1`` such that the frame is locally n-connected."""
-    worst = 1
-    for w in frame.worlds:
-        succ = frame.successors(w)
-        if not succ:
-            continue
-        inner = [(u, v) for (u, v) in frame.rel if u in succ and v in succ]
-        worst = max(worst, len(_components(sorted(succ, key=frame.worlds.index), inner)))
-    return worst
+    return max(_local_component_counts(frame), default=1)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +309,7 @@ class Evaluator:
     """Bitmask evaluator over a fixed frame.
 
     Build once per frame, then query :meth:`extension` with different
-    valuations; the frame analysis (successor masks, clusters) is reused.
+    valuations; the frame's relation index and clusters are reused.
     """
 
     def __init__(self, frame: Frame):
@@ -282,59 +317,26 @@ class Evaluator:
         self.worlds = frame.worlds
         self.n = len(frame.worlds)
         self.full = (1 << self.n) - 1
-        index = {w: i for i, w in enumerate(frame.worlds)}
-        self.index = index
-        self.succ = [0] * self.n
-        for (u, v) in frame.rel:
-            self.succ[index[u]] |= 1 << index[v]
-        self._transitive: bool | None = None
+        self.index = frame.index
+        self.succ = frame.succ
         self._cluster_masks: list[int] | None = None
-
-    # -- frame facts ------------------------------------------------------
-
-    def is_transitive(self) -> bool:
-        if self._transitive is None:
-            self._transitive = all(
-                self.succ[j] & ~self.succ[i] == 0
-                for i in range(self.n)
-                for j in range(self.n)
-                if self.succ[i] & (1 << j)
-            )
-        return self._transitive
 
     def _nondegenerate_clusters(self) -> list[int]:
         """Masks of the non-degenerate clusters (every member reflexive)."""
         if self._cluster_masks is None:
-            masks: list[int] = []
-            seen = 0
-            for i in range(self.n):
-                bit = 1 << i
-                if seen & bit:
-                    continue
-                if not self.succ[i] & bit:
-                    # an irreflexive world is in a non-degenerate cluster only
-                    # with a distinct mutual neighbour, impossible under
-                    # transitivity without a self loop
-                    continue
-                mask = bit
-                for j in range(i + 1, self.n):
-                    if self.succ[i] & (1 << j) and self.succ[j] & bit:
-                        mask |= 1 << j
-                seen |= mask
-                masks.append(mask)
-            self._cluster_masks = masks
+            self._cluster_masks = [
+                m for m in _cluster_masks(self.frame)
+                if self.succ[(m & -m).bit_length() - 1] & m
+            ]
         return self._cluster_masks
 
     # -- sets <-> masks ---------------------------------------------------
 
     def mask(self, worlds: Iterable[str]) -> int:
-        m = 0
-        for w in worlds:
-            m |= 1 << self.index[w]
-        return m
+        return self.frame.mask(worlds)
 
     def unmask(self, mask: int) -> frozenset[str]:
-        return frozenset(w for i, w in enumerate(self.worlds) if mask & (1 << i))
+        return self.frame.unmask(mask)
 
     def valuation_masks(self, val: Mapping[str, Iterable[str]]) -> dict[str, int]:
         return {atom: self.mask(ws) for atom, ws in val.items()}
@@ -383,31 +385,13 @@ class Evaluator:
         if isinstance(phi, (Tangle, TangleD)):
             return self._tangle(phi.members, val)
         if isinstance(phi, Mu):
-            return self._lfp(phi.var, phi.body, val)
+            return _fixpoint(self, phi, val, 0)
         if isinstance(phi, Nu):
-            # greatest fixpoint through the complement of the dual least one
-            var, body = phi.var, phi.body
-            current = 0
-            while True:
-                inner = self.extension(body, {**val, var: self.full & ~current})
-                step = self.full & ~inner
-                if step == current:
-                    return self.full & ~current
-                current = step
+            return _fixpoint(self, phi, val, self.full)
         raise TypeError(f"not a formula: {phi!r}")
 
-    def _lfp(self, var: str, body: Formula, val: Mapping[str, int]) -> int:
-        current = 0
-        # monotone, so at most n+1 rounds are needed
-        for _ in range(self.n + 2):
-            step = self.extension(body, {**val, var: current})
-            if step == current:
-                return current
-            current = step
-        raise RuntimeError("fixpoint iteration failed to stabilize")
-
     def _tangle(self, members: tuple[Formula, ...], val: Mapping[str, int]) -> int:
-        if not self.is_transitive():
+        if not self.frame.transitive:
             raise NonTransitiveError(
                 "tangle formulas require a transitive frame"
             )
@@ -421,6 +405,18 @@ class Evaluator:
             if self.succ[i] & good:
                 out |= 1 << i
         return out
+
+
+def _fixpoint(ev, phi: Mu | Nu, val: Mapping[str, int], current: int) -> int:
+    """Iterate the body of ``phi`` from ``current``: nothing for a least
+    fixpoint, everything for a greatest one.  Positive bodies are monotone,
+    so over n points the iteration settles within n+1 rounds."""
+    for _ in range(ev.n + 2):
+        step = ev.extension(phi.body, {**val, phi.var: current})
+        if step == current:
+            return current
+        current = step
+    raise RuntimeError("fixpoint iteration failed to stabilize")
 
 
 def model_check(model: KripkeModel, phi: Formula) -> frozenset[str]:
@@ -478,18 +474,18 @@ def generated_submodel(model: KripkeModel, root: str) -> KripkeModel:
 
     The global quantifier afterwards ranges over the submodel only.
     """
-    if root not in model.frame.worlds:
-        raise KeyError(root)
-    keep = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in model.frame.successors(u):
-            if v not in keep:
-                keep.add(v)
-                stack.append(v)
-    worlds = tuple(w for w in model.frame.worlds if w in keep)
-    rel = frozenset(p for p in model.frame.rel if p[0] in keep and p[1] in keep)
+    frame = model.frame
+    reach = frontier = 1 << frame.index[root]
+    while frontier:
+        reached = 0
+        for i in _bits(frontier):
+            reached |= frame.succ[i]
+        frontier = reached & ~reach
+        reach |= frontier
+    keep = frame.unmask(reach)
+    worlds = tuple(w for w in frame.worlds if w in keep)
+    # keep is closed under successors: a pair starting in it ends in it
+    rel = frozenset(p for p in frame.rel if p[0] in keep)
     val = {a: ws & keep for a, ws in model.val.items()}
     return KripkeModel(Frame(worlds, rel), val)
 
@@ -516,9 +512,9 @@ def model_from_dict(data: Mapping) -> KripkeModel:
     try:
         worlds = tuple(str(w) for w in data["worlds"])
         rel = frozenset((str(u), str(v)) for (u, v) in data["rel"])
-    except (KeyError, TypeError, ValueError) as exc:
+        val = {str(a): [str(w) for w in ws] for a, ws in data.get("val", {}).items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model data: {exc}") from exc
-    val = {str(a): [str(w) for w in ws] for a, ws in data.get("val", {}).items()}
     return KripkeModel(Frame(worlds, rel), val)
 
 
@@ -555,8 +551,7 @@ def to_dot(model_or_frame: KripkeModel | Frame, name: str = "model") -> str:
         atoms = sorted(a for a, ws in val.items() if w in ws)
         labels[w] = f"{w}\\n{', '.join(atoms)}" if atoms else w
     lines = [f"digraph {name} {{", "  node [shape=ellipse, style=filled];"]
-    props = relation_properties(frame)
-    if props.transitive:
+    if frame.transitive:
         dec = cluster_decomposition(frame)
         for i, cluster in enumerate(dec.clusters):
             color = _RANK_COLORS[(dec.rank[i] - 1) % len(_RANK_COLORS)]

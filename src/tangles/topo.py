@@ -38,7 +38,7 @@ from .formula import (
     TangleD,
     Top,
 )
-from .kripke import Frame, NonTransitiveError, relation_properties
+from .kripke import Frame, NonTransitiveError, _fixpoint
 
 
 class SpaceError(ValueError):
@@ -193,23 +193,9 @@ class TopoEvaluator:
         if isinstance(phi, TangleD):
             return self._tangle(phi.members, val, self.derivative)
         if isinstance(phi, Mu):
-            current = 0
-            for _ in range(self.n + 2):
-                step = self.extension(phi.body, {**val, phi.var: current})
-                if step == current:
-                    return current
-                current = step
-            raise RuntimeError("fixpoint iteration failed to stabilize")
+            return _fixpoint(self, phi, val, 0)
         if isinstance(phi, Nu):
-            current = 0
-            while True:
-                inner = self.extension(
-                    phi.body, {**val, phi.var: self.full & ~current}
-                )
-                step = self.full & ~inner
-                if step == current:
-                    return self.full & ~current
-                current = step
+            return _fixpoint(self, phi, val, self.full)
         raise TypeError(f"not a formula: {phi!r}")
 
     def _tangle(self, members, val: Mapping[str, int], op) -> int:
@@ -277,19 +263,16 @@ def topo_model_check(model: TopoModel, phi: Formula) -> frozenset[str]:
 def alexandrov(frame: Frame) -> FiniteSpace:
     """The space on the frame's worlds whose opens are the successor-closed
     sets.  Requires a transitive relation."""
-    if not relation_properties(frame).transitive:
+    if not frame.transitive:
         raise NonTransitiveError("the up-set topology needs a transitive relation")
     n = len(frame.worlds)
     if n > 20:
         raise ValueError("explicit open families beyond 20 points are not supported")
-    index = {w: i for i, w in enumerate(frame.worlds)}
-    succ = [0] * n
-    for (u, v) in frame.rel:
-        succ[index[u]] |= 1 << index[v]
+    succ = frame.succ
     opens = []
     for mask in range(1 << n):
         if all(succ[i] & ~mask == 0 for i in range(n) if mask & (1 << i)):
-            opens.append(frozenset(w for i, w in enumerate(frame.worlds) if mask & (1 << i)))
+            opens.append(frame.unmask(mask))
     return FiniteSpace(frame.worlds, frozenset(opens))
 
 
@@ -324,7 +307,10 @@ def space_from_dict(data: Mapping) -> FiniteSpace:
 
 def topo_model_from_dict(data: Mapping) -> TopoModel:
     space = space_from_dict(data)
-    val = {str(a): [str(p) for p in ps] for a, ps in data.get("val", {}).items()}
+    try:
+        val = {str(a): [str(p) for p in ps] for a, ps in data.get("val", {}).items()}
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"malformed space data: {exc}") from exc
     return TopoModel(space, val)
 
 

@@ -132,6 +132,22 @@ def test_mc_rejects_bad_model_file(capsys, tmp_path):
     assert "ghost" in err or "valuation" in err
 
 
+@pytest.mark.parametrize("val", [{"p": 3}, ["p"]])
+@pytest.mark.parametrize("command", ["mc", "tmc", "analyze"])
+def test_loaders_reject_bad_valuation_types(capsys, tmp_path, command, val):
+    path = tmp_path / "bad.json"
+    if command == "tmc":
+        data = {"points": ["x"], "opens": [[], ["x"]], "val": val}
+    else:
+        data = {"worlds": ["w0"], "rel": [], "val": val}
+    path.write_text(json.dumps(data))
+    argv = [command, str(path)] + ([] if command == "analyze" else ["p"])
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: malformed")
+    assert "Traceback" not in err
+
+
 def test_mc_dot(capsys, chain_model):
     code, out, _ = run(capsys, "mc", "--format", "dot", chain_model, "p")
     assert out.startswith("digraph")

@@ -10,6 +10,7 @@ from tangles import (
     Bot,
     Box,
     BoxD,
+    ClusterDecomposition,
     Dia,
     DiaD,
     Evaluator,
@@ -25,6 +26,7 @@ from tangles import (
     Nu,
     Or,
     And,
+    RelationProperties,
     Tangle,
     TangleD,
     Top,
@@ -337,3 +339,191 @@ def test_to_dot_smoke():
     assert "->" in text or len(m.frame.rel) == 0
     # frames work too
     assert to_dot(m.frame).startswith("digraph")
+
+
+# ---------------------------------------------------------------------------
+# Pair-set oracles: the structure analyses run on the frame's bitmask index,
+# and each is checked here against its plain definition over ``frame.rel``
+
+
+def oracle_successors(frame, w):
+    return frozenset(v for (u, v) in frame.rel if u == w)
+
+
+def oracle_properties(frame):
+    rel = frame.rel
+    succ = {w: oracle_successors(frame, w) for w in frame.worlds}
+    return RelationProperties(
+        reflexive=all((w, w) in rel for w in frame.worlds),
+        transitive=all(succ[v] <= succ[u] for (u, v) in rel),
+        serial=all(succ[w] for w in frame.worlds),
+    )
+
+
+def oracle_transitive_closure(frame):
+    """Pairs (u, x) with a path of length at least one from u to x."""
+    succ = {w: oracle_successors(frame, w) for w in frame.worlds}
+    pairs = set()
+    for u in frame.worlds:
+        stack = list(succ[u])
+        reached = set(stack)
+        while stack:
+            for x in succ[stack.pop()]:
+                if x not in reached:
+                    reached.add(x)
+                    stack.append(x)
+        pairs |= {(u, x) for x in reached}
+    return frozenset(pairs)
+
+
+def oracle_cluster_decomposition(frame):
+    """Clusters by mutual reachability, rank as the longest chain."""
+    rel = frame.rel
+    assigned = {}
+    clusters = []
+    for w in frame.worlds:
+        if w in assigned:
+            continue
+        mates = {w} | {v for v in frame.worlds if (w, v) in rel and (v, w) in rel}
+        for v in mates:
+            assigned[v] = len(clusters)
+        clusters.append(frozenset(mates))
+    degenerate = tuple(
+        len(c) == 1 and (min(c), min(c)) not in rel for c in clusters
+    )
+    order = frozenset(
+        (assigned[u], assigned[v]) for (u, v) in rel if assigned[u] != assigned[v]
+    )
+    rank = {}
+
+    def chain(i):
+        if i not in rank:
+            rank[i] = 1 + max((chain(j) for (a, j) in order if a == i), default=0)
+        return rank[i]
+
+    ranks = tuple(chain(i) for i in range(len(clusters)))
+    return ClusterDecomposition(tuple(clusters), degenerate, order, ranks)
+
+
+def oracle_components(worlds, pairs):
+    """Components of the symmetrised pairs over an adjacency dict, ordered
+    by first world."""
+    adj = {w: set() for w in worlds}
+    for (u, v) in pairs:
+        if u in adj and v in adj:
+            adj[u].add(v)
+            adj[v].add(u)
+    seen = set()
+    out = []
+    for w in worlds:
+        if w in seen:
+            continue
+        comp = {w}
+        stack = [w]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in comp:
+                    comp.add(v)
+                    stack.append(v)
+        seen |= comp
+        out.append(frozenset(comp))
+    return tuple(out)
+
+
+def oracle_local_counts(frame):
+    """Per world with successors, the components of its successor set
+    using only the pairs inside it."""
+    counts = []
+    for w in frame.worlds:
+        succ = oracle_successors(frame, w)
+        if succ:
+            inner = [(u, v) for (u, v) in frame.rel if u in succ and v in succ]
+            inside = [v for v in frame.worlds if v in succ]
+            counts.append(len(oracle_components(inside, inner)))
+    return counts
+
+
+def check_against_oracles(frame):
+    worlds = frame.worlds
+    assert frame.index == {w: i for i, w in enumerate(worlds)}
+    for i, w in enumerate(worlds):
+        succ = oracle_successors(frame, w)
+        assert frame.successors(w) == succ
+        assert frame.succ[i] == sum(1 << j for j, v in enumerate(worlds) if v in succ)
+        assert frame.pred[i] == sum(
+            1 << j for j, v in enumerate(worlds) if (v, w) in frame.rel
+        )
+    props = oracle_properties(frame)
+    assert relation_properties(frame) == props
+    assert frame.transitive == props.transitive
+    closed = closures(frame)
+    assert closed.transitive.rel == oracle_transitive_closure(frame)
+    assert closed.reflexive_transitive.rel == closed.transitive.rel | {
+        (w, w) for w in worlds
+    }
+    assert path_components(frame) == oracle_components(worlds, frame.rel)
+    counts = oracle_local_counts(frame)
+    for n in range(4):
+        assert locally_n_connected(frame, n) == all(c <= n for c in counts)
+    assert min_local_connectedness(frame) == max(counts, default=1)
+    if props.transitive:
+        assert cluster_decomposition(frame) == oracle_cluster_decomposition(frame)
+    else:
+        with pytest.raises(NonTransitiveError):
+            cluster_decomposition(frame)
+
+
+def layered_frame(rng, n):
+    """A binary tree with some child-to-parent edges and a few extra
+    forward edges, so that its transitive closure has small clusters, long
+    chains and successor sets that split into several components."""
+    worlds = tuple(f"w{i}" for i in range(n))
+    pairs = set()
+    for i in range(1, n):
+        parent = worlds[(i - 1) // 2]
+        pairs.add((parent, worlds[i]))
+        if rng.random() < 0.3:
+            pairs.add((worlds[i], parent))
+    for i in range(n):
+        if rng.random() < 0.8:
+            pairs.add((worlds[i], worlds[i]))
+        if rng.random() < 0.2:
+            j = rng.randrange(n)
+            pairs.add((worlds[min(i, j)], worlds[max(i, j)]))
+    return Frame(worlds, frozenset(pairs))
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_structure_matches_pair_oracles(seed):
+    rng = random.Random(7000 + seed)
+    kind = ("general", "transitive", "serial", "reflexive")[seed % 4]
+    model = random_model(rng, 8, kind=kind)
+    check_against_oracles(model.frame)
+    root = rng.choice(model.frame.worlds)
+    keep = {root} | {v for (u, v) in oracle_transitive_closure(model.frame) if u == root}
+    sub = generated_submodel(model, root)
+    assert sub.frame == Frame(
+        tuple(w for w in model.frame.worlds if w in keep),
+        frozenset((u, v) for (u, v) in model.frame.rel if u in keep and v in keep),
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_structure_matches_pair_oracles_on_large_frames(seed):
+    rng = random.Random(7500 + seed)
+    base = layered_frame(rng, rng.randint(60, 120))
+    check_against_oracles(base)
+    frame = closures(base).transitive
+    check_against_oracles(frame)
+    dec = cluster_decomposition(frame)
+    # the frames must exercise clusters and long chains
+    assert 1 < len(dec.clusters) < len(frame.worlds) and max(dec.rank) > 2
+
+
+def test_frame_index_is_lazy_and_not_part_of_the_value():
+    f = Frame(("a", "b"), frozenset({("a", "b")}))
+    assert "succ" not in vars(f)
+    assert f.succ == (0b10, 0)
+    g = Frame(("a", "b"), frozenset({("a", "b")}))
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert "succ" in vars(f) and "succ" not in vars(g)

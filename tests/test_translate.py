@@ -24,6 +24,8 @@ from tangles import (
     TranslationError,
     closures,
     model_check,
+    parse,
+    pretty,
     star,
     to_d,
     to_mu,
@@ -163,3 +165,16 @@ def test_translations_compose(seed):
     model = random_model(rng, 5, kind="reflexive")
     phi = random_tangle_formula(rng)
     assert model_check(model, phi) == model_check(model, to_mu(to_d(phi)))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_translations_read_back(seed):
+    # fresh variables print as _gN, and the parser must take them back
+    rng = random.Random(5000 + seed)
+    phi = random_formula(
+        rng, rng.randint(0, 4), tangles=True, fixpoints=True,
+        universal=True, derivative=True,
+    )
+    modal = random_formula(rng, rng.randint(0, 4), tangles=False, fixpoints=True)
+    for out in (to_mu(Tangle((phi, p))), to_d(phi), star(Box(modal))):
+        assert parse(pretty(out)) == out

@@ -5,8 +5,12 @@ order used by every deterministic construction in the package.  Extensions
 are computed internally as integer bitmasks over that order.
 
 On transitive frames the tangle modality is evaluated through the cluster
-criterion: ``x`` satisfies ``<t>{D}`` iff some successor ``y`` of ``x`` is
-reflexive and every member of ``D`` holds somewhere in the cluster of ``y``.
+criterion: ``x`` satisfies ``<t>{D}`` iff some successor ``y`` of ``x`` lies
+in a cluster each of whose worlds sees, inside the cluster, a world of every
+member of ``D``.  With the frame's own relation that means the cluster is
+non-degenerate and meets every member.  ``<dt>{D}`` applies the same
+criterion to the relation of the d-modalities, which a topological space
+sets to its punctured neighbourhoods.
 A brute-force lasso oracle (:func:`tangle_oracle`) is kept alongside purely
 for cross-validation; it never feeds the checker.
 """
@@ -309,26 +313,21 @@ class Evaluator:
     """Bitmask evaluator over a fixed frame.
 
     Build once per frame, then query :meth:`extension` with different
-    valuations; the frame's relation index and clusters are reused.
+    valuations; the frame's relation index and clusters are reused.  The
+    plain modalities and ``<t>`` read the frame's successor masks; the
+    d-modalities and ``<dt>`` read ``dsucc``, which defaults to the same
+    masks.  A topological space passes its punctured neighbourhoods there.
     """
 
-    def __init__(self, frame: Frame):
+    def __init__(self, frame: Frame, dsucc: tuple[int, ...] | None = None):
         self.frame = frame
         self.worlds = frame.worlds
         self.n = len(frame.worlds)
         self.full = (1 << self.n) - 1
         self.index = frame.index
         self.succ = frame.succ
-        self._cluster_masks: list[int] | None = None
-
-    def _nondegenerate_clusters(self) -> list[int]:
-        """Masks of the non-degenerate clusters (every member reflexive)."""
-        if self._cluster_masks is None:
-            self._cluster_masks = [
-                m for m in _cluster_masks(self.frame)
-                if self.succ[(m & -m).bit_length() - 1] & m
-            ]
-        return self._cluster_masks
+        self.dsucc = self.succ if dsucc is None else dsucc
+        self._rows: dict[int, list[tuple[int, set[int]]]] = {}
 
     # -- sets <-> masks ---------------------------------------------------
 
@@ -340,6 +339,20 @@ class Evaluator:
 
     def valuation_masks(self, val: Mapping[str, Iterable[str]]) -> dict[str, int]:
         return {atom: self.mask(ws) for atom, ws in val.items()}
+
+    # -- modal operators --------------------------------------------------
+
+    def dia(self, s: int, succ: tuple[int, ...]) -> int:
+        """Worlds with a ``succ``-successor in ``s``."""
+        out = 0
+        for i, row in enumerate(succ):
+            if row & s:
+                out |= 1 << i
+        return out
+
+    def box(self, s: int, succ: tuple[int, ...]) -> int:
+        """Worlds whose ``succ``-successors all lie in ``s``."""
+        return self.full & ~self.dia(self.full & ~s, succ)
 
     # -- evaluation -------------------------------------------------------
 
@@ -364,47 +377,56 @@ class Evaluator:
             a = self.extension(phi.left, val)
             b = self.extension(phi.right, val)
             return self.full & ~(a ^ b)
-        if isinstance(phi, (Box, BoxD)):
-            sub = self.extension(phi.sub, val)
-            out = 0
-            for i in range(self.n):
-                if self.succ[i] & ~sub == 0:
-                    out |= 1 << i
-            return out
-        if isinstance(phi, (Dia, DiaD)):
-            sub = self.extension(phi.sub, val)
-            out = 0
-            for i in range(self.n):
-                if self.succ[i] & sub:
-                    out |= 1 << i
-            return out
+        if isinstance(phi, Box):
+            return self.box(self.extension(phi.sub, val), self.succ)
+        if isinstance(phi, BoxD):
+            return self.box(self.extension(phi.sub, val), self.dsucc)
+        if isinstance(phi, Dia):
+            return self.dia(self.extension(phi.sub, val), self.succ)
+        if isinstance(phi, DiaD):
+            return self.dia(self.extension(phi.sub, val), self.dsucc)
         if isinstance(phi, Forall):
             return self.full if self.extension(phi.sub, val) == self.full else 0
         if isinstance(phi, Exists):
             return self.full if self.extension(phi.sub, val) else 0
-        if isinstance(phi, (Tangle, TangleD)):
-            return self._tangle(phi.members, val)
+        if isinstance(phi, Tangle):
+            return self._tangle(phi.members, val, self.succ)
+        if isinstance(phi, TangleD):
+            return self._tangle(phi.members, val, self.dsucc)
         if isinstance(phi, Mu):
             return _fixpoint(self, phi, val, 0)
         if isinstance(phi, Nu):
             return _fixpoint(self, phi, val, self.full)
         raise TypeError(f"not a formula: {phi!r}")
 
-    def _tangle(self, members: tuple[Formula, ...], val: Mapping[str, int]) -> int:
+    def _tangle(
+        self, members: tuple[Formula, ...], val: Mapping[str, int], succ: tuple[int, ...]
+    ) -> int:
         if not self.frame.transitive:
             raise NonTransitiveError(
                 "tangle formulas require a transitive frame"
             )
         masks = [self.extension(m, val) for m in members]
         good = 0
-        for cluster in self._nondegenerate_clusters():
-            if all(mask & cluster for mask in masks):
+        for cluster, rows in self._cluster_rows(succ):
+            if all(row & mask for row in rows for mask in masks):
                 good |= cluster
-        out = 0
-        for i in range(self.n):
-            if self.succ[i] & good:
-                out |= 1 << i
-        return out
+        return self.dia(good, succ)
+
+    def _cluster_rows(self, succ: tuple[int, ...]) -> list[tuple[int, set[int]]]:
+        """Each cluster of the frame with the distinct parts of it that its
+        worlds see through ``succ``.  Clusters where some world sees nothing
+        inside are left out: they carry no tangle."""
+        # succ is self.succ or self.dsucc; both live as long as self
+        key = id(succ)
+        if key not in self._rows:
+            found = []
+            for cluster in _cluster_masks(self.frame):
+                rows = {succ[i] & cluster for i in _bits(cluster)}
+                if 0 not in rows:
+                    found.append((cluster, rows))
+            self._rows[key] = found
+        return self._rows[key]
 
 
 def _fixpoint(ev, phi: Mu | Nu, val: Mapping[str, int], current: int) -> int:

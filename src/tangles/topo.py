@@ -1,44 +1,31 @@
 """Finite topological spaces and the topological reading of the language.
 
-A space is given by its full family of open sets.  The box is interior, the
-plain diamond is closure, ``<d>`` is the derivative (set of limit points),
-and ``[d]`` its dual: ``[d]phi`` holds at ``x`` when some open neighbourhood
-of ``x`` satisfies ``phi`` everywhere except possibly at ``x`` itself.
+A space is given by its full family of open sets.  Every finite space is
+Alexandrov: each point ``x`` has a least open neighbourhood ``U_x``, and
+the space is evaluated as its specialization preorder (McKinsey and
+Tarski), where ``x`` sees ``y`` iff ``y`` lies in ``U_x``.  The box is
+interior and the plain diamond is closure, the box and diamond of that
+preorder.  ``<d>`` is the derivative (set of limit points), the diamond
+over the punctured neighbourhoods ``U_x`` minus ``x``, and ``[d]`` its
+dual: ``[d]phi`` holds at ``x`` when some open neighbourhood of ``x``
+satisfies ``phi`` everywhere except possibly at ``x`` itself.
 
 Both tangle modalities denote greatest fixpoints: ``<t>{D}`` is the largest
 ``S`` with ``S`` contained in the closure of every ``member-and-S``
 intersection, and ``<dt>{D}`` is the same with the derivative in place of
-closure.  They are computed by downward iteration from the full point set.
+closure.  The Kripke evaluator computes them with its cluster criterion,
+over the preorder and over the punctured neighbourhoods respectively.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
-from .formula import (
-    And,
-    Atom,
-    Bot,
-    Box,
-    BoxD,
-    Dia,
-    DiaD,
-    Exists,
-    Forall,
-    Formula,
-    Iff,
-    Implies,
-    Mu,
-    Neg,
-    Nu,
-    Or,
-    Tangle,
-    TangleD,
-    Top,
-)
-from .kripke import Frame, NonTransitiveError, _fixpoint
+from .formula import Formula
+from .kripke import Evaluator, Frame, NonTransitiveError, _bits, path_components
 
 
 class SpaceError(ValueError):
@@ -47,6 +34,13 @@ class SpaceError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteSpace:
+    """Points plus the full family of open sets.
+
+    ``frame`` is the specialization preorder as a :class:`Frame`, built on
+    first use and cached like the frame's own index; it takes no part in
+    equality, hashing or ``repr``.
+    """
+
     points: tuple[str, ...]
     opens: frozenset[frozenset[str]]
 
@@ -55,6 +49,8 @@ class FiniteSpace:
         object.__setattr__(
             self, "opens", frozenset(frozenset(o) for o in self.opens)
         )
+        if not self.points:
+            raise SpaceError("a space needs at least one point")
         if len(set(self.points)) != len(self.points):
             raise SpaceError("duplicate point ids")
         everything = frozenset(self.points)
@@ -65,17 +61,38 @@ class FiniteSpace:
             raise SpaceError("the empty set must be open")
         if everything not in self.opens:
             raise SpaceError("the whole point set must be open")
-        opens = sorted(self.opens, key=lambda o: (len(o), sorted(o)))
-        for i, a in enumerate(opens):
-            for b in opens[i + 1 :]:
-                if a | b not in self.opens:
+        # Each open set is the union of the U_x of its points, and so is the
+        # intersection of two opens.  Adding the U_x one at a time, starting
+        # from the empty set, shows the family closed under union and
+        # intersection iff every O | U_x is open.
+        frame = self.frame
+        opens = {frame.mask(o) for o in self.opens}
+        for o in sorted(opens):
+            for x, u in zip(self.points, frame.succ):
+                if o | u not in opens:
                     raise SpaceError(
-                        f"opens not closed under union: {sorted(a)} | {sorted(b)} is missing"
+                        "opens not closed under union and intersection: "
+                        f"{sorted(frame.unmask(o | u))}, the union of {sorted(frame.unmask(o))} "
+                        f"and the least open set around {x!r}, is missing"
                     )
-                if a & b not in self.opens:
-                    raise SpaceError(
-                        f"opens not closed under intersection: {sorted(a)} & {sorted(b)} is missing"
-                    )
+
+    @cached_property
+    def frame(self) -> Frame:
+        """The specialization preorder: ``x`` sees ``y`` iff ``y`` lies in
+        every open set containing ``x``."""
+        points = self.points
+        index = {p: i for i, p in enumerate(points)}
+        nbhd = [(1 << len(points)) - 1] * len(points)
+        for o in self.opens:
+            mask = 0
+            for p in o:
+                mask |= 1 << index[p]
+            for i in _bits(mask):
+                nbhd[i] &= mask
+        return Frame(
+            points,
+            frozenset((points[i], points[j]) for i, u in enumerate(nbhd) for j in _bits(u)),
+        )
 
 
 class TopoModel:
@@ -108,110 +125,6 @@ class TopoModel:
         return f"TopoModel(points={len(self.space.points)}, atoms={sorted(self.val)})"
 
 
-class TopoEvaluator:
-    """Bitmask set operators and formula evaluation over one space."""
-
-    def __init__(self, space: FiniteSpace):
-        self.space = space
-        self.points = space.points
-        self.n = len(space.points)
-        self.full = (1 << self.n) - 1
-        self.index = {p: i for i, p in enumerate(space.points)}
-        self.opens = sorted(self.mask(o) for o in space.opens)
-
-    def mask(self, points: Iterable[str]) -> int:
-        m = 0
-        for p in points:
-            m |= 1 << self.index[p]
-        return m
-
-    def unmask(self, mask: int) -> frozenset[str]:
-        return frozenset(p for i, p in enumerate(self.points) if mask & (1 << i))
-
-    def valuation_masks(self, val: Mapping[str, Iterable[str]]) -> dict[str, int]:
-        return {atom: self.mask(ps) for atom, ps in val.items()}
-
-    # -- set operators ------------------------------------------------------
-
-    def interior(self, s: int) -> int:
-        out = 0
-        for o in self.opens:
-            if o & ~s == 0:
-                out |= o
-        return out
-
-    def closure(self, s: int) -> int:
-        return self.full & ~self.interior(self.full & ~s)
-
-    def derivative(self, s: int) -> int:
-        out = 0
-        for i in range(self.n):
-            bit = 1 << i
-            if all(o & s & ~bit for o in self.opens if o & bit):
-                out |= bit
-        return out
-
-    # -- formulas ------------------------------------------------------------
-
-    def extension(self, phi: Formula, val: Mapping[str, int]) -> int:
-        if isinstance(phi, Atom):
-            return val.get(phi.name, 0)
-        if isinstance(phi, Top):
-            return self.full
-        if isinstance(phi, Bot):
-            return 0
-        if isinstance(phi, Neg):
-            return self.full & ~self.extension(phi.sub, val)
-        if isinstance(phi, And):
-            return self.extension(phi.left, val) & self.extension(phi.right, val)
-        if isinstance(phi, Or):
-            return self.extension(phi.left, val) | self.extension(phi.right, val)
-        if isinstance(phi, Implies):
-            return (self.full & ~self.extension(phi.left, val)) | self.extension(
-                phi.right, val
-            )
-        if isinstance(phi, Iff):
-            a = self.extension(phi.left, val)
-            b = self.extension(phi.right, val)
-            return self.full & ~(a ^ b)
-        if isinstance(phi, Box):
-            return self.interior(self.extension(phi.sub, val))
-        if isinstance(phi, Dia):
-            return self.closure(self.extension(phi.sub, val))
-        if isinstance(phi, DiaD):
-            return self.derivative(self.extension(phi.sub, val))
-        if isinstance(phi, BoxD):
-            return self.full & ~self.derivative(
-                self.full & ~self.extension(phi.sub, val)
-            )
-        if isinstance(phi, Forall):
-            return self.full if self.extension(phi.sub, val) == self.full else 0
-        if isinstance(phi, Exists):
-            return self.full if self.extension(phi.sub, val) else 0
-        if isinstance(phi, Tangle):
-            return self._tangle(phi.members, val, self.closure)
-        if isinstance(phi, TangleD):
-            return self._tangle(phi.members, val, self.derivative)
-        if isinstance(phi, Mu):
-            return _fixpoint(self, phi, val, 0)
-        if isinstance(phi, Nu):
-            return _fixpoint(self, phi, val, self.full)
-        raise TypeError(f"not a formula: {phi!r}")
-
-    def _tangle(self, members, val: Mapping[str, int], op) -> int:
-        masks = [self.extension(m, val) for m in members]
-        current = self.full
-        # downward iteration reaches the greatest fixpoint of a monotone map
-        for _ in range(self.n + 2):
-            step = self.full
-            for m in masks:
-                step &= op(m & current)
-            if step == current:
-                return current
-            current = step
-        raise RuntimeError("fixpoint iteration failed to stabilize")
-
-
 @dataclass(frozen=True)
 class SetOperators:
     interior: frozenset[str]
@@ -219,14 +132,21 @@ class SetOperators:
     derivative: frozenset[str]
 
 
+def _evaluator(space: FiniteSpace) -> Evaluator:
+    """The Kripke evaluator on the specialization preorder, with the
+    d-modalities on the punctured neighbourhoods."""
+    succ = space.frame.succ
+    return Evaluator(space.frame, tuple(u & ~(1 << i) for i, u in enumerate(succ)))
+
+
 def operators(space: FiniteSpace, subset: Iterable[str]) -> SetOperators:
     """Interior, closure and derivative of one subset."""
-    ev = TopoEvaluator(space)
+    ev = _evaluator(space)
     s = ev.mask(subset)
     return SetOperators(
-        ev.unmask(ev.interior(s)),
-        ev.unmask(ev.closure(s)),
-        ev.unmask(ev.derivative(s)),
+        ev.unmask(ev.box(s, ev.succ)),
+        ev.unmask(ev.dia(s, ev.succ)),
+        ev.unmask(ev.dia(s, ev.dsucc)),
     )
 
 
@@ -238,25 +158,18 @@ class SpacePredicates:
 
 
 def space_predicates(space: FiniteSpace) -> SpacePredicates:
-    ev = TopoEvaluator(space)
-    is_td = True
-    for i in range(ev.n):
-        d = ev.derivative(1 << i)
-        if ev.derivative(d) & ~d:
-            is_td = False
-            break
-    dense = all(ev.interior(1 << i) == 0 for i in range(ev.n))
-    connected = True
-    for o in ev.opens:
-        if o not in (0, ev.full) and (ev.full & ~o) in ev.opens:
-            connected = False
-            break
-    return SpacePredicates(is_td, dense, connected)
+    ev = _evaluator(space)
+    derived = [ev.dia(1 << i, ev.dsucc) for i in range(ev.n)]
+    return SpacePredicates(
+        is_TD=all(ev.dia(d, ev.dsucc) & ~d == 0 for d in derived),
+        dense_in_itself=all(ev.box(1 << i, ev.succ) == 0 for i in range(ev.n)),
+        connected=len(path_components(space.frame)) == 1,
+    )
 
 
 def topo_model_check(model: TopoModel, phi: Formula) -> frozenset[str]:
     """Points of ``model`` satisfying ``phi``."""
-    ev = TopoEvaluator(model.space)
+    ev = _evaluator(model.space)
     return ev.unmask(ev.extension(phi, ev.valuation_masks(model.val)))
 
 

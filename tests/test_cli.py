@@ -197,6 +197,27 @@ def test_translate_fragment_error(capsys):
     assert "fragment" in err
 
 
+@pytest.mark.parametrize(
+    "text", ["~" * 3000 + "p", "(" * 3000 + "p" + ")" * 3000], ids=["negations", "parens"]
+)
+@pytest.mark.parametrize("command", ["mc", "tmc", "translate"])
+def test_deep_formula_exits_2(capsys, chain_model, sierpinski_space, command, text):
+    # exit 1 would read as "false"; a formula too deep to handle is bad input
+    before = {"mc": [chain_model], "tmc": [sierpinski_space], "translate": ["--mode", "mu"]}
+    code, out, err = run(capsys, command, *before[command], text)
+    assert code == 2
+    assert out == ""
+    assert err == "error: formula nested too deeply\n"
+
+
+def test_deep_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"worlds": ["w"], "rel": [], "val": {"p": ' + "[" * 100000 + "]" * 100000 + "}}")
+    code, _, err = run(capsys, "mc", str(path), "p")
+    assert code == 2
+    assert err == f"error: {path}: JSON nested too deeply\n"
+
+
 # ---------------------------------------------------------------------------
 # analyze
 

@@ -29,7 +29,7 @@ from tangles import (
     topo_model_check,
     topo_model_from_json,
 )
-from gen import random_formula, random_model, random_space, three_point_topologies
+from gen import close_family, random_formula, random_model, random_space, three_point_topologies
 
 p, q = Atom("p"), Atom("q")
 
@@ -140,12 +140,71 @@ def test_space_validation():
     with pytest.raises(SpaceError):
         FiniteSpace(("a",), frozenset({frozenset(), x, frozenset({"z"})}))
     with pytest.raises(SpaceError):
+        FiniteSpace((), frozenset({frozenset()}))
+    with pytest.raises(SpaceError):
         # {a} | {b} missing
         FiniteSpace(
             ("a", "b", "c"),
             frozenset({frozenset(), frozenset({"a"}), frozenset({"b"}),
                        frozenset({"a", "b", "c"})}),
         )
+
+
+def pairwise_topology(points, family):
+    """The family is a topology on ``points``, checked pair by pair."""
+    everything = frozenset(points)
+    return (
+        len(set(points)) == len(points)
+        and all(o <= everything for o in family)
+        and frozenset() in family
+        and everything in family
+        and all(a | b in family and a & b in family for a in family for b in family)
+    )
+
+
+def random_family(rng, kind):
+    points = tuple(f"x{i}" for i in range(rng.randint(1, 5)))
+    base = [
+        frozenset(p for p in points if rng.random() < 0.5)
+        for _ in range(rng.randint(0, 5))
+    ]
+    if kind == "unclosed":
+        return points, frozenset({frozenset(), frozenset(points), *base})
+    family = close_family(points, base)
+    if kind == "dropped":
+        family -= {sorted(family, key=sorted)[rng.randrange(len(family))]}
+    return points, family
+
+
+@pytest.mark.parametrize("kind", ["closed", "unclosed", "dropped"])
+@pytest.mark.parametrize("seed", range(40))
+def test_validation_matches_pairwise_oracle(seed, kind):
+    rng = random.Random(4000 + seed)
+    for _ in range(10):
+        points, family = random_family(rng, kind)
+        try:
+            FiniteSpace(points, family)
+            accepted = True
+        except SpaceError:
+            accepted = False
+        assert accepted == pairwise_topology(points, family)
+
+
+def test_union_closed_family_missing_an_intersection():
+    a, b, c = "abc"
+    family = frozenset({frozenset(), frozenset({a, b}), frozenset({b, c}), frozenset({a, b, c})})
+    assert all(x | y in family for x in family for y in family)
+    assert not pairwise_topology((a, b, c), family)
+    with pytest.raises(SpaceError):
+        FiniteSpace((a, b, c), family)
+
+
+def test_space_frame_is_the_specialization_preorder():
+    space = sierpinski()
+    before = repr(space)
+    assert space.frame.rel == {("x", "x"), ("y", "x"), ("y", "y")}
+    assert repr(space) == before
+    assert space == sierpinski() and hash(space) == hash(sierpinski())
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -223,7 +282,53 @@ def test_tangle_vs_derivative_tangle():
     assert topo_model_check(m, Tangle((p,))) == {"a", "b"}
     assert topo_model_check(m, TangleD((p,))) == {"a", "b"}
     assert topo_model_check(m, DiaD(p)) == {"a", "b"}
+    # with p at one point only, the derivative tangle needs p at a second
+    # point of the cluster, which the closure tangle does not
+    m = TopoModel(indiscrete, {"p": {"a"}})
+    assert topo_model_check(m, Tangle((p,))) == {"a", "b"}
+    assert topo_model_check(m, TangleD((p,))) == frozenset()
     assert topo_model_check(TopoModel(sierpinski(), {}), DiaD(Top())) == {"y"}
+
+
+def random_larger_space(rng):
+    points = tuple(f"x{i}" for i in range(rng.randint(5, 6)))
+    base = [
+        frozenset(x for x in points if rng.random() < 0.5)
+        for _ in range(rng.randint(0, 5))
+    ]
+    val = {a: frozenset(x for x in points if rng.random() < 0.5) for a in ("p", "q")}
+    return TopoModel(FiniteSpace(points, close_family(points, base)), val)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_larger_spaces_match_oracles(seed):
+    rng = random.Random(5000 + seed)
+    model = random_larger_space(rng)
+    space = model.space
+    pts = frozenset(space.points)
+    interior, closure, derivative = naive_ops(space)
+    for _ in range(3):
+        phi = random_formula(
+            rng, rng.randint(1, 4), tangles=True, fixpoints=True,
+            universal=True, derivative=True,
+        )
+        assert topo_model_check(model, phi) == naive_topo_extension(model, phi)
+    for atom in ("p", "q"):
+        sub = model.val[atom]
+        ops = operators(space, sub)
+        assert (ops.interior, ops.closure, ops.derivative) == (
+            interior(sub), closure(sub), derivative(sub)
+        )
+        for tangle in (Tangle, TangleD):
+            phi = tangle((p, q)) if atom == "q" else tangle((p,))
+            assert topo_model_check(model, phi) == naive_topo_extension(model, phi)
+    preds = space_predicates(space)
+    assert preds.is_TD == all(
+        closure(derivative(frozenset({x}))) == derivative(frozenset({x})) for x in pts
+    )
+    assert preds.dense_in_itself == (derivative(pts) == pts)
+    clopen = {o for o in space.opens if pts - o in space.opens}
+    assert preds.connected == (len(clopen) == 2)
 
 
 def test_alexandrov_opens_are_up_sets():
@@ -252,6 +357,14 @@ def test_alexandrov_size_cap():
     frame = Frame(worlds, frozenset((w, w) for w in worlds))
     with pytest.raises(ValueError):
         alexandrov(frame)
+
+
+def test_alexandrov_twelve_point_discrete_frame():
+    worlds = tuple(f"w{i}" for i in range(12))
+    space = alexandrov(Frame(worlds, frozenset((w, w) for w in worlds)))
+    assert len(space.opens) == 4096
+    preds = space_predicates(space)
+    assert preds.is_TD and not preds.dense_in_itself and not preds.connected
 
 
 @pytest.mark.parametrize("seed", range(80))

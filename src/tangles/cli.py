@@ -114,12 +114,8 @@ def _emit_json(data) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _world_order(model: KripkeModel) -> dict[str, int]:
-    return {w: i for i, w in enumerate(model.frame.worlds)}
-
-
 def _model_lines(model: KripkeModel) -> list[str]:
-    order = _world_order(model)
+    order = model.frame.index
     rel = sorted(model.frame.rel, key=lambda p: (order[p[0]], order[p[1]]))
     lines = ["worlds: " + " ".join(model.frame.worlds)]
     lines.append("rel: " + " ".join(f"{u}->{v}" for u, v in rel))
@@ -163,7 +159,7 @@ def _cmd_mc(args) -> int:
     if args.world is not None:
         _check_world(model.frame.worlds, args.world)
     if args.format == "structured":
-        order = _world_order(model)
+        order = model.frame.index
         _emit_json(
             {
                 "formula": pretty(phi),
@@ -189,7 +185,7 @@ def _cmd_tmc(args) -> int:
     if args.world is not None:
         _check_world(points, args.world)
     if args.format == "structured":
-        order = {p: i for i, p in enumerate(points)}
+        order = model.space.frame.index
         _emit_json(
             {
                 "formula": pretty(phi),

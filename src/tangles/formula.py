@@ -8,6 +8,12 @@ Everything else (falsum, disjunction, implication, equivalence, the diamonds,
 first-class AST nodes so that parsing and printing are faithful; semantic
 code expands them.
 
+:func:`immediate_subformulas` is the one child map of the syntax tree and
+:func:`rebuild` its inverse: it makes a node of the same kind over new
+children.  Folds (``free_atoms``, ``all_names``, polarity) and rewrites
+(``substitute`` and the translations) name only the constructors they treat
+specially and pass every other node through these two.
+
 Concrete grammar accepted by :func:`parse` (loosest to tightest):
 
     f  :=  g '<->' f  |  g
@@ -26,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class FormulaError(ValueError):
@@ -167,27 +173,29 @@ class TangleD(Formula):
 
 
 @dataclass(frozen=True)
-class Mu(Formula):
+class _Binder(Formula):
+    """Shared shape of the fixpoint binders: the body must be positive in
+    the bound variable."""
+
     var: str
     body: Formula
 
     def __post_init__(self):
-        if not positive_in(self.body, self.var):
+        if _polarities(self.body, self.var) & _NEG:
+            kw = type(self).__name__.lower()
             raise PositivityError(
-                f"'{self.var}' must occur positively in the body of mu {self.var}. {self.body}"
+                f"'{self.var}' must occur positively in the body of {kw} {self.var}. {self.body}"
             )
 
 
 @dataclass(frozen=True)
-class Nu(Formula):
-    var: str
-    body: Formula
+class Mu(_Binder):
+    """``mu x. f``: least fixpoint."""
 
-    def __post_init__(self):
-        if not positive_in(self.body, self.var):
-            raise PositivityError(
-                f"'{self.var}' must occur positively in the body of nu {self.var}. {self.body}"
-            )
+
+@dataclass(frozen=True)
+class Nu(_Binder):
+    """``nu x. f``: greatest fixpoint."""
 
 
 def box_star(phi: Formula) -> Formula:
@@ -224,88 +232,61 @@ def disj(formulas: Iterable[Formula]) -> Formula:
 # ---------------------------------------------------------------------------
 # Polarity and well-formedness
 
+# The parities of a name's occurrences, as a two-bit mask.
 _POS = 1
-_NEG = -1
+_NEG = 2
+_FLIPPED = (0, _NEG, _POS, _POS | _NEG)  # indexed by a mask: its parities swapped
 
 
-def _polarities(phi: Formula, name: str) -> frozenset[int]:
+def _polarities(phi: Formula, name: str) -> int:
     """Parities of the free occurrences of ``name`` once derived forms are
-    expanded into the primitive connectives.  An implication flips its left
-    side; an equivalence mentions both sides with both parities."""
+    expanded into the primitive connectives.  A negation or an implication
+    flips its first side; an equivalence mentions both sides with both
+    parities."""
     if isinstance(phi, Atom):
-        return frozenset([_POS]) if phi.name == name else frozenset()
-    if isinstance(phi, (Top, Bot)):
-        return frozenset()
-    if isinstance(phi, Neg):
-        return frozenset(-p for p in _polarities(phi.sub, name))
-    if isinstance(phi, (And, Or)):
-        return _polarities(phi.left, name) | _polarities(phi.right, name)
-    if isinstance(phi, Implies):
-        left = frozenset(-p for p in _polarities(phi.left, name))
-        return left | _polarities(phi.right, name)
+        return _POS if phi.name == name else 0
+    if isinstance(phi, (Mu, Nu)) and phi.var == name:
+        return 0
+    flip = isinstance(phi, (Neg, Implies))
+    out = 0
+    for sub in immediate_subformulas(phi):
+        pol = _polarities(sub, name)
+        if flip:
+            pol = _FLIPPED[pol]
+            flip = False
+        out |= pol
     if isinstance(phi, Iff):
-        out: frozenset[int] = frozenset()
-        for side in (phi.left, phi.right):
-            pol = _polarities(side, name)
-            out = out | pol | frozenset(-p for p in pol)
-        return out
-    if isinstance(phi, (Box, Dia, BoxD, DiaD, Forall, Exists)):
-        return _polarities(phi.sub, name)
-    if isinstance(phi, (Tangle, TangleD)):
-        out = frozenset()
-        for m in phi.members:
-            out = out | _polarities(m, name)
-        return out
-    if isinstance(phi, (Mu, Nu)):
-        if phi.var == name:
-            return frozenset()
-        return _polarities(phi.body, name)
-    raise TypeError(f"not a formula: {phi!r}")
+        out |= _FLIPPED[out]
+    return out
 
 
 def positive_in(phi: Formula, name: str) -> bool:
     """True iff every free occurrence of ``name`` in ``phi`` sits under an
     even number of negations, counting the expansions of derived forms."""
-    return _NEG not in _polarities(phi, name)
+    return not _polarities(phi, name) & _NEG
 
 
 def free_atoms(phi: Formula) -> frozenset[str]:
     if isinstance(phi, Atom):
         return frozenset([phi.name])
-    if isinstance(phi, (Top, Bot)):
-        return frozenset()
-    if isinstance(phi, (Neg, Box, Dia, BoxD, DiaD, Forall, Exists)):
-        return free_atoms(phi.sub)
-    if isinstance(phi, (And, Or, Implies, Iff)):
-        return free_atoms(phi.left) | free_atoms(phi.right)
-    if isinstance(phi, (Tangle, TangleD)):
-        out: frozenset[str] = frozenset()
-        for m in phi.members:
-            out = out | free_atoms(m)
-        return out
+    out: frozenset[str] = frozenset()
+    for sub in immediate_subformulas(phi):
+        out |= free_atoms(sub)
     if isinstance(phi, (Mu, Nu)):
-        return free_atoms(phi.body) - {phi.var}
-    raise TypeError(f"not a formula: {phi!r}")
+        out -= {phi.var}
+    return out
 
 
 def all_names(phi: Formula) -> frozenset[str]:
     """Every identifier occurring in ``phi``, free or bound, binders included."""
     if isinstance(phi, Atom):
         return frozenset([phi.name])
-    if isinstance(phi, (Top, Bot)):
-        return frozenset()
-    if isinstance(phi, (Neg, Box, Dia, BoxD, DiaD, Forall, Exists)):
-        return all_names(phi.sub)
-    if isinstance(phi, (And, Or, Implies, Iff)):
-        return all_names(phi.left) | all_names(phi.right)
-    if isinstance(phi, (Tangle, TangleD)):
-        out: frozenset[str] = frozenset()
-        for m in phi.members:
-            out = out | all_names(m)
-        return out
+    out: frozenset[str] = frozenset()
+    for sub in immediate_subformulas(phi):
+        out |= all_names(sub)
     if isinstance(phi, (Mu, Nu)):
-        return all_names(phi.body) | {phi.var}
-    raise TypeError(f"not a formula: {phi!r}")
+        out |= {phi.var}
+    return out
 
 
 def fresh_names(used: Iterable[str]) -> Iterator[str]:
@@ -333,44 +314,16 @@ def substitute(phi: Formula, psi: Formula, name: str) -> Formula:
     def walk(f: Formula) -> Formula:
         if isinstance(f, Atom):
             return psi if f.name == name else f
-        if isinstance(f, (Top, Bot)):
-            return f
-        if isinstance(f, Neg):
-            return Neg(walk(f.sub))
-        if isinstance(f, And):
-            return And(walk(f.left), walk(f.right))
-        if isinstance(f, Or):
-            return Or(walk(f.left), walk(f.right))
-        if isinstance(f, Implies):
-            return Implies(walk(f.left), walk(f.right))
-        if isinstance(f, Iff):
-            return Iff(walk(f.left), walk(f.right))
-        if isinstance(f, Box):
-            return Box(walk(f.sub))
-        if isinstance(f, Dia):
-            return Dia(walk(f.sub))
-        if isinstance(f, BoxD):
-            return BoxD(walk(f.sub))
-        if isinstance(f, DiaD):
-            return DiaD(walk(f.sub))
-        if isinstance(f, Forall):
-            return Forall(walk(f.sub))
-        if isinstance(f, Exists):
-            return Exists(walk(f.sub))
-        if isinstance(f, Tangle):
-            return Tangle(tuple(walk(m) for m in f.members))
-        if isinstance(f, TangleD):
-            return TangleD(tuple(walk(m) for m in f.members))
         if isinstance(f, (Mu, Nu)):
-            if f.var == name:
+            if f.var == name or name not in free_atoms(f.body):
                 return f
-            if name in free_atoms(f.body):
-                if f.var in psi_free:
-                    raise CaptureError(f.var)
-                # reconstruction re-checks positivity of the binder
-                return type(f)(f.var, walk(f.body))
-            return f
-        raise TypeError(f"not a formula: {f!r}")
+            if f.var in psi_free:
+                raise CaptureError(f.var)
+        # rebuilding a binder re-checks its positivity
+        subs = []
+        for sub in immediate_subformulas(f):
+            subs.append(walk(sub))
+        return rebuild(f, subs)
 
     return walk(phi)
 
@@ -379,20 +332,51 @@ def substitute(phi: Formula, psi: Formula, name: str) -> Formula:
 # Subformula closure
 
 
+# Constructors by shape; the one-child and two-child constructors are the
+# keys of the printer's ``_PREFIX_TOKEN`` and ``_BINARY`` tables.
+_LEAVES = frozenset({Atom, Top, Bot})
+_TANGLES = frozenset({Tangle, TangleD})
+_BINDERS = frozenset({Mu, Nu})
+
+
 def immediate_subformulas(phi: Formula) -> tuple[Formula, ...]:
     """Direct subformulas of the node as written; derived forms count as
     primitive constructors here."""
-    if isinstance(phi, (Atom, Top, Bot)):
-        return ()
-    if isinstance(phi, (Neg, Box, Dia, BoxD, DiaD, Forall, Exists)):
+    # Dispatch on the exact type: unlike ``isinstance`` with a tuple of
+    # classes, a set lookup takes no recursion-limit slot, so walkers built
+    # on this map reach as deep as hand-written ones.
+    kind = type(phi)
+    if kind in _PREFIX_TOKEN:
         return (phi.sub,)
-    if isinstance(phi, (And, Or, Implies, Iff)):
+    if kind in _BINARY:
         return (phi.left, phi.right)
-    if isinstance(phi, (Tangle, TangleD)):
-        return phi.members
-    if isinstance(phi, (Mu, Nu)):
+    if kind in _BINDERS:
         return (phi.body,)
+    if kind in _TANGLES:
+        return phi.members
+    if kind in _LEAVES:
+        return ()
     raise TypeError(f"not a formula: {phi!r}")
+
+
+def rebuild(phi: Formula, subs: Sequence[Formula]) -> Formula:
+    """A node of ``phi``'s kind whose immediate subformulas are ``subs``;
+    the inverse of :func:`immediate_subformulas`."""
+    kind = type(phi)
+    if kind in _LEAVES:
+        return phi
+    if kind in _BINDERS:
+        args = (phi.var, *subs)
+    elif kind in _TANGLES:
+        args = (tuple(subs),)
+    else:
+        args = subs
+    # Running __init__ on a bare instance, rather than calling the class,
+    # skips the type call's recursion-limit slot, so a walk that ends here
+    # reaches as deep as one that calls the constructor itself.
+    node = object.__new__(kind)
+    node.__init__(*args)
+    return node
 
 
 @dataclass(frozen=True)
@@ -457,26 +441,6 @@ _LEVEL_IMP = 2
 _LEVEL_OR = 3
 _LEVEL_AND = 4
 _LEVEL_PREFIX = 5
-_LEVEL_ATOM = 6
-
-
-def _level(phi: Formula) -> int:
-    if isinstance(phi, (Atom, Top, Bot, Tangle, TangleD)):
-        return _LEVEL_ATOM
-    if isinstance(phi, (Neg, Box, Dia, BoxD, DiaD, Forall, Exists)):
-        return _LEVEL_PREFIX
-    if isinstance(phi, And):
-        return _LEVEL_AND
-    if isinstance(phi, Or):
-        return _LEVEL_OR
-    if isinstance(phi, Implies):
-        return _LEVEL_IMP
-    if isinstance(phi, Iff):
-        return _LEVEL_IFF
-    if isinstance(phi, (Mu, Nu)):
-        return 0
-    raise TypeError(f"not a formula: {phi!r}")
-
 
 _PREFIX_TOKEN = {
     Neg: "~",
@@ -486,6 +450,16 @@ _PREFIX_TOKEN = {
     DiaD: "<d>",
     Forall: "A ",
     Exists: "E ",
+}
+
+_PREFIX_KIND = {
+    "NOT": Neg,
+    "BOX": Box,
+    "DIA": Dia,
+    "BOXD": BoxD,
+    "DIAD": DiaD,
+    "A": Forall,
+    "E": Exists,
 }
 
 _BINARY = {
@@ -641,27 +615,9 @@ class _Parser:
 
     def prefix(self) -> Formula:
         kind, _, pos = self.peek()
-        if kind == "NOT":
+        if kind in _PREFIX_KIND:
             self.next()
-            return Neg(self.prefix())
-        if kind == "BOX":
-            self.next()
-            return Box(self.prefix())
-        if kind == "DIA":
-            self.next()
-            return Dia(self.prefix())
-        if kind == "BOXD":
-            self.next()
-            return BoxD(self.prefix())
-        if kind == "DIAD":
-            self.next()
-            return DiaD(self.prefix())
-        if kind == "A":
-            self.next()
-            return Forall(self.prefix())
-        if kind == "E":
-            self.next()
-            return Exists(self.prefix())
+            return _PREFIX_KIND[kind](self.prefix())
         if kind in ("TANGLE", "TANGLED"):
             self.next()
             self.expect("LBRACE")
@@ -698,7 +654,10 @@ class _Parser:
 
 def parse(text: str) -> Formula:
     parser = _Parser(text)
-    out = parser.formula()
+    try:
+        out = parser.formula()
+    except RecursionError:
+        raise FormulaError("formula nested too deeply") from None
     kind, value, pos = parser.peek()
     if kind != "EOF":
         raise ParseError(f"trailing input {value!r}", pos)

@@ -517,10 +517,9 @@ def generated_submodel(model: KripkeModel, root: str) -> KripkeModel:
 
 
 def model_to_dict(model: KripkeModel) -> dict:
-    worlds = list(model.frame.worlds)
-    order = {w: i for i, w in enumerate(worlds)}
+    order = model.frame.index
     return {
-        "worlds": worlds,
+        "worlds": list(model.frame.worlds),
         "rel": sorted([list(p) for p in model.frame.rel], key=lambda p: (order[p[0]], order[p[1]])),
         "val": {
             a: sorted(ws, key=order.get)
@@ -577,7 +576,7 @@ def to_dot(model_or_frame: KripkeModel | Frame, name: str = "model") -> str:
         dec = cluster_decomposition(frame)
         for i, cluster in enumerate(dec.clusters):
             color = _RANK_COLORS[(dec.rank[i] - 1) % len(_RANK_COLORS)]
-            members = sorted(cluster, key=frame.worlds.index)
+            members = sorted(cluster, key=frame.index.get)
             lines.append(f"  subgraph cluster_{i} {{")
             lines.append(f'    label="rank {dec.rank[i]}"; rank=same;')
             for w in members:
@@ -586,7 +585,7 @@ def to_dot(model_or_frame: KripkeModel | Frame, name: str = "model") -> str:
     else:
         for w in frame.worlds:
             lines.append(f'  "{w}" [label="{labels[w]}", fillcolor="#eeeeee"];')
-    order = {w: i for i, w in enumerate(frame.worlds)}
+    order = frame.index
     for (u, v) in sorted(frame.rel, key=lambda p: (order[p[0]], order[p[1]])):
         lines.append(f'  "{u}" -> "{v}";')
     lines.append("}")

@@ -19,12 +19,11 @@ over a frame equals evaluating the input over the frame's
 reflexive-transitive closure.
 
 Fresh variables are ``_g0, _g1, ...``, skipping every identifier of the
-input formula, allocated one per rewritten node in depth-first order.
+input formula, allocated one per rewritten node in depth-first pre-order:
+an outer tangle or box takes its name before the ones nested inside it.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from .formula import (
     And,
@@ -34,8 +33,6 @@ from .formula import (
     BoxD,
     Dia,
     DiaD,
-    Exists,
-    Forall,
     Formula,
     Iff,
     Implies,
@@ -49,6 +46,8 @@ from .formula import (
     all_names,
     conj,
     fresh_names,
+    immediate_subformulas,
+    rebuild,
 )
 
 
@@ -61,40 +60,15 @@ def to_mu(phi: Formula) -> Formula:
     fresh = fresh_names(all_names(phi))
 
     def walk(f: Formula) -> Formula:
-        if isinstance(f, (Atom, Top, Bot)):
-            return f
-        if isinstance(f, Neg):
-            return Neg(walk(f.sub))
-        if isinstance(f, And):
-            return And(walk(f.left), walk(f.right))
-        if isinstance(f, Or):
-            return Or(walk(f.left), walk(f.right))
-        if isinstance(f, Implies):
-            return Implies(walk(f.left), walk(f.right))
-        if isinstance(f, Iff):
-            return Iff(walk(f.left), walk(f.right))
-        if isinstance(f, Box):
-            return Box(walk(f.sub))
-        if isinstance(f, Dia):
-            return Dia(walk(f.sub))
-        if isinstance(f, BoxD):
-            return BoxD(walk(f.sub))
-        if isinstance(f, DiaD):
-            return DiaD(walk(f.sub))
-        if isinstance(f, Forall):
-            return Forall(walk(f.sub))
-        if isinstance(f, Exists):
-            return Exists(walk(f.sub))
-        if isinstance(f, Mu):
-            return Mu(f.var, walk(f.body))
-        if isinstance(f, Nu):
-            return Nu(f.var, walk(f.body))
         if isinstance(f, (Tangle, TangleD)):
             q = next(fresh)
             step = Dia if isinstance(f, Tangle) else DiaD
             body = conj(step(And(walk(m), Atom(q))) for m in f.members)
             return Nu(q, body)
-        raise TypeError(f"not a formula: {f!r}")
+        subs = []
+        for sub in immediate_subformulas(f):
+            subs.append(walk(sub))
+        return rebuild(f, subs)
 
     return walk(phi)
 
@@ -103,45 +77,23 @@ def to_d(phi: Formula) -> Formula:
     """Rewrite closure modalities into derivative ones."""
 
     def walk(f: Formula) -> Formula:
-        if isinstance(f, (Atom, Top, Bot)):
-            return f
-        if isinstance(f, Neg):
-            return Neg(walk(f.sub))
-        if isinstance(f, And):
-            return And(walk(f.left), walk(f.right))
-        if isinstance(f, Or):
-            return Or(walk(f.left), walk(f.right))
-        if isinstance(f, Implies):
-            return Implies(walk(f.left), walk(f.right))
-        if isinstance(f, Iff):
-            return Iff(walk(f.left), walk(f.right))
+        subs = []
+        for sub in immediate_subformulas(f):
+            subs.append(walk(sub))
         if isinstance(f, Box):
-            sub = walk(f.sub)
-            return And(sub, BoxD(sub))
+            return And(subs[0], BoxD(subs[0]))
         if isinstance(f, Dia):
-            sub = walk(f.sub)
-            return Or(sub, DiaD(sub))
-        if isinstance(f, BoxD):
-            return BoxD(walk(f.sub))
-        if isinstance(f, DiaD):
-            return DiaD(walk(f.sub))
-        if isinstance(f, Forall):
-            return Forall(walk(f.sub))
-        if isinstance(f, Exists):
-            return Exists(walk(f.sub))
-        if isinstance(f, Mu):
-            return Mu(f.var, walk(f.body))
-        if isinstance(f, Nu):
-            return Nu(f.var, walk(f.body))
+            return Or(subs[0], DiaD(subs[0]))
         if isinstance(f, Tangle):
-            members = tuple(walk(m) for m in f.members)
-            body = conj(members)
-            return Or(Or(body, DiaD(body)), TangleD(members))
-        if isinstance(f, TangleD):
-            return TangleD(tuple(walk(m) for m in f.members))
-        raise TypeError(f"not a formula: {f!r}")
+            body = conj(subs)
+            return Or(Or(body, DiaD(body)), TangleD(tuple(subs)))
+        return rebuild(f, subs)
 
     return walk(phi)
+
+
+# the connectives ``star`` passes through unchanged
+_STAR_FRAGMENT = (Atom, Top, Bot, Neg, And, Or, Implies, Iff, Mu, Nu)
 
 
 def star(phi: Formula) -> Formula:
@@ -154,30 +106,19 @@ def star(phi: Formula) -> Formula:
     fresh = fresh_names(all_names(phi))
 
     def walk(f: Formula) -> Formula:
-        if isinstance(f, (Atom, Top, Bot)):
-            return f
-        if isinstance(f, Neg):
-            return Neg(walk(f.sub))
-        if isinstance(f, And):
-            return And(walk(f.left), walk(f.right))
-        if isinstance(f, Or):
-            return Or(walk(f.left), walk(f.right))
-        if isinstance(f, Implies):
-            return Implies(walk(f.left), walk(f.right))
-        if isinstance(f, Iff):
-            return Iff(walk(f.left), walk(f.right))
         if isinstance(f, Box):
             q = next(fresh)
             return Nu(q, And(walk(f.sub), Box(Atom(q))))
         if isinstance(f, Dia):
             # diamond is the negated box of the negation
             return Neg(walk(Box(Neg(f.sub))))
-        if isinstance(f, Mu):
-            return Mu(f.var, walk(f.body))
-        if isinstance(f, Nu):
-            return Nu(f.var, walk(f.body))
-        raise TranslationError(
-            f"operator outside the box/fixpoint fragment: {f}"
-        )
+        if not isinstance(f, _STAR_FRAGMENT):
+            raise TranslationError(
+                f"operator outside the box/fixpoint fragment: {f}"
+            )
+        subs = []
+        for sub in immediate_subformulas(f):
+            subs.append(walk(sub))
+        return rebuild(f, subs)
 
     return walk(phi)

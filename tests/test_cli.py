@@ -1,11 +1,13 @@
 """Command line behaviour: output formats, exit codes, error routing."""
 
 import json
+import random
 
 import pytest
 
 from tangles import Atom, Neg, instantiate, pretty
 from tangles.cli import main
+from gen import random_formula
 
 
 def run(capsys, *argv):
@@ -216,6 +218,56 @@ def test_deep_json_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "mc", str(path), "p")
     assert code == 2
     assert err == f"error: {path}: JSON nested too deeply\n"
+
+
+_FUZZ_TOKENS = [
+    "~", "[]", "<>", "[d]", "<d>", "<t>", "<dt>", "{", "}", ",", "(", ")",
+    "&", "|", "->", "<->", ".", "mu", "nu", "x", "A", "E", "true", "false", "p", " ",
+]
+_FUZZ_CHARS = "#$%!?;:=+*/\\`'\"[]<>{}\t\n\x00é→"
+_FUZZ_NESTING = [("~", ""), ("<>", ""), ("[]", ""), ("(", ")"), ("<t>{", "}"), ("mu x. <>", "")]
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    kind = rng.randrange(4)
+    if kind == 0:  # spliced tokens
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(0, len(text))
+            text = text[:i] + rng.choice(_FUZZ_TOKENS) + text[i:]
+    elif kind == 1:  # truncation
+        text = text[: rng.randint(0, len(text))]
+    elif kind == 2:  # stray characters
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(0, len(text))
+            text = text[:i] + rng.choice(_FUZZ_CHARS) + text[i:]
+    else:  # deep nesting
+        opener, closer = rng.choice(_FUZZ_NESTING)
+        k = rng.choice([30, 400, 3000])
+        text = opener * k + text + closer * k
+    return text
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("command", ["mc", "tmc", "translate"])
+def test_fuzzed_formulas_keep_the_exit_code_contract(
+    capsys, chain_model, sierpinski_space, command, seed
+):
+    # 0/1 are answers and 2 is bad input; no input may end in a traceback
+    rng = random.Random(7100 + seed)
+    for _ in range(12):
+        phi = random_formula(
+            rng, rng.randint(0, 3), ("p", "q"), universal=True, derivative=True
+        )
+        text = _mutate(rng, pretty(phi))
+        before = {
+            "mc": [chain_model],
+            "tmc": [sierpinski_space],
+            # not --mode d: its output doubles with each nested box or diamond
+            "translate": ["--mode", rng.choice(["mu", "star"])],
+        }[command]
+        code, _, err = run(capsys, command, *before, "--", text)
+        assert code in (0, 1, 2), (text, err)
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from tangles import (
     DiaD,
     Exists,
     Forall,
+    Formula,
     FormulaError,
     Iff,
     Implies,
@@ -41,7 +42,10 @@ from tangles import (
     pretty,
     subformula_closure,
     substitute,
+    to_d,
+    to_mu,
 )
+from tangles.formula import rebuild
 from gen import random_formula
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -180,11 +184,57 @@ def test_substitute_capture():
         substitute(Nu("v", And(p, Box(Atom("v")))), Dia(Atom("v")), "p")
 
 
+def _constructors(cls=Formula):
+    for sub in cls.__subclasses__():
+        if not sub.__name__.startswith("_"):
+            yield sub
+        yield from _constructors(sub)
+
+
 def test_immediate_subformulas():
     assert immediate_subformulas(p) == ()
     assert immediate_subformulas(And(p, q)) == (p, q)
     assert immediate_subformulas(Tangle((p, q))) == (p, q)
     assert immediate_subformulas(Mu("x", Dia(Atom("x")))) == (Dia(Atom("x")),)
+    x = Atom("x")
+    one_of_each = [
+        p, Top(), Bot(), Neg(p), And(p, q), Or(p, q), Implies(p, q), Iff(p, q),
+        Box(p), Dia(p), BoxD(p), DiaD(p), Forall(p), Exists(p),
+        Tangle((p, q)), TangleD((q,)), Mu("x", Dia(x)), Nu("x", Box(x)),
+    ]
+    assert {type(f) for f in one_of_each} == set(_constructors())
+    for f in one_of_each:
+        assert rebuild(f, immediate_subformulas(f)) == f
+    # new children land in the same slots
+    assert rebuild(Implies(p, q), [q, p]) == Implies(q, p)
+    assert rebuild(Mu("x", Dia(x)), [Box(x)]) == Mu("x", Box(x))
+    assert rebuild(TangleD((p,)), [q, p]) == TangleD((p, q))
+    # rebuilding a binder re-checks positivity
+    with pytest.raises(PositivityError, match="body of nu x"):
+        rebuild(Nu("x", Box(x)), [Neg(x)])
+
+
+@pytest.mark.parametrize("wrap", [Neg, Dia], ids=["negations", "diamonds"])
+def test_walkers_take_900_deep_chains(wrap):
+    phi = p
+    for _ in range(900):
+        phi = wrap(phi)
+    assert free_atoms(phi) == {"p"}
+    assert all_names(phi) == {"p"}
+    assert positive_in(phi, "p")  # an even number of negations
+    assert free_atoms(substitute(phi, q, "p")) == {"q"}
+    assert pretty(to_mu(phi)) == pretty(phi)
+    to_d(phi)  # shares each rewritten child, so the result is not printed
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["~" * 3000 + "p", "(" * 3000 + "p" + ")" * 3000, "mu x. " + "<>" * 3000 + "x"],
+    ids=["negations", "parens", "binder"],
+)
+def test_parse_too_deep_is_a_formula_error(text):
+    with pytest.raises(FormulaError, match="^formula nested too deeply$"):
+        parse(text)
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -57,6 +57,14 @@ def test_to_mu_freshness():
     assert to_mu(phi) == And(Nu("_g1", Dia(And(p, g1))), g0)
 
 
+def test_to_mu_names_tangles_in_pre_order():
+    # the outer tangle takes its name before the one nested inside it
+    inner = Nu("_g1", Dia(And(q, g1)))
+    assert to_mu(Tangle((Dia(Tangle((q,))), p))) == Nu(
+        "_g0", And(Dia(And(Dia(inner), g0)), Dia(And(p, g0)))
+    )
+
+
 @pytest.mark.parametrize("seed", range(100))
 def test_to_mu_agrees_on_transitive_models(seed):
     rng = random.Random(seed)
@@ -132,6 +140,15 @@ def test_star_structure():
     assert star(Box(p)) == Nu("_g0", And(p, Box(g0)))
     assert star(Dia(p)) == Neg(Nu("_g0", And(Neg(p), Box(g0))))
     assert star(And(p, q)) == And(p, q)
+
+
+def test_star_names_boxes_in_pre_order():
+    assert star(Box(Dia(p))) == Nu(
+        "_g0", And(Neg(Nu("_g1", And(Neg(p), Box(g1)))), Box(g0))
+    )
+    assert star(Dia(Box(p))) == Neg(
+        Nu("_g0", And(Neg(Nu("_g1", And(p, Box(g1)))), Box(g0)))
+    )
 
 
 @pytest.mark.parametrize(

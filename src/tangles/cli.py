@@ -3,8 +3,8 @@
 One subcommand per capability, stable machine output under
 ``--format structured`` (JSON with sorted keys), DOT export where a model or
 frame is produced.  Exit codes: 0 success or "true", 1 a counterexample or
-"false" or "not found", 2 usage errors of any kind, 3 search budget exceeded.
-All diagnostics go to stderr.
+"false" or "not found", 2 usage errors of any kind, 3 a search budget or the
+print limit of ``translate`` exceeded.  All diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .formula import (
     free_atoms,
     parse,
     pretty,
+    printed_length,
     subformula_closure,
 )
 from .kripke import (
@@ -202,11 +203,19 @@ def _cmd_tmc(args) -> int:
 
 
 _TRANSLATIONS = {"mu": to_mu, "d": to_d, "star": star}
+#: Longest translation ``translate`` prints.  ``to_d`` shares each rewritten
+#: child twice, so its printed form can double with every nested box.
+_PRINT_LIMIT = 1 << 24
 
 
 def _cmd_translate(args) -> int:
     phi = _one_formula(args)
     out = _TRANSLATIONS[args.mode](phi)
+    size = printed_length(out)
+    if size > _PRINT_LIMIT:
+        raise BudgetExceededError(
+            f"the translation would print {size} characters, over the limit of {_PRINT_LIMIT}"
+        )
     if args.format == "structured":
         _emit_json({"input": pretty(phi), "mode": args.mode, "output": pretty(out)})
     else:

@@ -154,7 +154,9 @@ def filtrate(
     ev = Evaluator(m.frame)
     masks = ev.valuation_masks(m.val)
     ordered = closure.sorted()
-    source_truth = {f: ev.unmask(ev.extension(f, masks)) for f in ordered}
+    source_truth = {
+        f: ev.unmask(ext) for f, ext in zip(ordered, ev.extensions(ordered, masks))
+    }
     maximal, sees = _maximal_cluster_data(m.frame)
 
     def signature(w: str):
@@ -256,10 +258,9 @@ def untangle(
     _check_inputs(fr, m, closure)
     quotient = fr.filtered_frame()
     dec = cluster_decomposition(quotient)
+    tangles = closure.tangle_members
     member_realized = {
-        g: quotient.mask(fr.realized(g))
-        for f in closure.tangle_members
-        for g in f.members
+        g: quotient.mask(fr.realized(g)) for f in tangles for g in f.members
     }
     succ_q = {
         w: quotient.mask(fr.quotient_map[z] for z in m.frame.successors(w))
@@ -278,7 +279,7 @@ def untangle(
             inside = succ_q[y] & cmask
             if all(
                 any(not (member_realized[g] & inside) for g in f.members)
-                for f in closure.tangle_members
+                for f in tangles
                 if y not in fr.source_truth[f]
             ):
                 chosen = y
@@ -342,8 +343,9 @@ def verify_reduction(
     ev = Evaluator(model_t.frame)
     masks = ev.valuation_masks(model_t.val)
     checked = 0
-    for f in closure.sorted():
-        ext = ev.unmask(ev.extension(f, masks))
+    ordered = closure.sorted()
+    for f, mask in zip(ordered, ev.extensions(ordered, masks)):
+        ext = ev.unmask(mask)
         for x in m.frame.worlds:
             checked += 1
             expected = x in fr.source_truth[f]
@@ -377,10 +379,11 @@ def reduction_conditions(
                 out.append(
                     f"valuation of {a} disagrees between {x} and its class"
                 )
+    ordered = closure.sorted()
     for cls in fr.classes:
         rep = cls[0]
         for x in cls[1:]:
-            if any((rep in truth[f]) != (x in truth[f]) for f in closure):
+            if any((rep in truth[f]) != (x in truth[f]) for f in ordered):
                 out.append(f"class of {rep} mixes worlds with different profiles")
                 break
     for i, row in enumerate(m.frame.succ):
@@ -541,7 +544,7 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
 
     ev = Evaluator(m.frame)
     masks = ev.valuation_masks(m.val)
-    ext = {a: ev.unmask(ev.extension(a, masks)) for a in alphabet}
+    ext = {a: ev.unmask(e) for a, e in zip(alphabet, ev.extensions(alphabet, masks))}
     type_of = {
         w: frozenset(a for a in alphabet if w in ext[a]) for w in m.frame.worlds
     }
@@ -570,13 +573,12 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
     cluster_formula = {i: alpha(i) for i in maximal}
     sees_cluster_formula = {i: Dia(box_star(cluster_formula[i])) for i in maximal}
 
+    ordered = closure.sorted()
     closure_truth = {
-        f: ev.unmask(ev.extension(f, masks)) for f in closure.sorted()
+        f: ev.unmask(ext) for f, ext in zip(ordered, ev.extensions(ordered, masks))
     }
     profile_formula = {
-        w: conj(
-            f if w in closure_truth[f] else Neg(f) for f in closure.sorted()
-        )
+        w: conj(f if w in closure_truth[f] else Neg(f) for f in ordered)
         for w in m.frame.worlds
     }
     view_formula = {

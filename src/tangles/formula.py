@@ -14,6 +14,16 @@ children.  Folds (``free_atoms``, ``all_names``, polarity) and rewrites
 (``substitute`` and the translations) name only the constructors they treat
 specially and pass every other node through these two.
 
+Nodes are hash-consed: every way of making a node (the class call,
+``rebuild``, the parser, ``dataclasses.replace``, ``copy`` and ``pickle``)
+returns the one live node of that structure, from a table that holds nodes
+weakly.  Equality is therefore identity, hashing is the object's, and a
+formula that repeats a subformula is a DAG that stores it once.  The
+canonical order of tangle members and closure sets is by printed form,
+computed once per node.  :func:`pretty` and :func:`printed_length` lay out
+each node once per printing context, so shared subformulas cost one layout;
+the evaluator in ``kripke`` likewise computes each distinct subformula once.
+
 Concrete grammar accepted by :func:`parse` (loosest to tightest):
 
     f  :=  g '<->' f  |  g
@@ -31,6 +41,8 @@ Atoms match ``[a-zA-Z][a-zA-Z0-9_]*`` minus the keywords
 from __future__ import annotations
 
 import re
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -59,141 +71,216 @@ class CaptureError(FormulaError):
 # AST
 
 
+class _Entry(weakref.ref):
+    """A weak reference to an interned node that remembers the node's key."""
+
+    __slots__ = ("key",)
+
+
+# Every live node by its structure: the node's class and its field values.
+# Children enter a key by identity, which is sound because a live node keeps
+# its children, and so their table entries, alive.  Lookups read the table
+# without the lock; adding and removing entries hold it.  It is reentrant
+# because a node can die, and its entry go, while its thread adds another.
+_NODES: dict[tuple, _Entry] = {}
+_NODES_LOCK = threading.RLock()
+
+
+def _forget(entry: _Entry, nodes: dict = _NODES, lock=_NODES_LOCK) -> None:
+    with lock:
+        # only if the key still names this entry and not a newer node's
+        if nodes.get(entry.key) is entry:
+            del nodes[entry.key]
+
+
 class Formula:
+    """A node of the syntax DAG.
+
+    Nodes are interned: calling a node class returns the one live node of
+    that structure, made on first use, so equality is identity and the hash
+    is the object's.  The fields are set here, once; the dataclasses of the
+    node kinds generate no ``__init__``.
+    """
+
     __slots__ = ()
+
+    def __new__(kind, *args, **named):
+        fields = kind.__match_args__
+        if named:  # dataclasses.replace names every field
+            args += tuple(named.pop(f) for f in fields[len(args):] if f in named)
+        if named or len(args) != len(fields):
+            raise TypeError(f"{kind.__name__} takes the fields {', '.join(fields)}")
+        if kind in _TANGLES:
+            args = (_normalize_members(args[0]),)
+        key = (kind, *args)
+        entry = _NODES.get(key)
+        node = None if entry is None else entry()
+        if node is None:
+            if kind in _BINDERS and _polarities(args[1], args[0]) & _NEG:
+                var, body = args
+                raise PositivityError(
+                    f"'{var}' must occur positively in the body of"
+                    f" {kind.__name__.lower()} {var}. {body}"
+                )
+            with _NODES_LOCK:
+                entry = _NODES.get(key)
+                node = None if entry is None else entry()
+                if node is None:  # no other thread made it meanwhile
+                    node = object.__new__(kind)
+                    for name, value in zip(fields, args):
+                        object.__setattr__(node, name, value)
+                    entry = _Entry(node, _forget)
+                    entry.key = key
+                    _NODES[key] = entry
+        return node
 
     def __str__(self) -> str:
         return pretty(self)
 
+    # a copy is the node itself, and unpickling goes through the table
+    def __copy__(self) -> Formula:
+        return self
 
-@dataclass(frozen=True)
+    def __deepcopy__(self, memo) -> Formula:
+        return self
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+# The node kinds: frozen dataclasses for their fields, ``repr`` and
+# ``dataclasses.replace``; construction and equality come from Formula.
+_node = dataclass(frozen=True, eq=False, init=False)
+
+
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Box(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Dia(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class BoxD(Formula):
     """``[d]`` - interior of the punctured neighbourhood, box-like."""
 
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class DiaD(Formula):
     """``<d>`` - the derivative (limit point) diamond."""
 
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Forall(Formula):
     sub: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Exists(Formula):
     sub: Formula
 
 
+def _sort_key(phi: Formula) -> str:
+    """The canonical sort key of a node, its printed form, computed once."""
+    try:
+        return phi._text
+    except AttributeError:
+        text = pretty(phi)
+        object.__setattr__(phi, "_text", text)
+        return text
+
+
 def _normalize_members(members: Iterable[Formula]) -> tuple[Formula, ...]:
     # canonical order: sort by printed form, dropping duplicates
-    by_text = {pretty(m): m for m in members}
+    members = tuple(members)
+    if len(members) == 1 and isinstance(members[0], Formula):
+        return members  # already canonical, and its printed form may be huge
+    by_text = {_sort_key(m): m for m in members}
     if not by_text:
         raise FormulaError("tangle set must be non-empty")
     return tuple(by_text[k] for k in sorted(by_text))
 
 
-@dataclass(frozen=True)
+@_node
 class Tangle(Formula):
     """``<t>{...}``: some point set where every member is cofinally reachable."""
 
     members: tuple[Formula, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", _normalize_members(self.members))
 
-
-@dataclass(frozen=True)
+@_node
 class TangleD(Formula):
     """``<dt>{...}``: the derivative-based tangle."""
 
     members: tuple[Formula, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", _normalize_members(self.members))
 
-
-@dataclass(frozen=True)
+@_node
 class _Binder(Formula):
     """Shared shape of the fixpoint binders: the body must be positive in
-    the bound variable."""
+    the bound variable, which ``Formula.__new__`` checks."""
 
     var: str
     body: Formula
 
-    def __post_init__(self):
-        if _polarities(self.body, self.var) & _NEG:
-            kw = type(self).__name__.lower()
-            raise PositivityError(
-                f"'{self.var}' must occur positively in the body of {kw} {self.var}. {self.body}"
-            )
 
-
-@dataclass(frozen=True)
+@_node
 class Mu(_Binder):
     """``mu x. f``: least fixpoint."""
 
 
-@dataclass(frozen=True)
+@_node
 class Nu(_Binder):
     """``nu x. f``: greatest fixpoint."""
 
@@ -238,19 +325,24 @@ _NEG = 2
 _FLIPPED = (0, _NEG, _POS, _POS | _NEG)  # indexed by a mask: its parities swapped
 
 
-def _polarities(phi: Formula, name: str) -> int:
+def _polarities(phi: Formula, name: str, memo: dict | None = None) -> int:
     """Parities of the free occurrences of ``name`` once derived forms are
     expanded into the primitive connectives.  A negation or an implication
     flips its first side; an equivalence mentions both sides with both
-    parities."""
+    parities.  ``memo`` holds the nodes already walked, so a shared
+    subformula is walked once."""
     if isinstance(phi, Atom):
         return _POS if phi.name == name else 0
     if isinstance(phi, (Mu, Nu)) and phi.var == name:
         return 0
+    if memo is None:
+        memo = {}
     flip = isinstance(phi, (Neg, Implies))
     out = 0
     for sub in immediate_subformulas(phi):
-        pol = _polarities(sub, name)
+        pol = memo.get(sub)
+        if pol is None:
+            pol = memo[sub] = _polarities(sub, name, memo)
         if flip:
             pol = _FLIPPED[pol]
             flip = False
@@ -371,12 +463,10 @@ def rebuild(phi: Formula, subs: Sequence[Formula]) -> Formula:
         args = (tuple(subs),)
     else:
         args = subs
-    # Running __init__ on a bare instance, rather than calling the class,
-    # skips the type call's recursion-limit slot, so a walk that ends here
-    # reaches as deep as one that calls the constructor itself.
-    node = object.__new__(kind)
-    node.__init__(*args)
-    return node
+    # Calling __new__ directly, rather than the class, skips the type call's
+    # recursion-limit slot, so a walk that ends here reaches as deep as one
+    # that calls the constructor itself.
+    return Formula.__new__(kind, *args)
 
 
 @dataclass(frozen=True)
@@ -404,7 +494,7 @@ class ClosureSet:
 
     def sorted(self) -> tuple[Formula, ...]:
         """Members in a deterministic order (by printed form)."""
-        return tuple(sorted(self.formulas, key=pretty))
+        return tuple(sorted(self.formulas, key=_sort_key))
 
     @property
     def tangle_members(self) -> tuple[Formula, ...]:
@@ -470,47 +560,79 @@ _BINARY = {
 }
 
 
+def _layout(f: Formula, need: int, rightmost: bool) -> Sequence:
+    """How ``f`` prints in a context that binds with strength ``need``: its
+    literal text and, in place of each child, the child's printing context
+    ``(child, need, rightmost)``."""
+    kind = type(f)
+    if kind is Atom:
+        return (f.name,)
+    if kind is Top:
+        return ("true",)
+    if kind is Bot:
+        return ("false",)
+    if kind in _PREFIX_TOKEN:
+        # prefixes bind tightest, so they never need parentheses
+        return (_PREFIX_TOKEN[kind], (f.sub, _LEVEL_PREFIX, rightmost))
+    if kind in _BINDERS:
+        head = f"{'mu' if kind is Mu else 'nu'} {f.var}. "
+        # a binder swallows everything to its right, so it can stay bare
+        # only in rightmost position
+        body = (f.body, 0, True)
+        return (head, body) if rightmost else ("(" + head, body, ")")
+    if kind in _TANGLES:
+        out = ["<t>{" if kind is Tangle else "<dt>{"]
+        for m in f.members:
+            out += ((m, 0, True), ", ")
+        out[-1] = "}"
+        return out
+    op, lvl, assoc = _BINARY[kind]
+    left = (f.left, lvl if assoc == "left" else lvl + 1, False)
+    right = (f.right, lvl + 1 if assoc == "left" else lvl, rightmost)
+    text = (left, f" {op} ", right)
+    return text if lvl >= need else ("(", *text, ")")
+
+
 def pretty(phi: Formula) -> str:
-    """Print with minimal parentheses; ``parse(pretty(phi)) == phi``."""
+    """Print with minimal parentheses; ``parse(pretty(phi)) is phi``.  Each
+    node is printed once per context, so shared subformulas cost one
+    layout each."""
+    memo: dict[tuple, str] = {}
 
-    def emit(f: Formula, need: int, rightmost: bool) -> str:
-        if isinstance(f, Atom):
-            return f.name
-        if isinstance(f, Top):
-            return "true"
-        if isinstance(f, Bot):
-            return "false"
-        if isinstance(f, (Mu, Nu)):
-            kw = "mu" if isinstance(f, Mu) else "nu"
-            text = f"{kw} {f.var}. {emit(f.body, 0, True)}"
-            # a binder swallows everything to its right, so it can stay
-            # bare only in rightmost position
-            return text if rightmost else f"({text})"
-        if isinstance(f, (Tangle, TangleD)):
-            tok = "<t>" if isinstance(f, Tangle) else "<dt>"
-            inner = ", ".join(emit(m, 0, True) for m in f.members)
-            return f"{tok}{{{inner}}}"
-        if type(f) in _PREFIX_TOKEN:
-            text = _PREFIX_TOKEN[type(f)] + emit(f.sub, _LEVEL_PREFIX, rightmost)
-            return text if _LEVEL_PREFIX >= need else f"({text})"
-        op, lvl, assoc = _BINARY[type(f)]
-        left_need = lvl if assoc == "left" else lvl + 1
-        right_need = lvl + 1 if assoc == "left" else lvl
-        text = (
-            emit(f.left, left_need, False)
-            + f" {op} "
-            + emit(f.right, right_need, rightmost)
-        )
-        return text if lvl >= need else f"({text})"
+    def emit(ctx: tuple) -> str:
+        text = memo.get(ctx)
+        if text is None:
+            parts = []
+            for piece in _layout(*ctx):
+                parts.append(piece if type(piece) is str else emit(piece))
+            text = memo[ctx] = "".join(parts)
+        return text
 
-    return emit(phi, 0, True)
+    return emit((phi, 0, True))
+
+
+def printed_length(phi: Formula) -> int:
+    """``len(pretty(phi))``, counted without printing: once per node and
+    context, so it takes time linear in the distinct nodes even where the
+    printed text is exponentially longer."""
+    memo: dict[tuple, int] = {}
+
+    def measure(ctx: tuple) -> int:
+        size = memo.get(ctx)
+        if size is None:
+            size = 0
+            for piece in _layout(*ctx):
+                size += len(piece) if type(piece) is str else measure(piece)
+            memo[ctx] = size
+        return size
+
+    return measure((phi, 0, True))
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 _KEYWORDS = {"mu", "nu", "true", "false", "A", "E"}
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # token kinds carrying no payload
 _SYMBOLS = [
@@ -533,33 +655,32 @@ _SYMBOLS = [
     (".", "DOT"),
 ]
 
+# One alternative per token kind, named after it; whitespace is unnamed and
+# any other character matches BAD.
+_TOKEN = re.compile(
+    "|".join(
+        [r"(?P<ATOM>[A-Za-z_][A-Za-z0-9_]*)"]
+        + [f"(?P<{kind}>{re.escape(sym)})" for sym, kind in _SYMBOLS]
+        + [r"\s+", "(?P<BAD>.)"]
+    ),
+    re.DOTALL,
+)
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        m = _IDENT.match(text, i)
-        if m:
-            word = m.group(0)
+        word = m.group()
+        if kind == "ATOM":
             if word in _KEYWORDS:
-                tokens.append((word.upper(), word, i))
-            else:
-                tokens.append(("ATOM", word, i))
-            i = m.end()
-            continue
-        for sym, kind in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append((kind, sym, i))
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("EOF", "", n))
+                kind = word.upper()
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {word!r}", m.start())
+        tokens.append((kind, word, m.start()))
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 

@@ -13,6 +13,11 @@ criterion to the relation of the d-modalities, which a topological space
 sets to its punctured neighbourhoods.
 A brute-force lasso oracle (:func:`tangle_oracle`) is kept alongside purely
 for cross-validation; it never feeds the checker.
+
+:class:`Evaluator` compiles each formula once into a flat program over its
+distinct subformulas (:func:`compile_formulas`) and runs that program per
+valuation as a loop without recursion.  Inside a fixpoint only the
+subformulas that mention the bound variable run again each round.
 """
 
 from __future__ import annotations
@@ -20,12 +25,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .formula import (
     And,
     Atom,
-    Bot,
     Box,
     BoxD,
     Dia,
@@ -42,6 +46,7 @@ from .formula import (
     Tangle,
     TangleD,
     Top,
+    immediate_subformulas,
 )
 
 
@@ -309,14 +314,178 @@ def min_local_connectedness(frame: Frame) -> int:
 # Model checking
 
 
+# Opcodes of a compiled program.  An instruction is ``(op, out, a, b)``: it
+# writes slot ``out`` from the slots or constants ``a`` and ``b``.  A
+# relation operand selects ``succ`` (0) or ``dsucc`` (1).
+(_ATOM, _TOP, _NOT, _AND, _OR, _IMP, _IFF, _BOX, _DIA, _ALL, _EX, _TANGLE,
+ _FIX, _LOOP) = range(14)
+
+_BINARY_OPS = {And: _AND, Or: _OR, Implies: _IMP, Iff: _IFF}
+_UNARY_OPS = {Neg: (_NOT, 0), Box: (_BOX, 0), BoxD: (_BOX, 1), Dia: (_DIA, 0),
+              DiaD: (_DIA, 1), Forall: (_ALL, 0), Exists: (_EX, 0)}
+_BINDERS = (Mu, Nu)
+
+
+@dataclass(frozen=True)
+class Program:
+    """Formulas compiled for :meth:`Evaluator.run`: one instruction per
+    distinct subformula and binding of its free fixpoint variables,
+    children first; ``roots`` are the slots of the compiled formulas.
+
+    A fixpoint is a loop between a ``_FIX`` instruction, which starts the
+    bound variable's slot at nothing or everything, and a ``_LOOP``
+    instruction, which jumps back until the body's slot equals it.  Only
+    the subformulas that mention the bound variable sit inside the loop;
+    the others come before it and run once.
+    """
+
+    code: tuple[tuple, ...]
+    size: int
+    roots: tuple[int, ...]
+    tangles: bool
+
+
+def _instruction(f: Formula, out: int, args: list[int]) -> tuple | None:
+    """The instruction that computes ``f`` into slot ``out`` from its
+    children's slots; none for Bot, whose slot starts empty."""
+    kind = type(f)
+    if kind is Atom:
+        return (_ATOM, out, f.name, 0)
+    if kind is Top:
+        return (_TOP, out, 0, 0)
+    if kind in _BINARY_OPS:
+        return (_BINARY_OPS[kind], out, *args)
+    if kind in _UNARY_OPS:
+        op, rel = _UNARY_OPS[kind]
+        return (op, out, args[0], rel)
+    if kind is Tangle or kind is TangleD:
+        return (_TANGLE, out, tuple(args), int(kind is TangleD))
+    return None
+
+
+# tasks of the compiler's work stack
+_VISIT, _EMIT, _CLOSE = range(3)
+_EMPTY: frozenset = frozenset()
+
+
+def compile_formulas(roots: Sequence[Formula]) -> Program:
+    """Compile ``roots`` into one program, without recursion, so formulas
+    of any depth compile.
+
+    A compiled node depends on the binders that bind its free names where
+    it occurs: their slots are its ``deps``.  All occurrences of a node with
+    the same ``deps`` share one instruction, which goes into the loop of the
+    innermost binder among them, or before every loop if there is none.
+    """
+    roots = tuple(roots)
+    # The instructions of the top level (key None) and of each loop body
+    # (key: the binder's slot), where ``(None, var, body, nu)`` stands for
+    # the nested loop of the binder at ``var``.
+    blocks: dict[int | None, list[tuple]] = {None: []}
+    depth_of: dict[int, int] = {}  # binder slot -> how many loops enclose its body
+    shared: dict[tuple, tuple[int, frozenset]] = {}  # (node, deps) -> (slot, deps)
+    free: dict[Formula, frozenset[str]] = {}  # node -> free names, once compiled
+    size = 0
+
+    def block(deps: frozenset) -> list[tuple]:
+        return blocks[max(deps, key=depth_of.get)] if deps else blocks[None]
+
+    # A scope is the binding of names to binder slots, the nodes compiled
+    # under it, and its loop depth.
+    top: tuple[dict, dict, int] = ({}, {}, 0)
+    stack: list[tuple] = [(_VISIT, f, top, None) for f in reversed(roots)]
+    while stack:
+        task, f, scope, extra = stack.pop()
+        bindings, compiled, depth = scope
+        if task == _VISIT:
+            if f in compiled:
+                continue
+            if f in free and bindings:
+                # compiled under another scope: reuse it if it binds alike
+                deps = frozenset(bindings[n] for n in free[f] if n in bindings)
+                if (f, deps) in shared:
+                    compiled[f] = shared[f, deps]
+                    continue
+            kind = type(f)
+            if kind is Atom and f.name in bindings:
+                var = bindings[f.name]
+                compiled[f] = (var, frozenset((var,)))
+                free[f] = frozenset((f.name,))
+            elif kind in _BINDERS:
+                # two slots: the bound variable, which ends as the result,
+                # and the loop's round count
+                var = size
+                size += 2
+                depth_of[var] = depth + 1
+                blocks[var] = []
+                inner = ({**bindings, f.var: var}, {}, depth + 1)
+                stack += [(_CLOSE, f, scope, (var, inner)), (_VISIT, f.body, inner, None)]
+            else:
+                stack.append((_EMIT, f, scope, None))
+                stack += [(_VISIT, g, scope, None) for g in reversed(immediate_subformulas(f))]
+        elif task == _EMIT:
+            if f in compiled:
+                continue
+            args = []
+            deps = names = _EMPTY
+            for g in immediate_subformulas(f):
+                slot, d = compiled[g]
+                args.append(slot)
+                # most nodes mention no bound name: skip the empty unions
+                if d:
+                    deps = deps | d if deps else d
+                if free[g]:
+                    names = names | free[g] if names else free[g]
+            free[f] = frozenset((f.name,)) if type(f) is Atom else names
+            done = shared.get((f, deps))
+            if done is None:
+                ins = _instruction(f, size, args)
+                if ins:
+                    block(deps).append(ins)
+                done = shared[f, deps] = (size, deps)
+                size += 1
+            compiled[f] = done
+        else:
+            var, inner = extra
+            body, body_deps = inner[1][f.body]
+            free[f] = free[f.body] - {f.var}
+            deps = body_deps - {var}
+            if (f, deps) not in shared:
+                block(deps).append((None, var, body, type(f) is Nu))
+                shared[f, deps] = (var, deps)
+            # else the same fixpoint is compiled already; this loop is dropped
+            compiled[f] = shared[f, deps]
+
+    # Lay the blocks out, each loop between its _FIX and its _LOOP.
+    code: list[tuple] = []
+    layout = [(iter(blocks[None]), None)]
+    while layout:
+        todo, loop = layout[-1]
+        for ins in todo:
+            if ins[0] is None:
+                _, var, body, nu = ins
+                code.append((_FIX, var, nu, var + 1))
+                layout.append((iter(blocks[var]), (var, body, len(code))))
+                break
+            code.append(ins)
+        else:
+            layout.pop()
+            if loop:
+                var, body, start = loop
+                code.append((_LOOP, var, body, (var + 1, start)))
+    tangles = any(ins[0] == _TANGLE for ins in code)
+    return Program(tuple(code), size, tuple(top[1][f][0] for f in roots), tangles)
+
+
 class Evaluator:
     """Bitmask evaluator over a fixed frame.
 
     Build once per frame, then query :meth:`extension` with different
-    valuations; the frame's relation index and clusters are reused.  The
-    plain modalities and ``<t>`` read the frame's successor masks; the
-    d-modalities and ``<dt>`` read ``dsucc``, which defaults to the same
-    masks.  A topological space passes its punctured neighbourhoods there.
+    valuations; the frame's relation index and clusters, and each
+    formula's compiled program, are reused.  The plain modalities and
+    ``<t>`` read the frame's successor masks; the d-modalities and ``<dt>``
+    read ``dsucc``, which defaults to the same masks.  A topological space
+    passes its punctured neighbourhoods there.
     """
 
     def __init__(self, frame: Frame, dsucc: tuple[int, ...] | None = None):
@@ -328,6 +497,9 @@ class Evaluator:
         self.succ = frame.succ
         self.dsucc = self.succ if dsucc is None else dsucc
         self._rows: dict[int, list[tuple[int, set[int]]]] = {}
+        self._programs: dict[object, Program] = {}
+        # (world, successor mask) pairs of each relation, as run reads them
+        self._pairs = (tuple(enumerate(self.succ)), tuple(enumerate(self.dsucc)))
 
     # -- sets <-> masks ---------------------------------------------------
 
@@ -357,56 +529,78 @@ class Evaluator:
     # -- evaluation -------------------------------------------------------
 
     def extension(self, phi: Formula, val: Mapping[str, int]) -> int:
-        if isinstance(phi, Atom):
-            return val.get(phi.name, 0)
-        if isinstance(phi, Top):
-            return self.full
-        if isinstance(phi, Bot):
-            return 0
-        if isinstance(phi, Neg):
-            return self.full & ~self.extension(phi.sub, val)
-        if isinstance(phi, And):
-            return self.extension(phi.left, val) & self.extension(phi.right, val)
-        if isinstance(phi, Or):
-            return self.extension(phi.left, val) | self.extension(phi.right, val)
-        if isinstance(phi, Implies):
-            return (self.full & ~self.extension(phi.left, val)) | self.extension(
-                phi.right, val
-            )
-        if isinstance(phi, Iff):
-            a = self.extension(phi.left, val)
-            b = self.extension(phi.right, val)
-            return self.full & ~(a ^ b)
-        if isinstance(phi, Box):
-            return self.box(self.extension(phi.sub, val), self.succ)
-        if isinstance(phi, BoxD):
-            return self.box(self.extension(phi.sub, val), self.dsucc)
-        if isinstance(phi, Dia):
-            return self.dia(self.extension(phi.sub, val), self.succ)
-        if isinstance(phi, DiaD):
-            return self.dia(self.extension(phi.sub, val), self.dsucc)
-        if isinstance(phi, Forall):
-            return self.full if self.extension(phi.sub, val) == self.full else 0
-        if isinstance(phi, Exists):
-            return self.full if self.extension(phi.sub, val) else 0
-        if isinstance(phi, Tangle):
-            return self._tangle(phi.members, val, self.succ)
-        if isinstance(phi, TangleD):
-            return self._tangle(phi.members, val, self.dsucc)
-        if isinstance(phi, Mu):
-            return _fixpoint(self, phi, val, 0)
-        if isinstance(phi, Nu):
-            return _fixpoint(self, phi, val, self.full)
-        raise TypeError(f"not a formula: {phi!r}")
+        program = self._programs.get(phi)
+        if program is None:
+            program = self._programs[phi] = compile_formulas((phi,))
+        return self.run(program, val)[0]
 
-    def _tangle(
-        self, members: tuple[Formula, ...], val: Mapping[str, int], succ: tuple[int, ...]
-    ) -> int:
-        if not self.frame.transitive:
-            raise NonTransitiveError(
-                "tangle formulas require a transitive frame"
-            )
-        masks = [self.extension(m, val) for m in members]
+    def extensions(self, phis: Sequence[Formula], val: Mapping[str, int]) -> list[int]:
+        """The extension of each of ``phis``, sharing their subformulas."""
+        phis = tuple(phis)
+        program = self._programs.get(phis)
+        if program is None:
+            program = self._programs[phis] = compile_formulas(phis)
+        return self.run(program, val)
+
+    def run(self, program: Program, val: Mapping[str, int]) -> list[int]:
+        """Run a compiled program under ``val``; the extensions of its roots."""
+        if program.tangles and not self.frame.transitive:
+            raise NonTransitiveError("tangle formulas require a transitive frame")
+        full = self.full
+        rels = self._pairs
+        get = val.get
+        slots = [0] * program.size
+        code = program.code
+        pc, end = 0, len(code)
+        while pc < end:
+            op, out, a, b = code[pc]
+            pc += 1
+            if op == _AND:
+                slots[out] = slots[a] & slots[b]
+            elif op == _ATOM:
+                slots[out] = get(a, 0)
+            elif op == _DIA or op == _BOX:
+                # the worlds with a successor in s; a box is the dual
+                s = slots[a] if op == _DIA else full & ~slots[a]
+                seen = 0
+                for i, row in rels[b]:
+                    if row & s:
+                        seen |= 1 << i
+                slots[out] = seen if op == _DIA else full & ~seen
+            elif op == _NOT:
+                slots[out] = full & ~slots[a]
+            elif op == _OR:
+                slots[out] = slots[a] | slots[b]
+            elif op == _IMP:
+                slots[out] = (full & ~slots[a]) | slots[b]
+            elif op == _IFF:
+                slots[out] = full & ~(slots[a] ^ slots[b])
+            elif op == _ALL:
+                slots[out] = full if slots[a] == full else 0
+            elif op == _EX:
+                slots[out] = full if slots[a] else 0
+            elif op == _TOP:
+                slots[out] = full
+            elif op == _TANGLE:
+                slots[out] = self._tangle([slots[i] for i in a], self.dsucc if b else self.succ)
+            elif op == _FIX:
+                slots[out] = full if a else 0
+                slots[b] = 0
+            else:
+                # _LOOP: the body's value is in slot a.  Positive bodies are
+                # monotone, so over n points the iteration settles within
+                # n+1 rounds; more means something is broken.
+                step = slots[a]
+                if step != slots[out]:
+                    rounds_slot, pc = b
+                    rounds = slots[rounds_slot] + 1
+                    if rounds == self.n + 2:
+                        raise RuntimeError("fixpoint iteration failed to stabilize")
+                    slots[rounds_slot] = rounds
+                    slots[out] = step
+        return [slots[r] for r in program.roots]
+
+    def _tangle(self, masks: list[int], succ: tuple[int, ...]) -> int:
         good = 0
         for cluster, rows in self._cluster_rows(succ):
             if all(row & mask for row in rows for mask in masks):
@@ -427,18 +621,6 @@ class Evaluator:
                     found.append((cluster, rows))
             self._rows[key] = found
         return self._rows[key]
-
-
-def _fixpoint(ev, phi: Mu | Nu, val: Mapping[str, int], current: int) -> int:
-    """Iterate the body of ``phi`` from ``current``: nothing for a least
-    fixpoint, everything for a greatest one.  Positive bodies are monotone,
-    so over n points the iteration settles within n+1 rounds."""
-    for _ in range(ev.n + 2):
-        step = ev.extension(phi.body, {**val, phi.var: current})
-        if step == current:
-            return current
-        current = step
-    raise RuntimeError("fixpoint iteration failed to stabilize")
 
 
 def model_check(model: KripkeModel, phi: Formula) -> frozenset[str]:

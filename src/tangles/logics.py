@@ -38,6 +38,7 @@ from .kripke import (
     Evaluator,
     Frame,
     KripkeModel,
+    compile_formulas,
     locally_n_connected,
     path_components,
     relation_properties,
@@ -469,6 +470,7 @@ def bounded_sat(
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
     atoms = sorted(free_atoms(phi))
+    program = compile_formulas((phi,))
     spent = 0
     for n in range(1, max_worlds + 1):
         per_frame = 1 << (len(atoms) * n)
@@ -484,9 +486,9 @@ def bounded_sat(
                 raise BudgetExceededError(
                     f"search budget {budget} exhausted on {n}-world frames"
                 )
-            ev = Evaluator(frame)
+            run = Evaluator(frame).run
             for masks in _valuation_masks(atoms, n):
-                if ev.extension(phi, masks):
+                if run(program, masks)[0]:
                     return KripkeModel(frame, _masks_to_val(masks, frame.worlds))
     return None
 

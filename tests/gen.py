@@ -167,6 +167,67 @@ def random_formula(
     return go(depth, frozenset(), frozenset())
 
 
+def random_shared_formula(
+    rng: random.Random,
+    depth: int,
+    atoms: tuple[str, ...] = ("p", "q"),
+    names: tuple[str, ...] = ("x", "y"),
+    *,
+    tangles: bool = True,
+) -> Formula:
+    """A random formula that reuses its own subformulas.
+
+    Every binder binds one of ``names``, which also occur free, so binders
+    nest, alternate and shadow each other, and interning makes one node of
+    a subformula that sits both under a binder of a name and where the name
+    is free or bound by another binder.  Each built subformula is kept and
+    handed out again a third of the time where the same names are bound
+    with the same parities, which keeps every binder positive.  Negations,
+    derived forms, d-modalities, ``A``/``E`` and (unless ``tangles`` is
+    false) both tangles occur.
+    """
+    made: dict[tuple, list[Formula]] = {}
+
+    def go(d: int, pos: frozenset[str], neg: frozenset[str], bound: frozenset[str]) -> Formula:
+        # bound names may occur only in pos, where their parity is even
+        pool = made.setdefault((pos, neg, bound), [])
+        if pool and rng.random() < 0.33:
+            return rng.choice(pool)
+        ops = ["neg", "and", "or", "implies", "iff", "box", "dia", "boxd",
+               "diad", "forall", "exists", "mu", "nu"]
+        ops += ["tangle", "tangled"] if tangles else []
+        op = "leaf" if d <= 0 else rng.choice(ops)
+        if op == "leaf":
+            usable = atoms + tuple(v for v in names if v in pos or v not in bound)
+            out = rng.choice([Atom(a) for a in usable] + [Top(), Bot()])
+        elif op == "neg":
+            out = Neg(go(d - 1, neg, pos, bound))
+        elif op in ("and", "or"):
+            kind = And if op == "and" else Or
+            out = kind(go(d - 1, pos, neg, bound), go(d - 1, pos, neg, bound))
+        elif op == "implies":
+            out = Implies(go(d - 1, neg, pos, bound), go(d - 1, pos, neg, bound))
+        elif op == "iff":
+            none = frozenset()
+            out = Iff(go(d - 1, none, none, bound), go(d - 1, none, none, bound))
+        elif op in ("mu", "nu"):
+            v = rng.choice(names)
+            body = go(d - 1, pos | {v}, neg - {v}, bound | {v})
+            out = (Mu if op == "mu" else Nu)(v, body)
+        elif op in ("tangle", "tangled"):
+            members = tuple(go(d - 1, pos, neg, bound) for _ in range(rng.randint(1, 3)))
+            out = (Tangle if op == "tangle" else TangleD)(members)
+        else:
+            kind = {"box": Box, "dia": Dia, "boxd": BoxD, "diad": DiaD,
+                    "forall": Forall, "exists": Exists}[op]
+            out = kind(go(d - 1, pos, neg, bound))
+        pool.append(out)
+        return out
+
+    none = frozenset()
+    return go(depth, none, none, none)
+
+
 def random_member_set(
     rng: random.Random,
     max_members: int = 2,

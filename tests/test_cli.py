@@ -1,7 +1,9 @@
 """Command line behaviour: output formats, exit codes, error routing."""
 
+import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -267,6 +269,44 @@ def test_fuzzed_formulas_keep_the_exit_code_contract(
         }[command]
         code, _, err = run(capsys, command, *before, "--", text)
         assert code in (0, 1, 2), (text, err)
+        assert "Traceback" not in err
+
+
+def test_translate_d_prints_shared_output_in_full(capsys):
+    # to_d doubles the printed form with each nested diamond: 2^21 - 7 characters
+    code, out, _ = run(capsys, "translate", "--mode", "d", "<>" * 18 + "p")
+    assert code == 0
+    assert len(out) == 2_097_145
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6a3cc3e5f0b699924566051a009ccd3837419d4dcdc27b7f864e2b91e5e49ad6"
+    )
+
+
+@pytest.mark.parametrize(
+    "text,size",
+    [("<>" * 40 + "p", 8796093022200), ("mu x. " + "<>" * 40 + "x", 8796093022206)],
+    ids=["diamonds", "binder"],
+)
+def test_translate_output_over_the_limit_exits_3(capsys, text, size):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "translate", "--mode", "d", text)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err == f"error: the translation would print {size} characters, over the limit of 16777216\n"
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fuzzed_formulas_keep_the_exit_code_contract_in_mode_d(capsys, seed):
+    # 3 means the output would exceed the print limit
+    rng = random.Random(7300 + seed)
+    for _ in range(12):
+        phi = random_formula(
+            rng, rng.randint(0, 3), ("p", "q"), universal=True, derivative=True
+        )
+        text = _mutate(rng, pretty(phi))
+        code, _, err = run(capsys, "translate", "--mode", "d", "--", text)
+        assert code in (0, 1, 2, 3), (text, err)
         assert "Traceback" not in err
 
 

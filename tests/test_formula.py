@@ -1,6 +1,13 @@
 """Syntax layer: parser, printer, polarity, substitution, closure."""
 
+import copy
+import dataclasses
+import gc
+import pickle
 import random
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -45,7 +52,7 @@ from tangles import (
     to_d,
     to_mu,
 )
-from tangles.formula import rebuild
+from tangles.formula import printed_length, rebuild
 from gen import random_formula
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -259,3 +266,105 @@ def test_closure_set_rejects_gaps():
     with pytest.raises(FormulaError):
         ClosureSet(frozenset({And(p, q), p}))  # q missing
     ClosureSet(frozenset({And(p, q), p, q}))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_nodes_are_interned(seed):
+    def make():
+        rng = random.Random(4000 + seed)
+        return random_formula(
+            rng, rng.randint(0, 5), ("p", "q"),
+            tangles=True, fixpoints=True, universal=True, derivative=True,
+        )
+
+    phi = make()
+    assert make() is phi
+    assert parse(pretty(phi)) is phi
+    assert copy.copy(phi) is phi and copy.deepcopy(phi) is phi
+    assert pickle.loads(pickle.dumps(phi)) is phi
+    assert dataclasses.replace(phi) is phi
+    for f in subformula_closure([phi]):
+        assert rebuild(f, immediate_subformulas(f)) is f
+        assert hash(f) == object.__hash__(f)
+
+
+def test_interning_reaches_every_construction_path():
+    assert Neg(p) is Neg(p) and Neg(p) is not Neg(q)
+    assert Mu("x", Dia(Atom("x"))) is parse("mu x. <>x")
+    assert dataclasses.replace(Neg(p), sub=q) is Neg(q)
+    assert dataclasses.replace(Mu("x", Dia(Atom("x"))), var="y", body=Box(Atom("y"))) is parse(
+        "mu y. []y"
+    )
+    assert Tangle([q, p, q]) is Tangle((p, q)) is parse("<t>{q, p}")
+    assert pickle.loads(pickle.dumps([Tangle((q, p)), TangleD((p,))])) == [
+        parse("<t>{p, q}"), parse("<dt>{p}")
+    ]
+    with pytest.raises(TypeError):
+        Neg()
+    with pytest.raises(TypeError):
+        And(p, q, r)
+    with pytest.raises(TypeError):
+        dataclasses.replace(Neg(p), left=q)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_printed_length_counts_without_printing(seed):
+    rng = random.Random(4300 + seed)
+    phi = random_formula(rng, rng.randint(0, 5), universal=True, derivative=True)
+    for f in (phi, to_d(phi), to_mu(phi)):
+        assert printed_length(f) == len(pretty(f))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_tangle_members_keep_the_printed_order(seed):
+    rng = random.Random(4200 + seed)
+    members = [random_formula(rng, rng.randint(0, 3)) for _ in range(rng.randint(1, 5))]
+    members += rng.sample(members, rng.randint(0, len(members)))  # duplicates
+    by_text = {pretty(m): m for m in members}
+    expected = tuple(by_text[k] for k in sorted(by_text))
+    assert Tangle(members).members == expected
+    assert TangleD(tuple(reversed(members))).members == expected
+
+
+def test_intern_table_drops_dead_nodes():
+    from tangles import formula
+
+    phi = Neg(Dia(Atom("zz_unreferenced")))
+    alive = weakref.ref(phi)
+    assert (Atom, "zz_unreferenced") in formula._NODES
+    del phi
+    gc.collect()
+    assert alive() is None
+    assert (Atom, "zz_unreferenced") not in formula._NODES
+    assert all(entry() is not None for entry in list(formula._NODES.values()))
+
+
+def test_interning_holds_across_threads():
+    # more threads than cores race to make the same new nodes in each round,
+    # while the nodes of earlier rounds die; a lost update to the table
+    # would hand two threads two different objects for one structure
+    texts = [pretty(random_formula(random.Random(s), 5, tangles=True)) for s in range(40)]
+    results: list = [None] * 4
+
+    def work(i):
+        rounds = []
+        for r in range(40):
+            rounds.append([parse(t.replace("p", f"p{r}")) for t in texts])
+            if r % 10 == 9:
+                rounds = rounds[-1:]
+        results[i] = rounds[-1]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for other in results[1:]:
+        assert all(a is b for a, b in zip(results[0], other))
+    assert all(parse(t.replace("p", "p39")) is f for t, f in zip(texts, results[0]))

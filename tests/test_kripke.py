@@ -42,11 +42,17 @@ from tangles import (
     model_to_json,
     parse,
     path_components,
+    pretty,
+    subformula_closure,
     relation_properties,
     tangle_oracle,
     to_dot,
 )
-from gen import random_formula, random_model
+import tangles.kripke as kmod
+from tangles.kripke import compile_formulas
+from tangles.topo import _evaluator as _space_evaluator
+from gen import random_formula, random_model, random_shared_formula, random_space
+from oracles import tree_extension
 
 p, q = Atom("p"), Atom("q")
 
@@ -527,3 +533,103 @@ def test_frame_index_is_lazy_and_not_part_of_the_value():
     g = Frame(("a", "b"), frozenset({("a", "b")}))
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
     assert "succ" in vars(f) and "succ" not in vars(g)
+
+
+# ---------------------------------------------------------------------------
+# Compiled programs against the tree evaluator
+
+
+def _evaluators_agree(ev, phis, val):
+    """Each formula's extension, or the exception it raises, from the
+    compiled program and from the tree evaluator."""
+    for phi in phis:
+        try:
+            want = tree_extension(ev, phi, val)
+        except NonTransitiveError:
+            with pytest.raises(NonTransitiveError):
+                ev.extension(phi, val)
+            continue
+        assert ev.extension(phi, val) == want, pretty(phi)
+    if ev.frame.transitive:
+        # one program for all of them computes the same extensions
+        assert ev.extensions(phis, val) == [tree_extension(ev, f, val) for f in phis]
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_compiled_evaluator_matches_tree_oracle(seed):
+    rng = random.Random(8100 + seed)
+    kind = ("transitive", "reflexive", "general")[seed % 3]
+    model = random_model(rng, 7, atoms=("p", "q", "x", "y"), kind=kind)
+    ev = Evaluator(model.frame)
+    roots = [random_shared_formula(rng, rng.randint(1, 6)) for _ in range(4)]
+    phis = roots + [f for f in subformula_closure(roots).sorted() if f not in roots]
+    for val in (ev.valuation_masks(model.val), {"p": 0b101, "x": ev.full}):
+        _evaluators_agree(ev, phis, val)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_compiled_evaluator_matches_tree_oracle_on_spaces(seed):
+    rng = random.Random(8400 + seed)
+    model = random_space(rng, 5, atoms=("p", "q", "x"))
+    ev = _space_evaluator(model.space)
+    phis = [random_shared_formula(rng, rng.randint(1, 6)) for _ in range(4)]
+    _evaluators_agree(ev, phis, ev.valuation_masks(model.val))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x & (mu x. x | <>x)",  # x free outside the binder, bound inside
+        "(mu x. <>x | p) & (nu x. <>x & q) & <>x",  # one <>x, three meanings
+        "nu y. mu x. <>x | p & []y",  # alternation
+        "mu x. nu y. [](y & <>x) | <t>{x, y & q}",  # a tangle under two binders
+        "nu x. <t>{<>x, mu y. p | <>(y & x)}",  # a binder inside a tangle member
+        "mu x. p | <>(nu x. <>x & q) | <>x",  # shadowing
+    ],
+)
+def test_compiled_evaluator_keeps_binding_contexts_apart(text):
+    # every subformula on its own, with its free names read from the
+    # valuation, and all of them in one program
+    members = subformula_closure([parse(text)]).sorted()
+    rng = random.Random(text)
+    for _ in range(20):
+        ev = Evaluator(random_model(rng, 6, atoms=()).frame)
+        val = {a: rng.randrange(ev.full + 1) for a in ("p", "q", "x", "y")}
+        _evaluators_agree(ev, members, val)
+
+
+def test_fixpoint_loop_repeats_only_what_mentions_its_variable():
+    # []<>p and q are computed once; only <>x and the disjunction iterate
+    phi = parse("mu x. []<>p & q | <>x")
+    code = compile_formulas([phi]).code
+    ops = [ins[0] for ins in code]
+    start = ops.index(kmod._FIX) + 1
+    end = ops.index(kmod._LOOP)
+    assert len(code[:start - 1]) == 5  # p, <>p, []<>p, q, []<>p & q
+    assert [ins[0] for ins in code[start:end]] == [kmod._DIA, kmod._OR]
+    assert code[end][3][1] == start  # the loop jumps back to just after _FIX
+    # a subformula of both binders repeats in the inner loop; p stays outside
+    code = compile_formulas([parse("nu y. mu x. <>(x & y) | p")]).code
+    ops = [ins[0] for ins in code]
+    assert ops == [kmod._ATOM, kmod._FIX, kmod._FIX, kmod._AND, kmod._DIA, kmod._OR,
+                   kmod._LOOP, kmod._LOOP]
+
+
+def test_fixpoint_iteration_is_capped():
+    # a loop whose body negates its variable never settles; n + 2 rounds end it
+    ev = Evaluator(Frame(("a",), frozenset()))
+    program = kmod.Program(
+        code=((kmod._FIX, 0, False, 1), (kmod._NOT, 2, 0, 0), (kmod._LOOP, 0, 2, (1, 1))),
+        size=3, roots=(0,), tangles=False,
+    )
+    with pytest.raises(RuntimeError, match="failed to stabilize"):
+        ev.run(program, {})
+
+
+def test_model_check_takes_a_5000_deep_chain():
+    phi = Atom("p")
+    for _ in range(5000):
+        phi = Neg(phi)
+    model = KripkeModel(Frame(("a", "b"), frozenset()), {"p": {"a"}})
+    assert model_check(model, phi) == {"a"}
+    assert model_check(model, Dia(phi)) == set()

@@ -42,7 +42,9 @@ from tangles import (
     substitute,
     to_mu,
 )
+from tangles.logics import BASE_SCHEMAS
 from gen import random_member_set, random_model, random_tangle_formula
+from oracles import tree_bounded_sat, tree_frame_validates
 
 p, q = Atom("p"), Atom("q")
 p0, p1 = Atom("p0"), Atom("p1")
@@ -442,3 +444,44 @@ def test_seven_world_prefix_model():
     everywhere = frozenset(worlds)
     for phi in figure3_constraints(1):
         assert model_check(model, phi) == everywhere
+
+
+# ---------------------------------------------------------------------------
+# Validity and bounded search against the tree evaluator
+
+_SCHEMA_INSTANCES = {
+    "K": (p, q),
+    "4": (p,),
+    "T": (p,),
+    "D": (),
+    "U": (p,),
+    "C": (p,),
+    "Fix": ((p, q),),
+    "Ind": ((p,), Dia(q)),
+    "4t": ((p, q),),
+    "Tt": ((p, Neg(p)),),
+    "G1": (),
+    "G2": (),
+    "G1d": (),
+}
+
+
+def test_schema_instances_cover_every_schema():
+    assert set(_SCHEMA_INSTANCES) >= set(BASE_SCHEMAS)
+
+
+@pytest.mark.parametrize("schema", sorted(_SCHEMA_INSTANCES))
+def test_frame_validates_matches_tree_oracle(schema):
+    phi = instantiate(schema, *_SCHEMA_INSTANCES[schema])
+    # every transitive frame of up to 3 worlds
+    for n in (1, 2, 3):
+        for frame in enumerate_frames(n, up_to_iso=False):
+            assert frame_validates(frame, phi) == tree_frame_validates(frame, phi)
+
+
+@pytest.mark.parametrize("schema", sorted(_SCHEMA_INSTANCES))
+def test_bounded_sat_matches_tree_oracle(schema):
+    phi = instantiate(schema, *_SCHEMA_INSTANCES[schema])
+    for goal in (phi, Neg(phi)):
+        for profile in map(parse_profile, ("K4t", "S4")):
+            assert bounded_sat(goal, profile, 3) == tree_bounded_sat(goal, profile, 3)

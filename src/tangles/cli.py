@@ -10,6 +10,7 @@ print limit of ``translate`` exceeded.  All diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -26,6 +27,7 @@ from .formula import (
     Formula,
     free_atoms,
     parse,
+    parse_members,
     pretty,
     printed_length,
     subformula_closure,
@@ -388,10 +390,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    sets = [tuple(parse("<t>" + text.strip()).members)
-            if text.strip().startswith("{")
-            else tuple(parse("<t>{" + text + "}").members)
-            for text in args.set]
+    sets = [parse_members(text) for text in args.set]
     formulas = [parse(text) for text in args.args]
     phi = instantiate(args.schema, *sets, *formulas)
     if args.format == "structured":
@@ -433,7 +432,10 @@ def _add_formula(sub) -> None:
     sub.add_argument("--formula-file", help="read the formula from a file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared by every
+    later one: parsing reads it and changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="tangles",
         description="Model checking, translations, filtration and bounded search "

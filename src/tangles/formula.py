@@ -12,7 +12,8 @@ code expands them.
 :func:`rebuild` its inverse: it makes a node of the same kind over new
 children.  Folds (``free_atoms``, ``all_names``, polarity) and rewrites
 (``substitute`` and the translations) name only the constructors they treat
-specially and pass every other node through these two.
+specially and pass every other node through these two.  All but polarity,
+``to_mu`` and ``star`` visit each distinct node once, without recursion.
 
 Nodes are hash-consed: every way of making a node (the class call,
 ``rebuild``, the parser, ``dataclasses.replace``, ``copy`` and ``pickle``)
@@ -34,12 +35,13 @@ Concrete grammar accepted by :func:`parse` (loosest to tightest):
     binder := ('mu' | 'nu') ATOM '.' f    (scope extends as far right as possible)
     p  :=  ATOM | 'true' | 'false' | '(' f ')' | prefix | tangle | binder
 
-Atoms match ``[a-zA-Z][a-zA-Z0-9_]*`` minus the keywords
+Atoms match ``[A-Za-z_][A-Za-z0-9_]*`` minus the keywords
 ``mu nu true false A E``.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 import threading
 import weakref
@@ -358,27 +360,51 @@ def positive_in(phi: Formula, name: str) -> bool:
     return not _polarities(phi, name) & _NEG
 
 
+def post_order(phi: Formula) -> list[Formula]:
+    """The distinct nodes of ``phi``, each after its immediate subformulas,
+    found without recursion."""
+    order: list[Formula] = []
+    seen = {phi}
+    stack = [(phi, iter(immediate_subformulas(phi)))]
+    while stack:
+        f, subs = stack[-1]
+        for sub in subs:
+            if sub not in seen:
+                seen.add(sub)
+                stack.append((sub, iter(immediate_subformulas(sub))))
+                break
+        else:
+            stack.pop()
+            order.append(f)
+    return order
+
+
+def _free_atoms(phi: Formula, memo: dict) -> frozenset[str]:
+    """``free_atoms(phi)``, with the free atoms of each node below it
+    recorded in ``memo``."""
+    for f in post_order(phi):
+        if type(f) is Atom:
+            memo[f] = frozenset([f.name])
+            continue
+        out = frozenset().union(*[memo[sub] for sub in immediate_subformulas(f)])
+        memo[f] = out - {f.var} if type(f) in _BINDERS else out
+    return memo[phi]
+
+
 def free_atoms(phi: Formula) -> frozenset[str]:
-    if isinstance(phi, Atom):
-        return frozenset([phi.name])
-    out: frozenset[str] = frozenset()
-    for sub in immediate_subformulas(phi):
-        out |= free_atoms(sub)
-    if isinstance(phi, (Mu, Nu)):
-        out -= {phi.var}
-    return out
+    return _free_atoms(phi, {})
 
 
 def all_names(phi: Formula) -> frozenset[str]:
     """Every identifier occurring in ``phi``, free or bound, binders included."""
-    if isinstance(phi, Atom):
-        return frozenset([phi.name])
-    out: frozenset[str] = frozenset()
-    for sub in immediate_subformulas(phi):
-        out |= all_names(sub)
-    if isinstance(phi, (Mu, Nu)):
-        out |= {phi.var}
-    return out
+    names = set()
+    for f in post_order(phi):
+        kind = type(f)
+        if kind is Atom:
+            names.add(f.name)
+        elif kind in _BINDERS:
+            names.add(f.var)
+    return frozenset(names)
 
 
 def fresh_names(used: Iterable[str]) -> Iterator[str]:
@@ -398,26 +424,31 @@ def substitute(phi: Formula, psi: Formula, name: str) -> Formula:
     Raises :class:`CaptureError` when a free atom of ``psi`` would be caught
     by a binder of ``phi``, and :class:`PositivityError` when the result
     would put a bound fixpoint variable under an odd number of negations.
+    Each distinct subformula is rewritten once, depth first and left to
+    right, so the first of these errors is raised.
     """
-    if name not in free_atoms(phi):
+    free: dict[Formula, frozenset[str]] = {}
+    if name not in _free_atoms(phi, free):
         return phi
     psi_free = free_atoms(psi)
-
-    def walk(f: Formula) -> Formula:
-        if isinstance(f, Atom):
-            return psi if f.name == name else f
-        if isinstance(f, (Mu, Nu)):
-            if f.var == name or name not in free_atoms(f.body):
-                return f
-            if f.var in psi_free:
-                raise CaptureError(f.var)
-        # rebuilding a binder re-checks its positivity
-        subs = []
-        for sub in immediate_subformulas(f):
-            subs.append(walk(sub))
-        return rebuild(f, subs)
-
-    return walk(phi)
+    done: dict[Formula, Formula] = {}
+    stack: list[tuple[Formula, bool]] = [(phi, False)]
+    while stack:
+        f, leaving = stack.pop()
+        if leaving:
+            # rebuilding a binder re-checks its positivity
+            done[f] = rebuild(f, [done[sub] for sub in immediate_subformulas(f)])
+        elif f not in done:
+            if name not in free[f]:
+                done[f] = f
+            elif type(f) is Atom:
+                done[f] = psi
+            else:
+                if type(f) in _BINDERS and f.var in psi_free:
+                    raise CaptureError(f.var)
+                stack.append((f, True))
+                stack.extend((sub, False) for sub in reversed(immediate_subformulas(f)))
+    return done[phi]
 
 
 # ---------------------------------------------------------------------------
@@ -542,16 +573,6 @@ _PREFIX_TOKEN = {
     Exists: "E ",
 }
 
-_PREFIX_KIND = {
-    "NOT": Neg,
-    "BOX": Box,
-    "DIA": Dia,
-    "BOXD": BoxD,
-    "DIAD": DiaD,
-    "A": Forall,
-    "E": Exists,
-}
-
 _BINARY = {
     And: ("&", _LEVEL_AND, "left"),
     Or: ("|", _LEVEL_OR, "left"),
@@ -632,154 +653,201 @@ def printed_length(phi: Formula) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+#: Deepest nesting :func:`parse` accepts: at no point may more than this
+#: many parentheses, tangle braces, prefix operators, binders and operators
+#: still waiting for their right operand be open at once.
+MAX_DEPTH = 1000
+
 _KEYWORDS = {"mu", "nu", "true", "false", "A", "E"}
-
-# token kinds carrying no payload
-_SYMBOLS = [
-    ("<->", "IFF"),
-    ("<dt>", "TANGLED"),
-    ("<d>", "DIAD"),
-    ("<t>", "TANGLE"),
-    ("<>", "DIA"),
-    ("[d]", "BOXD"),
-    ("[]", "BOX"),
-    ("->", "IMP"),
-    ("~", "NOT"),
-    ("&", "AND"),
-    ("|", "OR"),
-    ("(", "LPAREN"),
-    (")", "RPAREN"),
-    ("{", "LBRACE"),
-    ("}", "RBRACE"),
-    (",", "COMMA"),
-    (".", "DOT"),
-]
-
-# One alternative per token kind, named after it; whitespace is unnamed and
-# any other character matches BAD.
-_TOKEN = re.compile(
-    "|".join(
-        [r"(?P<ATOM>[A-Za-z_][A-Za-z0-9_]*)"]
-        + [f"(?P<{kind}>{re.escape(sym)})" for sym, kind in _SYMBOLS]
-        + [r"\s+", "(?P<BAD>.)"]
-    ),
-    re.DOTALL,
+_SYMBOLS = (
+    "<->", "<dt>", "<d>", "<t>", "<>", "[d]", "[]", "->",
+    "~", "&", "|", "(", ")", "{", "}", ",", ".",
 )
 
+# An atom, a symbol, or any other visible character, which is a bad one;
+# whitespace only separates tokens.  The symbols are those of _SYMBOLS,
+# grouped by their first character, which scans faster than one
+# alternative each.
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[~&|(){},.]|<(?:->|dt>|d>|t>|>)|\[d?\]|->|\S")
+_ATOM_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# every token that is not an atom; "" ends the token list
+_RESERVED = frozenset((*_SYMBOLS, *_KEYWORDS, ""))
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        word = m.group()
-        if kind == "ATOM":
-            if word in _KEYWORDS:
-                kind = word.upper()
-        elif kind == "BAD":
-            raise ParseError(f"unexpected character {word!r}", m.start())
-        tokens.append((kind, word, m.start()))
-    tokens.append(("EOF", "", len(text)))
-    return tokens
+_PREFIX = {text.strip(): kind for kind, text in _PREFIX_TOKEN.items()}
+_INFIX = {sym: (kind, level) for kind, (sym, level, _) in _BINARY.items()}
+_NESTING = {"(": 1, ")": -1}
+
+# tags of the parser's frames that are not operators
+_BINDER_TAG = 0
+_PAREN_TAG = -1
+_TANGLE_TAG = -2
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _position(text: str, i: int) -> int:
+    """Where the ``i``-th token of ``text`` starts, or its end past the last."""
+    m = next(itertools.islice(_TOKEN.finditer(text), i, None), None)
+    return len(text) if m is None else m.start()
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2])
-        return tok
-
-    def formula(self) -> Formula:
-        return self.iff()
-
-    def iff(self) -> Formula:
-        left = self.imp()
-        if self.peek()[0] == "IFF":
-            self.next()
-            return Iff(left, self.iff())
-        return left
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek()[0] == "IMP":
-            self.next()
-            return Implies(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        out = self.conj()
-        while self.peek()[0] == "OR":
-            self.next()
-            out = Or(out, self.conj())
-        return out
-
-    def conj(self) -> Formula:
-        out = self.prefix()
-        while self.peek()[0] == "AND":
-            self.next()
-            out = And(out, self.prefix())
-        return out
-
-    def prefix(self) -> Formula:
-        kind, _, pos = self.peek()
-        if kind in _PREFIX_KIND:
-            self.next()
-            return _PREFIX_KIND[kind](self.prefix())
-        if kind in ("TANGLE", "TANGLED"):
-            self.next()
-            self.expect("LBRACE")
-            if self.peek()[0] == "RBRACE":
-                raise ParseError("empty tangle braces", self.peek()[2])
-            members = [self.formula()]
-            while self.peek()[0] == "COMMA":
-                self.next()
-                members.append(self.formula())
-            self.expect("RBRACE")
-            return Tangle(tuple(members)) if kind == "TANGLE" else TangleD(tuple(members))
-        if kind in ("MU", "NU"):
-            self.next()
-            var = self.expect("ATOM")[1]
-            self.expect("DOT")
-            body = self.formula()  # maximal scope to the right
-            return Mu(var, body) if kind == "MU" else Nu(var, body)
-        return self.primary()
-
-    def primary(self) -> Formula:
-        kind, value, pos = self.next()
-        if kind == "ATOM":
-            return Atom(value)
-        if kind == "TRUE":
-            return Top()
-        if kind == "FALSE":
-            return Bot()
-        if kind == "LPAREN":
-            inner = self.formula()
-            self.expect("RPAREN")
-            return inner
-        raise ParseError(f"unexpected {value or 'end of input'!r}", pos)
+def _expected(what: str, text: str, toks: list[str], i: int) -> ParseError:
+    return ParseError(f"expected {what}, found {toks[i] or 'end of input'!r}", _position(text, i))
 
 
 def parse(text: str) -> Formula:
-    parser = _Parser(text)
+    """The formula ``text`` spells, by the grammar in the module docstring.
+
+    One regex scan splits the text into tokens, and one loop builds the
+    formula over an explicit stack of open frames.  A parenthesized group
+    parses the same way wherever it stands, so each distinct group is
+    parsed once and its repeats are looked up by their tokens.  A bad
+    character is reported before any grammar error; input nested deeper
+    than :data:`MAX_DEPTH` raises ``FormulaError("formula nested too
+    deeply")``.
+    """
+    return _parse(text, members=False)
+
+
+def parse_members(text: str) -> tuple[Formula, ...]:
+    """The members, in canonical order, of the tangle member set ``text``:
+    formulas separated by commas, either bare or in one pair of braces
+    with nothing after them.  Errors are reported as :func:`parse` reports
+    them, at positions in ``text``."""
+    return _parse(text, members=True)
+
+
+def _parse(text: str, members: bool):
+    toks = _TOKEN.findall(text)
+    bad = [t for t in set(toks).difference(_RESERVED) if t[0] not in _ATOM_START]
+    if bad:
+        i = min(map(toks.index, bad))
+        raise ParseError(f"unexpected character {toks[i]!r}", _position(text, i))
+    toks.append("")
+    root, start = None, 0
+    if members:
+        # one open tangle frame from the start: it closes at the brace that
+        # matches a leading one, or else at the end of the text
+        if toks[0] == "{":
+            if toks[1] == "}":
+                raise ParseError("empty tangle braces", _position(text, 1))
+            root, start = (_TANGLE_TAG, Tangle, []), 1
+        else:
+            root = (_TANGLE_TAG, None, [])
     try:
-        out = parser.formula()
-    except RecursionError:
+        return _parse_tokens(text, toks, root, start)
+    except RecursionError:  # a node's checks recurse into its children
         raise FormulaError("formula nested too deeply") from None
-    kind, value, pos = parser.peek()
-    if kind != "EOF":
-        raise ParseError(f"trailing input {value!r}", pos)
-    return out
+
+
+def _parse_tokens(text: str, toks: list[str], root: tuple | None, i: int):
+    # Open frames are (tag, kind, arg).  An operator waiting for its operand
+    # is tagged with its level, so a prefix (at _LEVEL_PREFIX, arg None)
+    # binds tighter than any binary operator (arg its left operand) and a
+    # binder (arg its variable), whose body reaches as far right as it can,
+    # looser.  A parenthesis frame holds where its tokens start and the
+    # outer value of ``high``; a tangle frame its kind and members so far.
+    # A member set's ``root`` frame has kind None when it ends with the text.
+    stack: list[tuple] = [] if root is None else [root]
+    # the tokens inside each parenthesized group parsed so far -> its node
+    # and the deepest stack it reached, counted from below its "("
+    groups: dict[tuple, tuple[Formula, int]] = {}
+    depth = None  # parenthesis depth after each token, counted at the first "("
+    high = 0  # the deepest stack since the innermost open "(" was pushed
+    node = None  # the operand just completed, if any
+    while True:
+        tok = toks[i]
+        i += 1
+        if node is None:  # an operand starts at tok
+            if tok not in _RESERVED:
+                node = Atom(tok)
+                continue
+            if tok in _PREFIX:
+                stack.append((_LEVEL_PREFIX, _PREFIX[tok], None))
+            elif tok == "(":
+                if depth is None:
+                    depth = list(itertools.accumulate(map(_NESTING.get, toks, itertools.repeat(0))))
+                try:
+                    end = depth.index(depth[i - 1] - 1, i)
+                except ValueError:  # never closed, so parsing fails before the end
+                    pass
+                else:
+                    hit = groups.get(tuple(toks[i:end]))
+                    if hit is not None:
+                        node, height = hit
+                        height += len(stack)
+                        if height > MAX_DEPTH:
+                            raise FormulaError("formula nested too deeply")
+                        if height > high:
+                            high = height
+                        i = end + 1
+                        continue
+                stack.append((_PAREN_TAG, i, high))
+                high = 0
+            elif tok == "<t>" or tok == "<dt>":
+                if toks[i] != "{":
+                    raise _expected("LBRACE", text, toks, i)
+                if toks[i + 1] == "}":
+                    raise ParseError("empty tangle braces", _position(text, i + 1))
+                stack.append((_TANGLE_TAG, Tangle if tok == "<t>" else TangleD, []))
+                i += 1
+            elif tok == "mu" or tok == "nu":
+                if toks[i] in _RESERVED:
+                    raise _expected("ATOM", text, toks, i)
+                if toks[i + 1] != ".":
+                    raise _expected("DOT", text, toks, i + 1)
+                stack.append((_BINDER_TAG, Mu if tok == "mu" else Nu, toks[i]))
+                i += 2
+            elif tok == "true":
+                node = Top()
+                continue
+            elif tok == "false":
+                node = Bot()
+                continue
+            else:
+                raise ParseError(f"unexpected {tok or 'end of input'!r}", _position(text, i - 1))
+        elif tok in _INFIX:
+            # close the operators that bind tighter, then wait for the right operand
+            kind, level = _INFIX[tok]
+            while stack:
+                tag, op, arg = stack[-1]
+                if not (tag > level or tag == level >= _LEVEL_OR):
+                    break
+                stack.pop()
+                node = op(node) if arg is None else op(arg, node)
+            stack.append((level, kind, node))
+            node = None
+        else:
+            # tok ends a formula: close every operator and binder still open in it
+            while stack and stack[-1][0] >= _BINDER_TAG:
+                _, op, arg = stack.pop()
+                node = op(node) if arg is None else op(arg, node)
+            if not stack:
+                if tok:
+                    raise ParseError(f"trailing input {tok!r}", _position(text, i - 1))
+                return node
+            if stack[-1][0] == _PAREN_TAG:
+                if tok != ")":
+                    raise _expected("RPAREN", text, toks, i - 1)
+                _, start, outer_high = stack.pop()
+                groups[tuple(toks[start:i - 1])] = (node, high - len(stack))
+                high = max(high, outer_high)
+                continue
+            _, kind, members = stack[-1]
+            if tok == ",":
+                members.append(node)
+                node = None
+            elif tok == ("}" if kind else ""):
+                stack.pop()
+                members.append(node)
+                if stack or root is None:
+                    node = kind(tuple(members))
+                elif kind is not None and toks[i]:  # a braced set, then more
+                    raise ParseError(f"trailing input {toks[i]!r}", _position(text, i))
+                else:
+                    return Tangle(members).members
+            else:
+                raise _expected("RBRACE" if kind else "COMMA", text, toks, i - 1)
+            continue
+        if len(stack) > high:
+            high = len(stack)
+            if high > MAX_DEPTH:
+                raise FormulaError("formula nested too deeply")

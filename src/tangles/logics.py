@@ -428,8 +428,10 @@ def frame_validates(frame: Frame, phi: Formula, budget: int = VALUATION_BUDGET) 
 
     Only the atoms occurring free in phi are varied; others cannot affect
     its truth.  Raises BudgetExceededError when the valuation space is
-    larger than the budget.
+    larger than the budget, and ValueError when the budget is negative.
     """
+    if budget < 0:
+        raise ValueError(f"the budget must not be negative, got {budget}")
     atoms = sorted(free_atoms(phi))
     n = len(frame.worlds)
     space = 1 << (len(atoms) * n)
@@ -465,10 +467,12 @@ def bounded_sat(
     atom-major ascending; the first hit is therefore the least witness, and
     the same one on every run.  None means no model within max_worlds;
     BudgetExceededError means the search was cut short, which is a weaker
-    statement.
+    statement.  A negative budget is a ValueError.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
+    if budget < 0:
+        raise ValueError(f"the budget must not be negative, got {budget}")
     atoms = sorted(free_atoms(phi))
     program = compile_formulas((phi,))
     spent = 0

@@ -47,6 +47,7 @@ from .formula import (
     conj,
     fresh_names,
     immediate_subformulas,
+    post_order,
     rebuild,
 )
 
@@ -74,22 +75,22 @@ def to_mu(phi: Formula) -> Formula:
 
 
 def to_d(phi: Formula) -> Formula:
-    """Rewrite closure modalities into derivative ones."""
-
-    def walk(f: Formula) -> Formula:
-        subs = []
-        for sub in immediate_subformulas(f):
-            subs.append(walk(sub))
+    """Rewrite closure modalities into derivative ones, each distinct
+    subformula once."""
+    done: dict[Formula, Formula] = {}
+    for f in post_order(phi):
+        subs = [done[sub] for sub in immediate_subformulas(f)]
         if isinstance(f, Box):
-            return And(subs[0], BoxD(subs[0]))
-        if isinstance(f, Dia):
-            return Or(subs[0], DiaD(subs[0]))
-        if isinstance(f, Tangle):
+            out = And(subs[0], BoxD(subs[0]))
+        elif isinstance(f, Dia):
+            out = Or(subs[0], DiaD(subs[0]))
+        elif isinstance(f, Tangle):
             body = conj(subs)
-            return Or(Or(body, DiaD(body)), TangleD(tuple(subs)))
-        return rebuild(f, subs)
-
-    return walk(phi)
+            out = Or(Or(body, DiaD(body)), TangleD(tuple(subs)))
+        else:
+            out = rebuild(f, subs)
+        done[f] = out
+    return done[phi]
 
 
 # the connectives ``star`` passes through unchanged

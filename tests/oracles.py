@@ -5,10 +5,16 @@
 shared subformula once per occurrence and a fixpoint body in full on every
 round.  ``tree_frame_validates`` and ``tree_bounded_sat`` are the validity
 sweep and the bounded search written on it.
+
+``tree_parse`` is the recursive-descent parser that ``formula.parse``
+replaced: it tokenizes in a Python loop and descends through six levels of
+calls for every node of the tree the text spells, repeats included.  Its
+depth limit is Python's recursion limit.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Mapping
 
 from tangles import (
@@ -24,6 +30,7 @@ from tangles import (
     Exists,
     Forall,
     Formula,
+    FormulaError,
     Iff,
     Implies,
     KripkeModel,
@@ -32,6 +39,7 @@ from tangles import (
     NonTransitiveError,
     Nu,
     Or,
+    ParseError,
     Tangle,
     TangleD,
     Top,
@@ -139,3 +147,166 @@ def tree_bounded_sat(phi: Formula, profile, max_worlds: int, budget: int = SEARC
                 if tree_extension(ev, phi, masks):
                     return KripkeModel(frame, _masks_to_val(masks, frame.worlds))
     return None
+
+
+_KEYWORDS = {"mu", "nu", "true", "false", "A", "E"}
+
+# token kinds carrying no payload
+_SYMBOLS = [
+    ("<->", "IFF"),
+    ("<dt>", "TANGLED"),
+    ("<d>", "DIAD"),
+    ("<t>", "TANGLE"),
+    ("<>", "DIA"),
+    ("[d]", "BOXD"),
+    ("[]", "BOX"),
+    ("->", "IMP"),
+    ("~", "NOT"),
+    ("&", "AND"),
+    ("|", "OR"),
+    ("(", "LPAREN"),
+    (")", "RPAREN"),
+    ("{", "LBRACE"),
+    ("}", "RBRACE"),
+    (",", "COMMA"),
+    (".", "DOT"),
+]
+
+_PREFIX_KIND = {
+    "NOT": Neg,
+    "BOX": Box,
+    "DIA": Dia,
+    "BOXD": BoxD,
+    "DIAD": DiaD,
+    "A": Forall,
+    "E": Exists,
+}
+
+# One alternative per token kind, named after it; whitespace is unnamed and
+# any other character matches BAD.
+_TOKEN = re.compile(
+    "|".join(
+        [r"(?P<ATOM>[A-Za-z_][A-Za-z0-9_]*)"]
+        + [f"(?P<{kind}>{re.escape(sym)})" for sym, kind in _SYMBOLS]
+        + [r"\s+", "(?P<BAD>.)"]
+    ),
+    re.DOTALL,
+)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        word = m.group()
+        if kind == "ATOM":
+            if word in _KEYWORDS:
+                kind = word.upper()
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {word!r}", m.start())
+        tokens.append((kind, word, m.start()))
+    tokens.append(("EOF", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2])
+        return tok
+
+    def formula(self) -> Formula:
+        return self.iff()
+
+    def iff(self) -> Formula:
+        left = self.imp()
+        if self.peek()[0] == "IFF":
+            self.next()
+            return Iff(left, self.iff())
+        return left
+
+    def imp(self) -> Formula:
+        left = self.disj()
+        if self.peek()[0] == "IMP":
+            self.next()
+            return Implies(left, self.imp())
+        return left
+
+    def disj(self) -> Formula:
+        out = self.conj()
+        while self.peek()[0] == "OR":
+            self.next()
+            out = Or(out, self.conj())
+        return out
+
+    def conj(self) -> Formula:
+        out = self.prefix()
+        while self.peek()[0] == "AND":
+            self.next()
+            out = And(out, self.prefix())
+        return out
+
+    def prefix(self) -> Formula:
+        kind, _, pos = self.peek()
+        if kind in _PREFIX_KIND:
+            self.next()
+            return _PREFIX_KIND[kind](self.prefix())
+        if kind in ("TANGLE", "TANGLED"):
+            self.next()
+            self.expect("LBRACE")
+            if self.peek()[0] == "RBRACE":
+                raise ParseError("empty tangle braces", self.peek()[2])
+            members = [self.formula()]
+            while self.peek()[0] == "COMMA":
+                self.next()
+                members.append(self.formula())
+            self.expect("RBRACE")
+            return Tangle(tuple(members)) if kind == "TANGLE" else TangleD(tuple(members))
+        if kind in ("MU", "NU"):
+            self.next()
+            var = self.expect("ATOM")[1]
+            self.expect("DOT")
+            body = self.formula()  # maximal scope to the right
+            return Mu(var, body) if kind == "MU" else Nu(var, body)
+        return self.primary()
+
+    def primary(self) -> Formula:
+        kind, value, pos = self.next()
+        if kind == "ATOM":
+            return Atom(value)
+        if kind == "TRUE":
+            return Top()
+        if kind == "FALSE":
+            return Bot()
+        if kind == "LPAREN":
+            inner = self.formula()
+            self.expect("RPAREN")
+            return inner
+        raise ParseError(f"unexpected {value or 'end of input'!r}", pos)
+
+
+def tree_parse(text: str) -> Formula:
+    parser = _Parser(text)
+    try:
+        out = parser.formula()
+    except RecursionError:
+        raise FormulaError("formula nested too deeply") from None
+    kind, value, pos = parser.peek()
+    if kind != "EOF":
+        raise ParseError(f"trailing input {value!r}", pos)
+    return out

@@ -2,14 +2,20 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from tangles import Atom, Neg, instantiate, pretty
 from tangles.cli import main
 from gen import random_formula
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -488,3 +494,110 @@ def test_fixture_figure3(capsys):
     assert set(data) == {"model", "constraints"}
     assert len(data["constraints"]) == 6  # indices up to 4 // 3 == 1
     assert run(capsys, "fixture", "figure3", "--m", "-1")[0] == 2
+
+
+def test_axioms_member_set_errors_exit_2(capsys):
+    # a -s text is one member set, and error positions count from it
+    code, out, err = run(capsys, "axioms", "--schema", "G1", "-s", "{p} & q")
+    assert (code, out, err) == (2, "", "error: trailing input '&' (at position 4)\n")
+    code, out, err = run(capsys, "axioms", "--schema", "Tt", "-s", "p, $")
+    assert (code, out, err) == (2, "", "error: unexpected character '$' (at position 3)\n")
+
+
+def test_negative_budget_exits_2(capsys, chain_model):
+    code, _, err = run(capsys, "validate", "--frame", chain_model, "--budget", "-1", "p")
+    assert (code, err) == (2, "error: the budget must not be negative, got -1\n")
+    code, _, err = run(capsys, "sat", "--profile", "K4", "--max", "2", "--budget", "-5", "p")
+    assert (code, err) == (2, "error: the budget must not be negative, got -5\n")
+    # a budget of 0 is a search cut short
+    assert run(capsys, "validate", "--frame", chain_model, "--budget", "0", "p")[0] == 3
+    assert run(capsys, "sat", "--profile", "K4", "--max", "2", "--budget", "0", "p")[0] == 3
+
+
+def _exit_code(capsys, argv):
+    """main's exit code, also when argparse exits, with stdout and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fuzzed_formula_arguments_keep_the_exit_code_contract(capsys, tmp_path, seed):
+    # formula arguments of fmt, axioms, validate and sat; 3 is a budget used up
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps({"worlds": ["a", "b"], "rel": [["a", "b"], ["b", "b"]]}))
+    rng = random.Random(7500 + seed)
+    for _ in range(12):
+        phi = random_formula(rng, rng.randint(0, 3), ("p", "q"), universal=True, derivative=True)
+        text = _mutate(rng, pretty(phi))
+        argv = rng.choice([
+            ["fmt", "--format", rng.choice(["text", "structured"]), "--", text],
+            ["axioms", "--schema", rng.choice(["Tt", "4t", "Fix"]), f"--set={text}"],
+            ["axioms", "--schema", "Ind", "-s", "p, q", f"--formula={text}"],
+            ["axioms", "--schema", rng.choice(["4", "T", "U"]), f"--formula={text}"],
+            ["validate", "--frame", str(frame), "--budget", "4096", "--", text],
+            ["sat", "--profile", rng.choice(["K4", "S4"]), "--max", "2", "--budget", "4096",
+             "--", text],
+        ])
+        code, _, err = _exit_code(capsys, argv)
+        assert code in (0, 1, 2, 3), (argv, err)
+        assert "Traceback" not in err
+
+
+def _env() -> dict:
+    """The environment with this checkout's sources first on the path."""
+    path = [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+_REPEATED_ARGV = [
+    ["fmt", "((p)) & (q | r)"],
+    ["fmt"],
+    ["mc"],
+    ["--help"],
+    ["axioms", "--help"],
+    ["translate", "--mode", "x", "p"],
+    ["axioms", "--schema", "Tt", "-s", "q, p"],
+    ["axioms", "--schema", "Tt", "-s", "p", "-s", "{q}"],
+    ["axioms", "--schema", "Ind", "-s", "p", "-f", "q", "--format", "structured"],
+    ["axioms", "--schema", "G1", "-s", "{p} & q"],
+    ["sat", "--profile", "K4", "--max", "2", "--budget", "-5", "p"],
+]
+
+
+def test_repeated_calls_match_fresh_processes(capsys, monkeypatch):
+    # the parser is built once per process, so a call must leave nothing
+    # behind in it: each call prints and exits as a fresh process does
+    monkeypatch.setenv("COLUMNS", "80")
+    fresh = []
+    for argv in _REPEATED_ARGV:
+        proc = subprocess.run([sys.executable, "-m", "tangles.cli", *argv], env=_env(),
+                              capture_output=True, text=True, timeout=60)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    for _ in range(2):
+        for argv, want in zip(_REPEATED_ARGV, fresh):
+            assert _exit_code(capsys, argv) == want, argv
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import tangles.cli\n"
+        "print(len(built))\n"
+        "tangles.cli.build_parser()\n"
+        "tangles.cli.main(['fmt', 'p'])\n"
+        "print(len(built))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=_env(),
+                          capture_output=True, text=True, timeout=60, check=True)
+    # nothing at import; the parser and its eleven subparsers once
+    assert proc.stdout.split() == ["0", "p", "12"]

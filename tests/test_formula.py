@@ -52,8 +52,10 @@ from tangles import (
     to_d,
     to_mu,
 )
-from tangles.formula import printed_length, rebuild
+from tangles.formula import MAX_DEPTH, parse_members, printed_length, rebuild
 from gen import random_formula
+from oracles import tree_parse
+from test_cli import _mutate
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -117,7 +119,7 @@ def test_parse_pretty_round_trip(seed):
 
 @pytest.mark.parametrize(
     "text",
-    ["", "p &", "(p", "p)", "<t>{}", "mu. p", "mu x p", "p q", "@", "[]"],
+    ["", "p &", "(p", "p)", "<t>{}", "mu. p", "mu x p", "p q", "@", "[]", "(p) & (p q)"],
 )
 def test_parse_errors(text):
     with pytest.raises(ParseError):
@@ -242,6 +244,128 @@ def test_walkers_take_900_deep_chains(wrap):
 def test_parse_too_deep_is_a_formula_error(text):
     with pytest.raises(FormulaError, match="^formula nested too deeply$"):
         parse(text)
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        lambda n: "~" * n + "p",
+        lambda n: "(" * n + "p" + ")" * n,
+        lambda n: "mu x. " + "<>" * (n - 1) + "x",
+        lambda n: "p -> " * n + "p",
+    ],
+    ids=["negations", "parens", "binder", "implications"],
+)
+def test_parse_depth_limit(chain):
+    # a new binder checks its body's polarity recursively, which takes
+    # Python's recursion limit first
+    deepest = 900 if chain(1).startswith("mu") else MAX_DEPTH
+    assert parse(chain(deepest)) is tree_parse_deep(chain(deepest))
+    with pytest.raises(FormulaError, match="^formula nested too deeply$"):
+        parse(chain(MAX_DEPTH + 1))
+
+
+def test_parse_depth_limit_counts_repeated_groups():
+    # the second group is looked up, not parsed, and still counts its depth
+    group = "(" * 500 + "p" + ")" * 500
+    assert parse(group + " & " + "~" * 499 + group) is tree_parse_deep(
+        group + " & " + "~" * 499 + group
+    )
+    with pytest.raises(FormulaError, match="^formula nested too deeply$"):
+        parse(group + " & " + "~" * 500 + group)
+
+
+_ORACLE_DEPTH = 20_000
+
+
+def tree_parse_deep(text):
+    """``tree_parse`` with room for inputs deeper than the default recursion
+    limit allows it."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_ORACLE_DEPTH)
+    try:
+        return tree_parse(text)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except FormulaError as exc:
+        return type(exc), str(exc)
+
+
+_TOO_DEEP = (FormulaError, "formula nested too deeply")
+_STRAY = "pqx_ ~[]<>d&|-(){},.tmuAEnrfalse@#\n\té"
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_parse_matches_tree_parse(seed):
+    # the same node, or the same error with the same message and position
+    rng = random.Random(9100 + seed)
+    phi = random_formula(
+        rng, rng.randint(0, 5), ("p", "q", "x"),
+        tangles=True, fixpoints=True, universal=True, derivative=True,
+    )
+    texts = [pretty(phi), pretty(to_d(phi))]
+    texts += [_mutate(rng, rng.choice(texts)) for _ in range(4)]
+    texts += ["".join(rng.choice(_STRAY) for _ in range(rng.randint(0, 30))) for _ in range(4)]
+    for text in texts:
+        got = _outcome(parse, text)
+        want = _outcome(tree_parse, text)
+        if got != _TOO_DEEP and want == _TOO_DEEP:
+            want = _outcome(tree_parse_deep, text)
+        assert got is want or got == want, text
+
+
+def test_parse_members():
+    p_q = (Atom("p"), Atom("q"))
+    assert parse_members("q, p, q") == p_q
+    assert parse_members(" {q, p} ") == p_q
+    assert parse_members("<t>{p}, mu x. x | p") == (parse("<t>{p}"), parse("mu x. x | p"))
+    for text, message in [
+        ("{p} & q", "trailing input '&' (at position 4)"),
+        ("{p}, {q}", "trailing input ',' (at position 3)"),
+        ("p, $", "unexpected character '$' (at position 3)"),
+        ("p,", "unexpected 'end of input' (at position 2)"),
+        ("p q", "expected COMMA, found 'q' (at position 2)"),
+        ("{p, q", "expected RBRACE, found 'end of input' (at position 5)"),
+        (" {}", "empty tangle braces (at position 2)"),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_members(text)
+        assert str(exc.value) == message, text
+
+
+def test_walkers_visit_each_distinct_node_once(monkeypatch):
+    # 2^20 leaves over 41 distinct nodes: a walk of the tree would call the
+    # child map millions of times
+    phi, want = p, q
+    for _ in range(20):
+        phi, want = And(phi, Box(phi)), And(want, Box(want))
+    nested = Mu("x", Nu("y", And(phi, And(Atom("x"), Box(Atom("y"))))))
+    calls = 0
+
+    def counted(f):
+        nonlocal calls
+        calls += 1
+        return immediate_subformulas(f)
+
+    from tangles import formula, translate
+
+    monkeypatch.setattr(formula, "immediate_subformulas", counted)
+    monkeypatch.setattr(translate, "immediate_subformulas", counted)
+    atoms, names = free_atoms(phi), all_names(nested)
+    replaced, translated = substitute(phi, q, "p"), to_d(Box(phi))
+    # a walk from the root meets the outer binder first
+    with pytest.raises(CaptureError, match="capture 'x'"):
+        substitute(nested, And(Atom("x"), Atom("y")), "p")
+    monkeypatch.undo()
+    assert calls < 1000
+    assert atoms == {"p"} and names == {"p", "x", "y"}
+    assert replaced is want
+    assert translated is And(to_d(phi), BoxD(to_d(phi)))
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -12,8 +12,9 @@ code expands them.
 :func:`rebuild` its inverse: it makes a node of the same kind over new
 children.  Folds (``free_atoms``, ``all_names``, polarity) and rewrites
 (``substitute`` and the translations) name only the constructors they treat
-specially and pass every other node through these two.  All but polarity,
-``to_mu`` and ``star`` visit each distinct node once, without recursion.
+specially and pass every other node through these two.  All but ``to_mu``
+and ``star`` visit each distinct node once, without recursion; so do the
+printer and ``repr``.
 
 Nodes are hash-consed: every way of making a node (the class call,
 ``rebuild``, the parser, ``dataclasses.replace``, ``copy`` and ``pickle``)
@@ -139,6 +140,43 @@ class Formula:
     def __str__(self) -> str:
         return pretty(self)
 
+    def __repr__(self) -> str:
+        """The constructor calls that build the node, field by field.  A
+        subformula met along more than one path is written in full once,
+        tagged ``#k=``, and as ``#k`` after that, so the text grows with
+        the distinct nodes, not with the tree.  Built without recursion."""
+        uses: dict[Formula, int] = {}
+        for f in post_order(self):
+            for sub in immediate_subformulas(f):
+                uses[sub] = uses.get(sub, 0) + 1
+        tags: dict[Formula, int] = {}
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            item = todo.pop()
+            if type(item) is str:
+                out.append(item)
+            elif item in tags:
+                out.append(f"#{tags[item]}")
+            else:
+                if uses.get(item, 0) > 1 and type(item) not in _LEAVES:
+                    tags[item] = len(tags) + 1
+                    out.append(f"#{tags[item]}=")
+                pieces: list = [f"{type(item).__name__}("]
+                for k, name in enumerate(item.__match_args__):
+                    value = getattr(item, name)
+                    pieces.append(f"{', ' if k else ''}{name}=")
+                    if type(value) is tuple:  # tangle members
+                        pieces.append("(")
+                        for m in value:
+                            pieces += [m, ", "]
+                        pieces[-1] = ",)" if len(value) == 1 else ")"
+                    else:
+                        pieces.append(value if isinstance(value, Formula) else repr(value))
+                pieces.append(")")
+                todo += reversed(pieces)
+        return "".join(out)
+
     # a copy is the node itself, and unpickling goes through the table
     def __copy__(self) -> Formula:
         return self
@@ -150,9 +188,10 @@ class Formula:
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
-# The node kinds: frozen dataclasses for their fields, ``repr`` and
-# ``dataclasses.replace``; construction and equality come from Formula.
-_node = dataclass(frozen=True, eq=False, init=False)
+# The node kinds: frozen dataclasses for their fields and
+# ``dataclasses.replace``; construction, equality and ``repr`` come from
+# Formula.
+_node = dataclass(frozen=True, eq=False, init=False, repr=False)
 
 
 @_node
@@ -327,31 +366,39 @@ _NEG = 2
 _FLIPPED = (0, _NEG, _POS, _POS | _NEG)  # indexed by a mask: its parities swapped
 
 
-def _polarities(phi: Formula, name: str, memo: dict | None = None) -> int:
+def _polarities(phi: Formula, name: str) -> int:
     """Parities of the free occurrences of ``name`` once derived forms are
     expanded into the primitive connectives.  A negation or an implication
     flips its first side; an equivalence mentions both sides with both
-    parities.  ``memo`` holds the nodes already walked, so a shared
-    subformula is walked once."""
-    if isinstance(phi, Atom):
-        return _POS if phi.name == name else 0
-    if isinstance(phi, (Mu, Nu)) and phi.var == name:
-        return 0
-    if memo is None:
-        memo = {}
-    flip = isinstance(phi, (Neg, Implies))
-    out = 0
-    for sub in immediate_subformulas(phi):
-        pol = memo.get(sub)
-        if pol is None:
-            pol = memo[sub] = _polarities(sub, name, memo)
-        if flip:
-            pol = _FLIPPED[pol]
-            flip = False
-        out |= pol
-    if isinstance(phi, Iff):
-        out |= _FLIPPED[out]
-    return out
+    parities.  Each distinct node is walked once, children first, without
+    recursion."""
+    memo: dict[Formula, int] = {}
+    stack = [phi]
+    while stack:
+        f = stack[-1]
+        if f in memo:
+            stack.pop()
+            continue
+        kind = type(f)
+        if kind is Atom:
+            memo[f] = _POS if f.name == name else 0
+        elif kind in _BINDERS and f.var == name:
+            memo[f] = 0
+        else:
+            subs = immediate_subformulas(f)
+            todo = [sub for sub in subs if sub not in memo]
+            if todo:
+                stack += todo
+                continue
+            pols = [memo[sub] for sub in subs]
+            if kind is Neg or kind is Implies:
+                pols[0] = _FLIPPED[pols[0]]
+            out = 0
+            for pol in pols:
+                out |= pol
+            memo[f] = out | _FLIPPED[out] if kind is Iff else out
+        stack.pop()
+    return memo[phi]
 
 
 def positive_in(phi: Formula, name: str) -> bool:
@@ -614,40 +661,37 @@ def _layout(f: Formula, need: int, rightmost: bool) -> Sequence:
     return text if lvl >= need else ("(", *text, ")")
 
 
+def _fold_layout(phi: Formula, measure, join):
+    """Fold the printed form of ``phi`` over its printing contexts, children
+    first and without recursion: a text piece counts as ``measure(piece)``,
+    and a context as ``join`` of its pieces' values.  Each context is laid
+    out once, so shared subformulas cost one layout each."""
+    root = (phi, 0, True)
+    memo: dict[tuple, object] = {}
+    stack: list[tuple] = [(root, None)]
+    while stack:
+        ctx, pieces = stack.pop()
+        if pieces is not None:
+            memo[ctx] = join([memo[p] if type(p) is tuple else measure(p) for p in pieces])
+        elif ctx not in memo:
+            pieces = _layout(*ctx)
+            stack.append((ctx, pieces))
+            stack += [(p, None) for p in pieces if type(p) is tuple and p not in memo]
+    return memo[root]
+
+
 def pretty(phi: Formula) -> str:
     """Print with minimal parentheses; ``parse(pretty(phi)) is phi``.  Each
     node is printed once per context, so shared subformulas cost one
     layout each."""
-    memo: dict[tuple, str] = {}
-
-    def emit(ctx: tuple) -> str:
-        text = memo.get(ctx)
-        if text is None:
-            parts = []
-            for piece in _layout(*ctx):
-                parts.append(piece if type(piece) is str else emit(piece))
-            text = memo[ctx] = "".join(parts)
-        return text
-
-    return emit((phi, 0, True))
+    return _fold_layout(phi, str, "".join)
 
 
 def printed_length(phi: Formula) -> int:
     """``len(pretty(phi))``, counted without printing: once per node and
     context, so it takes time linear in the distinct nodes even where the
     printed text is exponentially longer."""
-    memo: dict[tuple, int] = {}
-
-    def measure(ctx: tuple) -> int:
-        size = memo.get(ctx)
-        if size is None:
-            size = 0
-            for piece in _layout(*ctx):
-                size += len(piece) if type(piece) is str else measure(piece)
-            memo[ctx] = size
-        return size
-
-    return measure((phi, 0, True))
+    return _fold_layout(phi, len, sum)
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +719,6 @@ _RESERVED = frozenset((*_SYMBOLS, *_KEYWORDS, ""))
 
 _PREFIX = {text.strip(): kind for kind, text in _PREFIX_TOKEN.items()}
 _INFIX = {sym: (kind, level) for kind, (sym, level, _) in _BINARY.items()}
-_NESTING = {"(": 1, ")": -1}
 
 # tags of the parser's frames that are not operators
 _BINDER_TAG = 0
@@ -699,7 +742,7 @@ def parse(text: str) -> Formula:
     One regex scan splits the text into tokens, and one loop builds the
     formula over an explicit stack of open frames.  A parenthesized group
     parses the same way wherever it stands, so each distinct group is
-    parsed once and its repeats are looked up by their tokens.  A bad
+    parsed once and its repeats are looked up by a key of their tokens.  A bad
     character is reported before any grammar error; input nested deeper
     than :data:`MAX_DEPTH` raises ``FormulaError("formula nested too
     deeply")``.
@@ -732,10 +775,28 @@ def _parse(text: str, members: bool):
             root, start = (_TANGLE_TAG, Tangle, []), 1
         else:
             root = (_TANGLE_TAG, None, [])
-    try:
-        return _parse_tokens(text, toks, root, start)
-    except RecursionError:  # a node's checks recurse into its children
-        raise FormulaError("formula nested too deeply") from None
+    return _parse_tokens(text, toks, root, start)
+
+
+def _group_keys(toks: list[str]) -> list[int | None]:
+    """For the index of each closed "(" in ``toks``, a key of the tokens up
+    to its ")": two groups get the same key iff they hold the same tokens.
+    A key numbers the group's tokens with each inner group replaced by its
+    key, so all keys together take time linear in the tokens."""
+    numbers: dict[tuple, int] = {}
+    keys: list[int | None] = [None] * len(toks)
+    opened: list[int] = []
+    inside: list[list] = [[]]
+    for i, tok in enumerate(toks):
+        if tok == "(":
+            opened.append(i)
+            inside.append([])
+        elif tok == ")" and opened:
+            key = keys[opened.pop()] = numbers.setdefault(tuple(inside.pop()), len(numbers))
+            inside[-1].append(key)
+        else:
+            inside[-1].append(tok)
+    return keys
 
 
 def _parse_tokens(text: str, toks: list[str], root: tuple | None, i: int):
@@ -747,10 +808,11 @@ def _parse_tokens(text: str, toks: list[str], root: tuple | None, i: int):
     # outer value of ``high``; a tangle frame its kind and members so far.
     # A member set's ``root`` frame has kind None when it ends with the text.
     stack: list[tuple] = [] if root is None else [root]
-    # the tokens inside each parenthesized group parsed so far -> its node
-    # and the deepest stack it reached, counted from below its "("
-    groups: dict[tuple, tuple[Formula, int]] = {}
-    depth = None  # parenthesis depth after each token, counted at the first "("
+    # the key of each parenthesized group parsed so far -> its node, the
+    # deepest stack it reached, counted from below its "(", and its length
+    # in tokens
+    groups: dict[int, tuple[Formula, int, int]] = {}
+    keys = None  # _group_keys(toks), found at the first "("
     high = 0  # the deepest stack since the innermost open "(" was pushed
     node = None  # the operand just completed, if any
     while True:
@@ -763,23 +825,19 @@ def _parse_tokens(text: str, toks: list[str], root: tuple | None, i: int):
             if tok in _PREFIX:
                 stack.append((_LEVEL_PREFIX, _PREFIX[tok], None))
             elif tok == "(":
-                if depth is None:
-                    depth = list(itertools.accumulate(map(_NESTING.get, toks, itertools.repeat(0))))
-                try:
-                    end = depth.index(depth[i - 1] - 1, i)
-                except ValueError:  # never closed, so parsing fails before the end
-                    pass
-                else:
-                    hit = groups.get(tuple(toks[i:end]))
-                    if hit is not None:
-                        node, height = hit
-                        height += len(stack)
-                        if height > MAX_DEPTH:
-                            raise FormulaError("formula nested too deeply")
-                        if height > high:
-                            high = height
-                        i = end + 1
-                        continue
+                if keys is None:
+                    keys = _group_keys(toks)
+                # a group never closed has no key, and parsing fails before the end
+                hit = groups.get(keys[i - 1])
+                if hit is not None:
+                    node, height, length = hit
+                    height += len(stack)
+                    if height > MAX_DEPTH:
+                        raise FormulaError("formula nested too deeply")
+                    if height > high:
+                        high = height
+                    i += length + 1
+                    continue
                 stack.append((_PAREN_TAG, i, high))
                 high = 0
             elif tok == "<t>" or tok == "<dt>":
@@ -828,7 +886,7 @@ def _parse_tokens(text: str, toks: list[str], root: tuple | None, i: int):
                 if tok != ")":
                     raise _expected("RPAREN", text, toks, i - 1)
                 _, start, outer_high = stack.pop()
-                groups[tuple(toks[start:i - 1])] = (node, high - len(stack))
+                groups[keys[start - 1]] = (node, high - len(stack), i - 1 - start)
                 high = max(high, outer_high)
                 continue
             _, kind, members = stack[-1]

@@ -18,13 +18,16 @@ for cross-validation; it never feeds the checker.
 distinct subformulas (:func:`compile_formulas`) and runs that program per
 valuation as a loop without recursion.  Inside a fixpoint only the
 subformulas that mention the bound variable run again each round.
+:meth:`Evaluator.run_block` runs the same program bitsliced, over a block
+of valuations at once: each slot holds one int per world, with one bit per
+valuation.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .formula import (
@@ -498,8 +501,12 @@ class Evaluator:
         self.dsucc = self.succ if dsucc is None else dsucc
         self._rows: dict[int, list[tuple[int, set[int]]]] = {}
         self._programs: dict[object, Program] = {}
-        # (world, successor mask) pairs of each relation, as run reads them
-        self._pairs = (tuple(enumerate(self.succ)), tuple(enumerate(self.dsucc)))
+        self._lists: dict[int, list[tuple[int, ...]]] = {}
+
+    @cached_property
+    def _pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """(world, successor mask) pairs of each relation, as run reads them."""
+        return tuple(enumerate(self.succ)), tuple(enumerate(self.dsucc))
 
     # -- sets <-> masks ---------------------------------------------------
 
@@ -600,6 +607,119 @@ class Evaluator:
                     slots[out] = step
         return [slots[r] for r in program.roots]
 
+    def run_block(
+        self, program: Program, atoms: Sequence[str], start: int, size: int
+    ) -> list[list[int]]:
+        """Run a compiled program under ``size`` valuations at once.
+
+        Valuation ``v`` gives the ``k``-th of ``atoms`` the world mask in
+        bits ``(len(atoms) - 1 - k) * n`` up of ``v``, so the first atom
+        varies slowest.  The block holds valuations ``start`` to ``start +
+        size - 1``, where ``size`` is a power of two dividing ``start``.  A
+        slot holds one int per world, whose bit ``v - start`` is the truth
+        there under valuation ``v``; the result is the roots' slots.  Every
+        bit follows the iteration :meth:`run` makes for its valuation, so a
+        fixpoint loops as often as the block's slowest valuation needs, under
+        the same cap.
+        """
+        if program.tangles and not self.frame.transitive:
+            raise NonTransitiveError("tangle formulas require a transitive frame")
+        n = self.n
+        full = (1 << size) - 1
+        width = size.bit_length() - 1
+        last = len(atoms) - 1
+        val = {
+            atom: [
+                _valuation_bit(bit, width) if bit < width else full * (start >> bit & 1)
+                for bit in range((last - k) * n, (last - k + 1) * n)
+            ]
+            for k, atom in enumerate(atoms)
+        }
+        ones, zeros = [full] * n, [0] * n
+        slots: list = [zeros] * program.size
+        code = program.code
+        pc, end = 0, len(code)
+        while pc < end:
+            op, out, a, b = code[pc]
+            pc += 1
+            if op == _AND:
+                slots[out] = [x & y for x, y in zip(slots[a], slots[b])]
+            elif op == _ATOM:
+                slots[out] = val.get(a, zeros)
+            elif op == _DIA or op == _BOX:
+                # where a successor holds s; a box is the dual
+                s = slots[a] if op == _DIA else [full ^ x for x in slots[a]]
+                seen = self._dia_block(s, b)
+                slots[out] = seen if op == _DIA else [full ^ x for x in seen]
+            elif op == _NOT:
+                slots[out] = [full ^ x for x in slots[a]]
+            elif op == _OR:
+                slots[out] = [x | y for x, y in zip(slots[a], slots[b])]
+            elif op == _IMP:
+                slots[out] = [full ^ x | y for x, y in zip(slots[a], slots[b])]
+            elif op == _IFF:
+                slots[out] = [full ^ x ^ y for x, y in zip(slots[a], slots[b])]
+            elif op == _ALL or op == _EX:
+                acc = full if op == _ALL else 0
+                for x in slots[a]:
+                    acc = acc & x if op == _ALL else acc | x
+                slots[out] = [acc] * n
+            elif op == _TOP:
+                slots[out] = ones
+            elif op == _TANGLE:
+                slots[out] = self._tangle_block([slots[i] for i in a], b, full)
+            elif op == _FIX:
+                slots[out] = ones if a else zeros
+                slots[b] = 0
+            else:  # _LOOP, as in run: until every valuation has settled
+                step = slots[a]
+                if step != slots[out]:
+                    rounds_slot, pc = b
+                    rounds = slots[rounds_slot] + 1
+                    if rounds == n + 2:
+                        raise RuntimeError("fixpoint iteration failed to stabilize")
+                    slots[rounds_slot] = rounds
+                    slots[out] = step
+        return [slots[r] for r in program.roots]
+
+    def _successors(self, rel: int) -> list[tuple[int, ...]]:
+        """Each world's successors through ``succ`` (0) or ``dsucc`` (1)."""
+        found = self._lists.get(rel)
+        if found is None:
+            rows = self.dsucc if rel else self.succ
+            if rel and rows is self.succ:
+                return self._successors(0)
+            found = self._lists[rel] = list(map(_bit_tuple, rows))
+        return found
+
+    def _tangle_block(self, members: list[list[int]], rel: int, full: int) -> list[int]:
+        """The tangle of ``members`` on a block: per valuation, a cluster is
+        good when each of its rows meets every member, and the result is
+        the diamond of the good clusters."""
+        good = [0] * self.n
+        for cluster, rows in self._cluster_rows(self.dsucc if rel else self.succ):
+            bits = full
+            for row in rows:
+                js = _bit_tuple(row)
+                for m in members:
+                    meets = 0
+                    for j in js:
+                        meets |= m[j]
+                    bits &= meets
+            for i in _bits(cluster):
+                good[i] = bits
+        return self._dia_block(good, rel)
+
+    def _dia_block(self, s: list[int], rel: int) -> list[int]:
+        """Per world, the OR of ``s`` over its successors through ``rel``."""
+        out = []
+        for js in self._successors(rel):
+            acc = 0
+            for j in js:
+                acc |= s[j]
+            out.append(acc)
+        return out
+
     def _tangle(self, masks: list[int], succ: tuple[int, ...]) -> int:
         good = 0
         for cluster, rows in self._cluster_rows(succ):
@@ -621,6 +741,25 @@ class Evaluator:
                     found.append((cluster, rows))
             self._rows[key] = found
         return self._rows[key]
+
+
+@lru_cache(maxsize=1024)
+def _bit_tuple(mask: int) -> tuple[int, ...]:
+    """``tuple(_bits(mask))``, remembered for the rows of small frames."""
+    return tuple(_bits(mask))
+
+
+@cache
+def _valuation_bit(bit: int, width: int) -> int:
+    """Bit ``bit`` of the numbers ``0 .. 2**width - 1``, one per bit of the
+    result: alternating runs of ``2**bit`` zeros and ones, built by
+    doubling."""
+    run = 1 << bit
+    out, span = ((1 << run) - 1) << run, run << 1
+    while span < 1 << width:
+        out |= out << span
+        span <<= 1
+    return out
 
 
 def model_check(model: KripkeModel, phi: Formula) -> frozenset[str]:

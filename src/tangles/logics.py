@@ -9,7 +9,9 @@ small frames of that class.  Both searches carry explicit budgets so that
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -38,6 +40,7 @@ from .kripke import (
     Evaluator,
     Frame,
     KripkeModel,
+    Program,
     compile_formulas,
     locally_n_connected,
     path_components,
@@ -303,23 +306,39 @@ def parse_profile(name: str) -> LogicProfile:
 _CANONICAL_LIMIT = 4
 
 
+@functools.cache
+def _relabelings(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Each permutation of ``n`` worlds, the identity first, with a table
+    that relabels a row: ``table[row]`` holds ``row >> j & 1`` for ``j`` in
+    permutation order, from its highest bit down."""
+    out = []
+    for perm in itertools.permutations(range(n)):
+        table = []
+        for row in range(1 << n):
+            key = 0
+            for j in perm:
+                key = key << 1 | row >> j & 1
+            table.append(key)
+        out.append((perm, tuple(table)))
+    return tuple(out)
+
+
 def _canonical(rows: Sequence[int], n: int) -> bool:
     """Is this adjacency matrix the lexicographically least among its
     relabelings?  Sound de-duplication: every isomorphism class keeps
-    exactly one representative."""
-    base = _matrix_key(rows, range(n), n)
-    for perm in itertools.permutations(range(n)):
-        if _matrix_key(rows, perm, n) < base:
-            return False
+    exactly one representative.  A relabeling reads the rows in
+    permutation order, each through its table, and the first row that
+    differs decides."""
+    (_, identity), *others = _relabelings(n)
+    base = [identity[row] for row in rows]
+    for perm, table in others:
+        for i, least in zip(perm, base):
+            key = table[rows[i]]
+            if key != least:
+                if key < least:
+                    return False
+                break
     return True
-
-
-def _matrix_key(rows: Sequence[int], perm: Sequence[int], n: int) -> int:
-    key = 0
-    for i in perm:
-        for j in perm:
-            key = key << 1 | rows[i] >> j & 1
-    return key
 
 
 def enumerate_frames(
@@ -350,15 +369,6 @@ def enumerate_frames(
         candidates.append(list(opts))
     rows: list[int] = []
 
-    def consistent(m: int) -> bool:
-        i = len(rows)
-        for j in range(i):
-            if m >> j & 1 and rows[j] & ~m:
-                return False
-            if rows[j] >> i & 1 and m & ~rows[j]:
-                return False
-        return True
-
     def search() -> Iterator[Frame]:
         if len(rows) == n:
             if up_to_iso and n <= _CANONICAL_LIMIT and not _canonical(rows, n):
@@ -378,8 +388,18 @@ def enumerate_frames(
                 return
             yield frame
             return
-        for m in candidates[len(rows)]:
-            if consistent(m):
+        # Transitivity against the rows so far: row i sees all that the
+        # earlier worlds it sees see (``implied``, indexed by the earlier
+        # worlds seen), and sees only what every earlier world seeing i sees.
+        i = len(rows)
+        implied, bound = [0], (1 << n) - 1
+        for row in rows:
+            implied += [seen | row for seen in implied]
+            if row >> i & 1:
+                bound &= row
+        earlier = (1 << i) - 1
+        for m in candidates[i]:
+            if not m & ~bound and not implied[m & earlier] & ~m:
                 rows.append(m)
                 yield from search()
                 rows.pop()
@@ -410,10 +430,33 @@ class ValidityReport:
     witness_world: str | None = None
 
 
-def _valuation_masks(atoms: Sequence[str], n: int) -> Iterator[dict[str, int]]:
-    # atom-major ascending: the first atom's mask varies slowest
-    for combo in itertools.product(range(1 << n), repeat=len(atoms)):
-        yield dict(zip(atoms, combo))
+#: Valuations per block of a bitsliced sweep (``Evaluator.run_block``), one bit each.
+BLOCK = 1 << 16
+#: At most this many bits live in a block's slots, so a large program or
+#: frame gets smaller blocks.  Block sizes never change a result.
+_BLOCK_BITS = 1 << 28
+
+
+def _blocks(
+    frame: Frame, program: Program, atoms: Sequence[str], space: int
+) -> Iterator[tuple[int, int, list[int]]]:
+    """Sweep the valuations ``0 .. space - 1`` over ``atoms`` block by
+    block.  Per block: its first valuation, its all-ones mask and the
+    compiled formula's extension, one int per world, with bit ``v`` for
+    valuation ``start + v``."""
+    ev = Evaluator(frame)
+    size = min(space, BLOCK)
+    while size > 64 and size * ev.n * program.size > _BLOCK_BITS:
+        size >>= 1
+    for start in range(0, space, size):
+        yield start, (1 << size) - 1, ev.run_block(program, atoms, start, size)[0]
+
+
+def _valuation(atoms: Sequence[str], n: int, v: int) -> dict[str, int]:
+    """The world masks of valuation ``v``, atom-major: the first atom's
+    mask sits in the highest bits of ``v``, so it varies slowest."""
+    last, worlds = len(atoms) - 1, (1 << n) - 1
+    return {a: v >> (last - k) * n & worlds for k, a in enumerate(atoms)}
 
 
 def _masks_to_val(masks: Mapping[str, int], worlds: Sequence[str]) -> dict[str, tuple[str, ...]]:
@@ -427,7 +470,11 @@ def frame_validates(frame: Frame, phi: Formula, budget: int = VALUATION_BUDGET) 
     """Check phi at every world under every valuation of its free atoms.
 
     Only the atoms occurring free in phi are varied; others cannot affect
-    its truth.  Raises BudgetExceededError when the valuation space is
+    its truth.  Valuations go atom-major ascending, in blocks of up to
+    :data:`BLOCK` evaluated at once.  The first refuting valuation is the
+    lowest bit of its block that is false at some world, the witness world
+    is the lowest such world, and ``checked`` counts the valuations up to
+    the refutation.  Raises BudgetExceededError when the valuation space is
     larger than the budget, and ValueError when the budget is negative.
     """
     if budget < 0:
@@ -439,20 +486,18 @@ def frame_validates(frame: Frame, phi: Formula, budget: int = VALUATION_BUDGET) 
         raise BudgetExceededError(
             f"{space} valuations exceed the budget of {budget}"
         )
-    ev = Evaluator(frame)
-    checked = 0
-    for masks in _valuation_masks(atoms, n):
-        checked += 1
-        ext = ev.extension(phi, masks)
-        if ext != ev.full:
-            bad = next(i for i in range(n) if not ext >> i & 1)
+    for start, full, ext in _blocks(frame, compile_formulas((phi,)), atoms, space):
+        everywhere = functools.reduce(operator.and_, ext)
+        if everywhere != full:
+            v = (~everywhere & everywhere + 1).bit_length() - 1  # the lowest zero bit
+            bad = next(i for i, world in enumerate(ext) if not world >> v & 1)
             return ValidityReport(
                 valid=False,
-                checked=checked,
-                witness_valuation=_masks_to_val(masks, frame.worlds),
+                checked=start + v + 1,
+                witness_valuation=_masks_to_val(_valuation(atoms, n, start + v), frame.worlds),
                 witness_world=frame.worlds[bad],
             )
-    return ValidityReport(valid=True, checked=checked)
+    return ValidityReport(valid=True, checked=space)
 
 
 def bounded_sat(
@@ -465,7 +510,9 @@ def bounded_sat(
 
     Frames are enumerated by size, then adjacency order, then valuations
     atom-major ascending; the first hit is therefore the least witness, and
-    the same one on every run.  None means no model within max_worlds;
+    the same one on every run.  Each frame's valuations are evaluated at
+    once, in blocks of up to :data:`BLOCK`, and the witness is the lowest
+    bit true at some world.  None means no model within max_worlds;
     BudgetExceededError means the search was cut short, which is a weaker
     statement.  A negative budget is a ValueError.
     """
@@ -490,10 +537,12 @@ def bounded_sat(
                 raise BudgetExceededError(
                     f"search budget {budget} exhausted on {n}-world frames"
                 )
-            run = Evaluator(frame).run
-            for masks in _valuation_masks(atoms, n):
-                if run(program, masks)[0]:
-                    return KripkeModel(frame, _masks_to_val(masks, frame.worlds))
+            for start, _, ext in _blocks(frame, program, atoms, per_frame):
+                somewhere = functools.reduce(operator.or_, ext)
+                if somewhere:
+                    v = (somewhere & -somewhere).bit_length() - 1  # the lowest set bit
+                    val = _valuation(atoms, n, start + v)
+                    return KripkeModel(frame, _masks_to_val(val, frame.worlds))
     return None
 
 

@@ -4,7 +4,10 @@
 ``kripke.Evaluator`` replaced: it walks the formula as a tree, evaluating a
 shared subformula once per occurrence and a fixpoint body in full on every
 round.  ``tree_frame_validates`` and ``tree_bounded_sat`` are the validity
-sweep and the bounded search written on it.
+sweep and the bounded search written on it, one valuation at a time, where
+``logics`` sweeps blocks of valuations bitsliced.  ``tree_enumerate_frames``
+is the frame enumeration with the canonicity test that builds each
+relabeled matrix bit by bit, where ``logics`` relabels rows by table.
 
 ``tree_parse`` is the recursive-descent parser that ``formula.parse``
 replaced: it tokenizes in a Python loop and descends through six levels of
@@ -14,8 +17,9 @@ depth limit is Python's recursion limit.
 
 from __future__ import annotations
 
+import itertools
 import re
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 from tangles import (
     And,
@@ -31,6 +35,7 @@ from tangles import (
     Forall,
     Formula,
     FormulaError,
+    Frame,
     Iff,
     Implies,
     KripkeModel,
@@ -44,10 +49,11 @@ from tangles import (
     TangleD,
     Top,
     ValidityReport,
-    enumerate_frames,
     free_atoms,
+    locally_n_connected,
+    path_components,
 )
-from tangles.logics import SEARCH_BUDGET, VALUATION_BUDGET, _masks_to_val, _valuation_masks
+from tangles.logics import SEARCH_BUDGET, VALUATION_BUDGET, _masks_to_val
 
 
 def tree_extension(ev: Evaluator, phi: Formula, val: Mapping[str, int]) -> int:
@@ -105,6 +111,12 @@ def tree_extension(ev: Evaluator, phi: Formula, val: Mapping[str, int]) -> int:
     raise TypeError(f"not a formula: {phi!r}")
 
 
+def valuation_masks(atoms: Sequence[str], n: int) -> Iterator[dict[str, int]]:
+    # atom-major ascending: the first atom's mask varies slowest
+    for combo in itertools.product(range(1 << n), repeat=len(atoms)):
+        yield dict(zip(atoms, combo))
+
+
 def tree_frame_validates(frame, phi: Formula, budget: int = VALUATION_BUDGET) -> ValidityReport:
     atoms = sorted(free_atoms(phi))
     n = len(frame.worlds)
@@ -113,7 +125,7 @@ def tree_frame_validates(frame, phi: Formula, budget: int = VALUATION_BUDGET) ->
         raise BudgetExceededError(f"{space} valuations exceed the budget of {budget}")
     ev = Evaluator(frame)
     checked = 0
-    for masks in _valuation_masks(atoms, n):
+    for masks in valuation_masks(atoms, n):
         checked += 1
         ext = tree_extension(ev, phi, masks)
         if ext != ev.full:
@@ -132,7 +144,7 @@ def tree_bounded_sat(phi: Formula, profile, max_worlds: int, budget: int = SEARC
     spent = 0
     for n in range(1, max_worlds + 1):
         per_frame = 1 << (len(atoms) * n)
-        for frame in enumerate_frames(
+        for frame in tree_enumerate_frames(
             n,
             serial=profile.serial,
             reflexive=profile.reflexive,
@@ -143,10 +155,87 @@ def tree_bounded_sat(phi: Formula, profile, max_worlds: int, budget: int = SEARC
             if spent > budget:
                 raise BudgetExceededError(f"search budget {budget} exhausted on {n}-world frames")
             ev = Evaluator(frame)
-            for masks in _valuation_masks(atoms, n):
+            for masks in valuation_masks(atoms, n):
                 if tree_extension(ev, phi, masks):
                     return KripkeModel(frame, _masks_to_val(masks, frame.worlds))
     return None
+
+
+def _canonical(rows: Sequence[int], n: int) -> bool:
+    """Is this adjacency matrix the lexicographically least among its
+    relabelings?"""
+    base = _matrix_key(rows, range(n), n)
+    for perm in itertools.permutations(range(n)):
+        if _matrix_key(rows, perm, n) < base:
+            return False
+    return True
+
+
+def _matrix_key(rows: Sequence[int], perm: Sequence[int], n: int) -> int:
+    key = 0
+    for i in perm:
+        for j in perm:
+            key = key << 1 | rows[i] >> j & 1
+    return key
+
+
+def tree_enumerate_frames(
+    n: int,
+    *,
+    serial: bool = False,
+    reflexive: bool = False,
+    connected: bool = False,
+    local_connectedness: int | None = None,
+    up_to_iso: bool = True,
+) -> Iterator[Frame]:
+    """``logics.enumerate_frames``, isomorphic duplicates dropped for
+    n <= 4 by :func:`_canonical`."""
+    if n < 1:
+        raise ValueError("frame size must be at least 1")
+    worlds = tuple(f"w{i}" for i in range(n))
+    candidates = []
+    for i in range(n):
+        opts = range(1, 1 << n) if serial or reflexive else range(1 << n)
+        if reflexive:
+            opts = [m for m in opts if m >> i & 1]
+        candidates.append(list(opts))
+    rows: list[int] = []
+
+    def consistent(m: int) -> bool:
+        i = len(rows)
+        for j in range(i):
+            if m >> j & 1 and rows[j] & ~m:
+                return False
+            if rows[j] >> i & 1 and m & ~rows[j]:
+                return False
+        return True
+
+    def search() -> Iterator[Frame]:
+        if len(rows) == n:
+            if up_to_iso and n <= 4 and not _canonical(rows, n):
+                return
+            rel = frozenset(
+                (worlds[i], worlds[j])
+                for i in range(n)
+                for j in range(n)
+                if rows[i] >> j & 1
+            )
+            frame = Frame(worlds, rel)
+            if connected and len(path_components(frame)) > 1:
+                return
+            if local_connectedness is not None and not locally_n_connected(
+                frame, local_connectedness
+            ):
+                return
+            yield frame
+            return
+        for m in candidates[len(rows)]:
+            if consistent(m):
+                rows.append(m)
+                yield from search()
+                rows.pop()
+
+    return search()
 
 
 _KEYWORDS = {"mu", "nu", "true", "false", "A", "E"}

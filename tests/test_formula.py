@@ -7,6 +7,7 @@ import pickle
 import random
 import sys
 import threading
+import time
 import weakref
 
 import pytest
@@ -273,6 +274,71 @@ def test_parse_depth_limit_counts_repeated_groups():
     )
     with pytest.raises(FormulaError, match="^formula nested too deeply$"):
         parse(group + " & " + "~" * 500 + group)
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        "~" * MAX_DEPTH + "p",
+        "<>" * MAX_DEPTH + "p",
+        "mu x. " + "<>" * (MAX_DEPTH - 1) + "x",
+        "mu x. <>" * (MAX_DEPTH // 2) + "x",
+    ],
+    ids=["negations", "diamonds", "binder", "binders"],
+)
+def test_formulas_at_the_depth_limit_print_and_build(chain):
+    # the printer, the binders' polarity check and repr keep up with parse
+    phi = parse(chain)
+    text = pretty(phi)
+    assert text == chain
+    assert parse(text) is phi
+    assert printed_length(phi) == len(text)
+    assert rebuild(phi, immediate_subformulas(phi)) is phi
+    assert positive_in(phi, "p")
+    assert repr(phi).count("(") > MAX_DEPTH
+
+
+def test_repr_grows_with_the_distinct_nodes():
+    assert repr(And(p, Box(q))) == "And(left=Atom(name='p'), right=Box(sub=Atom(name='q')))"
+    assert repr(Tangle((p,))) == "Tangle(members=(Atom(name='p'),))"
+    assert repr(Mu("x", Or(p, Dia(Atom("x"))))) == (
+        "Mu(var='x', body=Or(left=Atom(name='p'), right=Dia(sub=Atom(name='x'))))"
+    )
+    # a subformula met twice is written once and then named
+    assert repr(And(Dia(p), Box(Dia(p)))) == (
+        "And(left=#1=Dia(sub=Atom(name='p')), right=Box(sub=#1))"
+    )
+    phi = p
+    for _ in range(60):  # 2**60 leaves as a tree, 121 distinct nodes
+        phi = And(phi, Box(phi))
+    start = time.perf_counter()
+    text = repr(phi)
+    assert time.perf_counter() - start < 0.5
+    assert len(text) < 5000
+
+
+def test_parse_cost_is_linear_in_nesting():
+    # 999 parentheses around a 20,000-character conjunction of distinct
+    # atoms cost about what the bare conjunction does; one more opens the
+    # conjunction's operators past MAX_DEPTH
+    bare = " & ".join(f"p{i}" for i in range(2640))
+    assert len(bare) == 20_007
+    nested = "(" * 999 + bare + ")" * 999
+
+    def best_of_three(text):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            phi = parse(text)
+            times.append(time.perf_counter() - start)
+        return min(times), phi
+
+    bare_s, phi = best_of_three(bare)
+    nested_s, nested_phi = best_of_three(nested)
+    assert nested_phi is phi
+    assert nested_s < 3 * bare_s + 0.05
+    with pytest.raises(FormulaError, match="^formula nested too deeply$"):
+        parse("(" + nested + ")")
 
 
 _ORACLE_DEPTH = 20_000

@@ -2,11 +2,13 @@
 serialization."""
 
 import random
+import threading
 
 import pytest
 
 from tangles import (
     Atom,
+    free_atoms,
     Bot,
     Box,
     BoxD,
@@ -52,7 +54,7 @@ import tangles.kripke as kmod
 from tangles.kripke import compile_formulas
 from tangles.topo import _evaluator as _space_evaluator
 from gen import random_formula, random_model, random_shared_formula, random_space
-from oracles import tree_extension
+from oracles import valuation_masks, tree_extension
 
 p, q = Atom("p"), Atom("q")
 
@@ -624,6 +626,71 @@ def test_fixpoint_iteration_is_capped():
     )
     with pytest.raises(RuntimeError, match="failed to stabilize"):
         ev.run(program, {})
+
+
+def _block_outcome(ev, program, atoms, start, size):
+    """The bitsliced run's roots as one world mask per valuation and root,
+    or the type of the error it raised."""
+    try:
+        slots = ev.run_block(program, atoms, start, size)
+    except NonTransitiveError as exc:
+        return type(exc)
+    return [
+        [sum((slot[w] >> v & 1) << w for w in range(ev.n)) for slot in slots]
+        for v in range(size)
+    ]
+
+
+def _scalar_outcome(ev, program, valuations):
+    try:
+        return [ev.run(program, val) for val in valuations]
+    except NonTransitiveError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_run_block_matches_run_bit_by_bit(seed):
+    # a block of random size at a random place in the valuation space, on
+    # transitive, reflexive and general frames, with the d-relation the
+    # frame's own or punctured; tangles raise on a general frame in both
+    rng = random.Random(8700 + seed)
+    kind = ("transitive", "reflexive", "general")[seed % 3]
+    frame = random_model(rng, 4, atoms=(), kind=kind).frame
+    punctured = tuple(row & ~(1 << i) for i, row in enumerate(frame.succ))
+    ev = Evaluator(frame, rng.choice([None, punctured]))
+    roots = [random_shared_formula(rng, rng.randint(1, 6)) for _ in range(3)]
+    program = compile_formulas(roots)
+    atoms = sorted(set().union(*map(free_atoms, roots)))
+    n = len(frame.worlds)
+    width = rng.randint(0, min(8, len(atoms) * n))
+    start = rng.randrange(1 << (len(atoms) * n - width)) << width
+    valuations = list(valuation_masks(atoms, n))[start:start + (1 << width)]
+    assert _block_outcome(ev, program, atoms, start, 1 << width) == _scalar_outcome(
+        ev, program, valuations
+    )
+
+
+def test_run_block_iteration_is_capped():
+    # the loop of test_fixpoint_iteration_is_capped, on a block of two
+    # valuations; the run happens on a thread, so a missing cap fails here
+    # instead of looping forever
+    ev = Evaluator(Frame(("a", "b"), frozenset()))
+    program = kmod.Program(
+        code=((kmod._FIX, 0, False, 1), (kmod._NOT, 2, 0, 0), (kmod._LOOP, 0, 2, (1, 1))),
+        size=3, roots=(0,), tangles=False,
+    )
+    raised = []
+
+    def run():
+        try:
+            ev.run_block(program, (), 0, 2)
+        except RuntimeError as exc:
+            raised.append(str(exc))
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(10)
+    assert raised == ["fixpoint iteration failed to stabilize"]
 
 
 def test_model_check_takes_a_5000_deep_chain():

@@ -23,8 +23,10 @@ from tangles import (
     SchemaError,
     Tangle,
     Top,
+    ValidityReport,
     bounded_sat,
     box_star,
+    conj,
     dia_star,
     enumerate_frames,
     figure3_constraints,
@@ -42,9 +44,9 @@ from tangles import (
     substitute,
     to_mu,
 )
-from tangles.logics import BASE_SCHEMAS
+from tangles.logics import BASE_SCHEMAS, BLOCK
 from gen import random_member_set, random_model, random_tangle_formula
-from oracles import tree_bounded_sat, tree_frame_validates
+from oracles import tree_bounded_sat, tree_enumerate_frames, tree_frame_validates
 
 p, q = Atom("p"), Atom("q")
 p0, p1 = Atom("p0"), Atom("p1")
@@ -262,6 +264,22 @@ def test_enumeration_respects_conditions():
         next(enumerate_frames(0))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumeration_matches_tree_enumeration(n):
+    # the same frames in the same order as the canonicity test that builds
+    # each relabeled matrix bit by bit, under every combination of conditions
+    for serial, reflexive, connected in itertools.product((False, True), repeat=3):
+        for local in (None, 1, 2, 3):
+            conditions = dict(serial=serial, reflexive=reflexive, connected=connected,
+                              local_connectedness=local)
+            assert list(enumerate_frames(n, **conditions)) == list(
+                tree_enumerate_frames(n, **conditions)
+            )
+    assert list(enumerate_frames(n, up_to_iso=False)) == list(
+        tree_enumerate_frames(n, up_to_iso=False)
+    )
+
+
 def test_enumeration_order_is_ascending():
     def adjacency(frame):
         # earlier rows weigh more; inside a row, bit j stands for w_j
@@ -295,6 +313,39 @@ def test_frame_validates_reports():
     assert report.valid and report.checked == 2
     two = Frame(("w0", "w1"), frozenset({("w0", "w1")}))
     assert frame_validates(two, instantiate("K", p, q)).checked == 16
+
+
+def test_frame_validates_refutation_past_the_first_block():
+    # phi fails exactly where every literal holds.  Atom-major, the least
+    # refuting valuation gives each positive atom the mask {w0} and every
+    # other atom the empty mask, so its number is the sum of
+    # 2**(2 * (8 - i)) over the positive atoms i, in the second block.
+    atoms = [Atom(f"p{i}") for i in range(9)]
+    positive = {0, 3, 8}
+    phi = Neg(conj([a if i in positive else Neg(a) for i, a in enumerate(atoms)]))
+    frame = Frame(("w0", "w1"), frozenset({("w0", "w1")}))
+    first = 2**16 + 2**10 + 1
+    assert BLOCK == 2**16 < first
+    assert frame_validates(frame, phi) == ValidityReport(
+        valid=False,
+        checked=first + 1,
+        witness_valuation={a.name: ("w0",) if i in positive else () for i, a in enumerate(atoms)},
+        witness_world="w0",
+    )
+    # a valid formula over the same atoms counts all four blocks
+    contradiction = conj(atoms + [Neg(atoms[0])])
+    assert frame_validates(frame, Neg(contradiction)) == ValidityReport(True, 2**18)
+
+
+def test_bounded_sat_witness_past_the_first_block():
+    # on the one-world frames of 17 atoms the least model of the literals
+    # is valuation 2**16 + 2**12 + 1 of the empty frame, the second block
+    atoms = [Atom(f"a{i:02}") for i in range(17)]
+    positive = {0, 4, 16}
+    phi = conj([a if i in positive else Neg(a) for i, a in enumerate(atoms)])
+    found = bounded_sat(phi, parse_profile("K4"), 1)
+    point = Frame(("w0",), frozenset())
+    assert found == KripkeModel(point, {f"a{i:02}": ("w0",) for i in positive})
 
 
 def test_frame_validates_g1_on_fork():

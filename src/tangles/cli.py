@@ -35,6 +35,7 @@ from .formula import (
 from .kripke import (
     Frame,
     KripkeModel,
+    _row_pairs,
     cluster_decomposition,
     min_local_connectedness,
     model_check,
@@ -118,9 +119,10 @@ def _emit_json(data) -> None:
 
 
 def _model_lines(model: KripkeModel) -> list[str]:
-    order = model.frame.index
-    rel = sorted(model.frame.rel, key=lambda p: (order[p[0]], order[p[1]]))
-    lines = ["worlds: " + " ".join(model.frame.worlds)]
+    frame = model.frame
+    order = frame.index
+    rel = _row_pairs(frame.worlds, frame.succ)
+    lines = ["worlds: " + " ".join(frame.worlds)]
     lines.append("rel: " + " ".join(f"{u}->{v}" for u, v in rel))
     for atom, ws in sorted(model.val.items()):
         if ws:
@@ -281,7 +283,6 @@ def _filtration_data(fr: FiltrationResult) -> dict:
         "classes": {
             q: sorted(cls) for q, cls in zip(fr.quotient_worlds, fr.classes)
         },
-        "model": model_to_dict(fr.filtered_model()),
     }
 
 
@@ -291,7 +292,7 @@ def _cmd_filtrate(args) -> int:
     closure = subformula_closure(roots)
     fr = filtrate(model, closure, mode=args.mode)
     if args.format == "structured":
-        _emit_json(_filtration_data(fr))
+        _emit_json(_filtration_data(fr) | {"model": model_to_dict(fr.filtered_model())})
     elif args.format == "dot":
         print(to_dot(fr.filtered_model()))
     else:

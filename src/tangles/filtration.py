@@ -23,7 +23,11 @@ which checks were applicable.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from itertools import compress
+from operator import or_
 from typing import Iterable, Mapping
 
 from .formula import (
@@ -41,14 +45,21 @@ from .formula import (
     pretty,
 )
 from .kripke import (
+    ClusterDecomposition,
     Evaluator,
     Frame,
     KripkeModel,
     NonTransitiveError,
     _bits,
+    _cluster_masks,
     _components,
+    _first,
+    _maximal_clusters,
+    _row_pairs,
+    _selector,
+    _transitive_rows,
+    _union,
     cluster_decomposition,
-    closures,
     min_local_connectedness,
     path_components,
     relation_properties,
@@ -89,7 +100,9 @@ class FiltrationResult:
     ``r_phi`` is the transitive closure of the induced relation ``r_lambda``.
     ``maximal_clusters`` and ``sees_maximal`` describe the source model and
     are recorded in both modes; only refined mode folds them into the
-    quotient signature.
+    quotient signature.  The quotient frame and the masks behind
+    :meth:`realized` are computed from these fields on first use, so a
+    ``dataclasses.replace`` copy sees its own fields.
     """
 
     mode: str
@@ -104,8 +117,23 @@ class FiltrationResult:
     maximal_clusters: tuple[frozenset[str], ...]
     sees_maximal: dict[str, tuple[int, ...]]
 
-    def filtered_frame(self) -> Frame:
+    @cached_property
+    def _frame(self) -> Frame:
         return Frame(self.quotient_worlds, self.r_phi)
+
+    @cached_property
+    def _realized(self) -> dict[Formula, int]:
+        """Per closure member, the mask over ``quotient_worlds`` of the
+        quotient worlds some member of whose class makes it true."""
+        bit = {w: 1 << i for i, w in enumerate(self.quotient_worlds)}
+        source = {x: bit[q] for x, q in self.quotient_map.items()}
+        return {
+            f: reduce(or_, map(source.__getitem__, ws), 0)
+            for f, ws in self.source_truth.items()
+        }
+
+    def filtered_frame(self) -> Frame:
+        return self._frame
 
     def filtered_model(self) -> KripkeModel:
         return KripkeModel(self.filtered_frame(), self.quotient_val)
@@ -114,24 +142,7 @@ class FiltrationResult:
         """Quotient worlds whose class members make ``phi`` true."""
         if phi not in self.source_truth:
             raise KeyError(pretty(phi))
-        return frozenset(self.quotient_map[x] for x in self.source_truth[phi])
-
-
-def _maximal_cluster_data(
-    frame: Frame,
-) -> tuple[tuple[frozenset[str], ...], dict[str, tuple[int, ...]]]:
-    """All maximal clusters, and per world the indices of those it wholly sees."""
-    dec = cluster_decomposition(frame)
-    with_exit = {i for (i, _) in dec.order}
-    maximal = tuple(
-        dec.clusters[i] for i in range(len(dec.clusters)) if i not in with_exit
-    )
-    masks = [frame.mask(c) for c in maximal]
-    sees = {
-        w: tuple(i for i, c in enumerate(masks) if c & ~row == 0)
-        for w, row in zip(frame.worlds, frame.succ)
-    }
-    return maximal, sees
+        return frozenset(compress(self.quotient_worlds, _selector(self._realized[phi])))
 
 
 def filtrate(
@@ -148,58 +159,51 @@ def filtrate(
     """
     if mode not in ("standard", "refined"):
         raise ValueError(f"unknown filtration mode {mode!r}")
-    if not m.frame.transitive:
+    frame = m.frame
+    if not frame.transitive:
         raise NonTransitiveError("filtration needs a transitive source model")
 
-    ev = Evaluator(m.frame)
-    masks = ev.valuation_masks(m.val)
+    ev = Evaluator(frame)
     ordered = closure.sorted()
-    source_truth = {
-        f: ev.unmask(ext) for f, ext in zip(ordered, ev.extensions(ordered, masks))
-    }
-    maximal, sees = _maximal_cluster_data(m.frame)
+    exts = ev.extensions(ordered, ev.valuation_masks(m.val))
+    maximal, seen = _maximal_clusters(frame)
+    # A world's signature is its column of the splitting masks: the
+    # extensions, and in refined mode the worlds that see each maximal
+    # cluster.  The full mask keeps a column per world for an empty closure.
+    n = len(frame.worlds)
+    splitters = [(1 << n) - 1, *exts]
+    if mode == "refined":
+        splitters += [frame.pred[_first(mask)] for _, mask in maximal]
+    grid = [_selector(s).ljust(n, b"\x00") for s in splitters]
+    ids: dict[tuple, int] = {}
+    class_of = [ids.setdefault(sig, len(ids)) for sig in zip(*grid)]
 
-    def signature(w: str):
-        profile = tuple(w in source_truth[f] for f in ordered)
-        return (profile, sees[w]) if mode == "refined" else profile
-
-    quotient_map: dict[str, str] = {}
-    classes: list[list[str]] = []
-    ids: dict[object, int] = {}
-    for w in m.frame.worlds:
-        sig = signature(w)
-        if sig not in ids:
-            ids[sig] = len(classes)
-            classes.append([])
-        classes[ids[sig]].append(w)
-        quotient_map[w] = f"c{ids[sig]}"
-
-    quotient_worlds = tuple(f"c{i}" for i in range(len(classes)))
-    r_lambda = frozenset(
-        (quotient_map[x], quotient_map[y]) for (x, y) in m.frame.rel
-    )
-    r_phi = closures(Frame(quotient_worlds, r_lambda)).transitive.rel
-    quotient_val = {
-        a: tuple(
-            w
-            for w in quotient_worlds
-            if any(x in source_truth[Atom(a)] for x in classes[int(w[1:])])
-        )
-        for a in sorted(closure.atoms)
-    }
-    return FiltrationResult(
+    quotient_worlds = tuple(f"c{k}" for k in range(len(ids)))
+    parts = [0] * len(ids)
+    for i, k in enumerate(class_of):
+        parts[k] |= 1 << i
+    image_bit = [1 << k for k in class_of]
+    r_lambda_rows = [_union(image_bit, _union(frame.succ, part)) for part in parts]
+    quotient = Frame.from_rows(quotient_worlds, _transitive_rows(r_lambda_rows))
+    realized = {f: _union(image_bit, e) for f, e in zip(ordered, exts)}
+    fr = FiltrationResult(
         mode=mode,
         closure=closure,
         quotient_worlds=quotient_worlds,
-        classes=tuple(tuple(c) for c in classes),
-        quotient_map=quotient_map,
-        r_lambda=r_lambda,
-        r_phi=r_phi,
-        quotient_val=quotient_val,
-        source_truth=source_truth,
-        maximal_clusters=maximal,
-        sees_maximal=sees,
+        classes=tuple(tuple(compress(frame.worlds, _selector(p))) for p in parts),
+        quotient_map=dict(zip(frame.worlds, map(quotient_worlds.__getitem__, class_of))),
+        r_lambda=frozenset(_row_pairs(quotient_worlds, r_lambda_rows)),
+        r_phi=quotient.rel,
+        quotient_val={
+            a: tuple(compress(quotient_worlds, _selector(realized[Atom(a)])))
+            for a in sorted(closure.atoms)
+        },
+        source_truth={f: frame.unmask(e) for f, e in zip(ordered, exts)},
+        maximal_clusters=tuple(frame.unmask(mask) for _, mask in maximal),
+        sees_maximal=dict(zip(frame.worlds, map(tuple, seen))),
     )
+    fr.__dict__.update(_frame=quotient, _realized=realized)
+    return fr
 
 
 def _check_inputs(fr: FiltrationResult, m: KripkeModel, closure: ClosureSet) -> None:
@@ -207,6 +211,18 @@ def _check_inputs(fr: FiltrationResult, m: KripkeModel, closure: ClosureSet) -> 
         raise ValueError("filtration was built from a different model")
     if closure.formulas != fr.closure.formulas:
         raise ValueError("filtration was built from a different closure set")
+
+
+def _preimages(fr: FiltrationResult, frame: Frame, quotient: Frame) -> list[int]:
+    """Per world of ``quotient``, the mask of the worlds of ``frame`` that
+    ``fr.quotient_map`` sends there."""
+    index = quotient.index
+    out = [0] * len(quotient.worlds)
+    for i, w in enumerate(frame.worlds):
+        k = index.get(fr.quotient_map[w])
+        if k is not None:
+            out[k] |= 1 << i
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +237,8 @@ class UntangleResult:
     holds one quotient cluster, the source world chosen for it, and the
     quotient worlds the critical point sees inside it.  Degenerate clusters
     always get an empty nucleus.  In ``reflexive_mode`` the worlds outside
-    each nucleus keep their self-loop instead of becoming degenerate.
+    each nucleus keep their self-loop instead of becoming degenerate.  The
+    untangled frame is built from ``r_t`` on first use.
     """
 
     reflexive_mode: bool
@@ -231,8 +248,12 @@ class UntangleResult:
     nuclei: tuple[frozenset[str], ...]
     r_t: frozenset[tuple[str, str]]
 
-    def untangled_frame(self) -> Frame:
+    @cached_property
+    def _frame(self) -> Frame:
         return Frame(self.quotient_worlds, self.r_t)
+
+    def untangled_frame(self) -> Frame:
+        return self._frame
 
     def untangled_model(self, fr: FiltrationResult) -> KripkeModel:
         return KripkeModel(self.untangled_frame(), fr.quotient_val)
@@ -256,60 +277,49 @@ def untangle(
     except that ``reflexive_mode`` keeps self-loops outside the nucleus.
     """
     _check_inputs(fr, m, closure)
-    quotient = fr.filtered_frame()
-    dec = cluster_decomposition(quotient)
-    tangles = closure.tangle_members
-    member_realized = {
-        g: quotient.mask(fr.realized(g)) for f in tangles for g in f.members
-    }
-    succ_q = {
-        w: quotient.mask(fr.quotient_map[z] for z in m.frame.successors(w))
-        for w in m.frame.worlds
-    }
+    frame, quotient = m.frame, fr.filtered_frame()
+    clusters = _cluster_masks(quotient)
+    image_bit = [1 << quotient.index[fr.quotient_map[w]] for w in frame.worlds]
+    preimages = _preimages(fr, frame, quotient)
+    tangles = [
+        (frame.mask(fr.source_truth[f]), [fr._realized[g] for g in f.members])
+        for f in closure.tangle_members
+    ]
 
-    clusters: list[frozenset[str]] = []
+    rows = list(quotient.succ)
     critical: list[str] = []
     nuclei: list[frozenset[str]] = []
-    for cluster in dec.clusters:
-        cmask = quotient.mask(cluster)
-        chosen = None
-        for y in m.frame.worlds:
-            if fr.quotient_map[y] not in cluster:
-                continue
-            inside = succ_q[y] & cmask
+    for cluster in clusters:
+        for y in _bits(_union(preimages, cluster)):
+            inside = _union(image_bit, frame.succ[y]) & cluster
             if all(
-                any(not (member_realized[g] & inside) for g in f.members)
-                for f in tangles
-                if y not in fr.source_truth[f]
+                any(not realized & inside for realized in members)
+                for truth, members in tangles
+                if not truth >> y & 1
             ):
-                chosen = y
                 break
-        if chosen is None:
+        else:
             raise CriticalPointError(
-                "no critical point for cluster {" + ", ".join(sorted(cluster)) + "}; "
+                "no critical point for cluster {"
+                + ", ".join(sorted(quotient.unmask(cluster))) + "}; "
                 "the source model is not a transitive model of this closure"
             )
-        clusters.append(cluster)
-        critical.append(chosen)
-        nuclei.append(quotient.unmask(succ_q[chosen] & cmask))
-
-    index_of = {w: i for i, c in enumerate(clusters) for w in c}
-    r_t = set()
-    for (u, v) in fr.r_phi:
-        if index_of[u] != index_of[v]:
-            r_t.add((u, v))
-        elif v in nuclei[index_of[u]]:
-            r_t.add((u, v))
-        elif reflexive_mode and u == v:
-            r_t.add((u, v))
-    return UntangleResult(
+        critical.append(frame.worlds[y])
+        nuclei.append(quotient.unmask(inside))
+        for i in _bits(cluster):
+            keep = ~cluster | inside | (1 << i if reflexive_mode else 0)
+            rows[i] &= keep
+    untangled = Frame.from_rows(quotient.worlds, rows)
+    ut = UntangleResult(
         reflexive_mode=reflexive_mode,
         quotient_worlds=fr.quotient_worlds,
-        clusters=tuple(clusters),
+        clusters=tuple(map(quotient.unmask, clusters)),
         critical_points=tuple(critical),
         nuclei=tuple(nuclei),
-        r_t=frozenset(r_t),
+        r_t=untangled.rel,
     )
+    ut.__dict__["_frame"] = untangled
+    return ut
 
 
 # ---------------------------------------------------------------------------
@@ -339,19 +349,20 @@ def verify_reduction(
     """Check that closure members are true on the untangled model exactly
     at the images of the source worlds where they are true."""
     _check_inputs(fr, m, closure)
-    model_t = ut.untangled_model(fr)
+    frame, model_t = m.frame, ut.untangled_model(fr)
     ev = Evaluator(model_t.frame)
-    masks = ev.valuation_masks(model_t.val)
-    checked = 0
     ordered = closure.sorted()
-    for f, mask in zip(ordered, ev.extensions(ordered, masks)):
-        ext = ev.unmask(mask)
-        for x in m.frame.worlds:
-            checked += 1
-            expected = x in fr.source_truth[f]
-            actual = fr.quotient_map[x] in ext
-            if expected != actual:
-                return ReductionReport(False, checked, (f, x, expected, actual))
+    exts = ev.extensions(ordered, ev.valuation_masks(model_t.val))
+    preimages = _preimages(fr, frame, model_t.frame)
+    checked = 0
+    for f, ext in zip(ordered, exts):
+        expected = frame.mask(fr.source_truth[f])
+        wrong = expected ^ _union(preimages, ext)
+        if wrong:
+            i = _first(wrong)
+            truth = bool(expected >> i & 1)
+            return ReductionReport(False, checked + i + 1, (f, frame.worlds[i], truth, not truth))
+        checked += len(frame.worlds)
     return ReductionReport(True, checked, None)
 
 
@@ -367,45 +378,49 @@ def reduction_conditions(
     """
     _check_inputs(fr, m, closure)
     out: list[str] = []
-    truth = fr.source_truth
-    worlds = m.frame.worlds
+    frame = m.frame
+    worlds = frame.worlds
+    truth = {f: frame.mask(ws) for f, ws in fr.source_truth.items()}
     quotient = fr.filtered_frame()
     image = [quotient.index[fr.quotient_map[w]] for w in worlds]
+    preimages = _preimages(fr, frame, quotient)
+    # per source world, the source worlds whose images its image sees
+    seen = [_union(preimages, quotient.succ[k]) for k in image]
 
     for a in sorted(closure.atoms):
         held = frozenset(fr.quotient_val.get(a, ()))
-        for x in m.frame.worlds:
-            if (x in truth[Atom(a)]) != (fr.quotient_map[x] in held):
-                out.append(
-                    f"valuation of {a} disagrees between {x} and its class"
-                )
-    ordered = closure.sorted()
+        wrong = truth[Atom(a)] ^ frame.mask(x for x in worlds if fr.quotient_map[x] in held)
+        for i in _bits(wrong):
+            out.append(f"valuation of {a} disagrees between {worlds[i]} and its class")
+    profile = [truth[f] for f in closure.sorted()]
     for cls in fr.classes:
-        rep = cls[0]
-        for x in cls[1:]:
-            if any((rep in truth[f]) != (x in truth[f]) for f in ordered):
-                out.append(f"class of {rep} mixes worlds with different profiles")
-                break
-    for i, row in enumerate(m.frame.succ):
-        for j in _bits(row):
-            if not quotient.succ[image[i]] >> image[j] & 1:
-                out.append(f"edge {worlds[i]}->{worlds[j]} is lost in the quotient")
+        members = frame.mask(cls)
+        if any(t & members not in (0, members) for t in profile):
+            out.append(f"class of {cls[0]} mixes worlds with different profiles")
+    for i, row in enumerate(frame.succ):
+        for j in _bits(row & ~seen[i]):
+            out.append(f"edge {worlds[i]}->{worlds[j]} is lost in the quotient")
 
     # truth transfer: tangles seen across the quotient relation stay true
     # at the earlier world, and so do diamonds whose body holds later
-    tangles = closure.tangle_members
-    diamonds = [f for f in closure.diamond_members if isinstance(f, Dia)]
-    for x, qx in zip(worlds, image):
-        for y, qy in zip(worlds, image):
-            if not quotient.succ[qx] >> qy & 1:
-                continue
-            for f in tangles:
-                if y in truth[f] and x not in truth[f]:
+    tangles = [(f, truth[f]) for f in closure.tangle_members]
+    diamonds = [
+        (f, truth[f], truth[f] | truth[f.sub])
+        for f in closure.diamond_members
+        if isinstance(f, Dia)
+    ]
+    for i, x in enumerate(worlds):
+        late = [(f, seen[i] & t) for f, t in tangles if not t >> i & 1]
+        bodies = [(f, seen[i] & body) for f, t, body in diamonds if not t >> i & 1]
+        for j in _bits(reduce(or_, (ys for _, ys in late + bodies), 0)):
+            y = worlds[j]
+            for f, ys in late:
+                if ys >> j & 1:
                     out.append(
                         f"{pretty(f)} holds at {y} but not at {x} across the quotient"
                     )
-            for f in diamonds:
-                if (y in truth[f] or y in truth[f.sub]) and x not in truth[f]:
+            for f, ys in bodies:
+                if ys >> j & 1:
                     out.append(
                         f"{pretty(f)} fails at {x} despite its body holding from {y}"
                     )
@@ -418,19 +433,13 @@ def reduction_conditions(
             f"{len(fr.quotient_worlds)} quotient worlds exceed the bound {bound}"
         )
 
-    dec = cluster_decomposition(quotient)
-    watched = tuple(tangles) + tuple(closure.diamond_members)
-    for cluster in dec.clusters:
-        reps = sorted(cluster)
-        first = frozenset(f for f in watched if reps[0] in fr.realized(f))
-        for w in reps[1:]:
-            got = frozenset(f for f in watched if w in fr.realized(f))
-            if got != first:
-                out.append(
-                    f"cluster of {reps[0]} mixes worlds realising different"
-                    " tangle or diamond members"
-                )
-                break
+    watched = [fr._realized[f] for f in (*closure.tangle_members, *closure.diamond_members)]
+    for cluster in _cluster_masks(quotient):
+        if any(r & cluster not in (0, cluster) for r in watched):
+            out.append(
+                f"cluster of {min(quotient.unmask(cluster))} mixes worlds realising"
+                " different tangle or diamond members"
+            )
     return out
 
 
@@ -553,12 +562,11 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
     cluster_types = tuple(
         frozenset(type_of[w] for w in c) for c in dec.clusters
     )
-    with_exit = {i for (i, _) in dec.order}
-    maximal = tuple(i for i in range(len(dec.clusters)) if i not in with_exit)
-    cluster_mask = {i: frame.mask(dec.clusters[i]) for i in maximal}
+    found, seen = _maximal_clusters(frame)
+    maximal = tuple(c for c, _ in found)
+    cluster_mask = dict(found)
     sees_maximal = {
-        w: tuple(i for i in maximal if cluster_mask[i] & ~row == 0)
-        for w, row in zip(frame.worlds, frame.succ)
+        w: tuple(maximal[k] for k in ks) for w, ks in zip(frame.worlds, seen)
     }
 
     def chi(s: frozenset[Formula]) -> Formula:
@@ -612,24 +620,7 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
         )
         for w in m.frame.worlds
     }
-    report = _verify_characteristics(
-        m,
-        ev,
-        masks,
-        alphabet,
-        type_of,
-        chi,
-        dec,
-        cluster_types,
-        maximal,
-        sees_maximal,
-        cluster_formula,
-        sees_cluster_formula,
-        class_formula,
-        component_formulas,
-        signature_of,
-    )
-    return AtomicTypeData(
+    data = AtomicTypeData(
         alphabet=alphabet,
         type_of=type_of,
         cluster_types=cluster_types,
@@ -641,39 +632,36 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
         view_formula=view_formula,
         class_formula=class_formula,
         component_formulas=component_formulas,
-        report=report,
+        report=None,
     )
+    report = _verify_characteristics(data, m, ev, masks, dec, signature_of)
+    return dataclasses.replace(data, report=report)
 
 
 def _verify_characteristics(
+    data: AtomicTypeData,
     m: KripkeModel,
     ev: Evaluator,
     masks: Mapping[str, int],
-    alphabet: tuple[Formula, ...],
-    type_of: Mapping[str, frozenset[Formula]],
-    chi,
-    dec,
-    cluster_types,
-    maximal: tuple[int, ...],
-    sees_maximal: Mapping[str, tuple[int, ...]],
-    cluster_formula: Mapping[int, Formula],
-    sees_cluster_formula: Mapping[int, Formula],
-    class_formula: Mapping[str, Formula],
-    component_formulas,
+    dec: ClusterDecomposition,
     signature_of: Mapping[str, object],
 ) -> CharacteristicReport:
+    """The report on ``data``, every field but ``report`` filled in."""
     def holds(f: Formula) -> frozenset[str]:
         return ev.unmask(ev.extension(f, masks))
 
     frame = m.frame
+    maximal, cluster_types = data.maximal_clusters, data.cluster_types
+    sees_maximal = data.sees_maximal
     notes: list[str] = []
     types_distinct = len({cluster_types[i] for i in maximal}) == len(maximal)
     serial = frame.mask(w for w, row in zip(frame.worlds, frame.succ) if row)
     reachable_serial = all(row & ~serial == 0 for row in frame.succ)
 
     type_description_ok = all(
-        holds(chi(s)) == frozenset(w for w in m.frame.worlds if type_of[w] == s)
-        for s in _subsets(alphabet)
+        holds(data.type_formula(s))
+        == frozenset(w for w in m.frame.worlds if data.type_of[w] == s)
+        for s in _subsets(data.alphabet)
     )
 
     maximal_worlds = frozenset(
@@ -682,7 +670,7 @@ def _verify_characteristics(
     by_type = True
     sharp_membership = True
     for i in maximal:
-        got = holds(cluster_formula[i]) & maximal_worlds
+        got = holds(data.cluster_formula[i]) & maximal_worlds
         same_type = frozenset(
             w
             for j in maximal
@@ -697,7 +685,7 @@ def _verify_characteristics(
     scope_by_type = True
     sharp_scope = True
     for i in maximal:
-        got = holds(sees_cluster_formula[i])
+        got = holds(data.sees_cluster_formula[i])
         same_type = frozenset(
             w
             for w in m.frame.worlds
@@ -712,7 +700,7 @@ def _verify_characteristics(
             sharp_scope = False
 
     sharp_class = all(
-        holds(class_formula[x])
+        holds(data.class_formula[x])
         == frozenset(
             y for y in m.frame.worlds if signature_of[y] == signature_of[x]
         )
@@ -722,7 +710,7 @@ def _verify_characteristics(
     cover_ok = True
     sharp_component = True
     for x, row in zip(frame.worlds, frame.succ):
-        for comp, f in component_formulas[x]:
+        for comp, f in data.component_formulas[x]:
             got = ev.extension(f, masks) & row
             cmask = frame.mask(comp)
             if cmask & serial & ~got:

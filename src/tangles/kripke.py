@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, reduce
+from itertools import chain, compress, repeat
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .formula import (
@@ -65,22 +67,57 @@ class Frame:
     built from ``rel`` on first use and cached on the instance; it takes no
     part in equality, hashing or ``repr``.  Every structure analysis reads
     it, so analyses of the same frame object share one index.
+    :meth:`from_rows` builds a frame from successor rows with the index
+    already filled in; such a frame spells out ``rel`` on first use.
     """
 
     worlds: tuple[str, ...]
     rel: frozenset[tuple[str, str]]
 
     def __post_init__(self):
-        object.__setattr__(self, "worlds", tuple(self.worlds))
-        object.__setattr__(self, "rel", frozenset(self.rel))
-        if not self.worlds:
-            raise ValueError("a frame needs at least one world")
-        if len(set(self.worlds)) != len(self.worlds):
-            raise ValueError("duplicate world ids")
-        scope = set(self.worlds)
-        for pair in self.rel:
+        worlds = tuple(self.worlds)
+        # a set has no order to report the first stray pair in
+        pairs = self.rel if isinstance(self.rel, (frozenset, set)) else tuple(self.rel)
+        object.__setattr__(self, "worlds", worlds)
+        object.__setattr__(self, "rel", frozenset(pairs))
+        _check_worlds(worlds)
+        scope = set(worlds)
+        for pair in pairs:
             if pair[0] not in scope or pair[1] not in scope:
-                raise ValueError(f"relation pair {pair} outside the world set")
+                raise ValueError(f"relation pair {tuple(pair)} outside the world set")
+
+    @classmethod
+    def from_rows(cls, worlds: Iterable[str], succ: Iterable[int]) -> Frame:
+        """The frame where world ``i`` sees world ``j`` iff bit ``j`` of
+        ``succ[i]`` is set, with ``index`` and ``succ`` filled in."""
+        worlds, succ = tuple(worlds), tuple(succ)
+        _check_worlds(worlds)
+        n = len(worlds)
+        if len(succ) != n or any(row >> n for row in succ):
+            raise ValueError("successor rows do not fit the world set")
+        return cls._seeded(worlds, succ)
+
+    @classmethod
+    def _seeded(cls, worlds, succ, pred=None, index=None) -> Frame:
+        """A frame of checked worlds and rows, with its index cached from
+        the start and ``rel`` left to :meth:`__getattr__`."""
+        frame = object.__new__(cls)
+        cache = frame.__dict__
+        cache.update(worlds=worlds, succ=succ)
+        if pred is not None:
+            cache["pred"] = pred
+        if index is not None:
+            cache["index"] = index
+        return frame
+
+    def __getattr__(self, name):
+        # only reached when normal lookup fails: the pairs of a row-built
+        # frame, which are made once they are asked for
+        cache = self.__dict__
+        if name != "rel" or "succ" not in cache:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rel = cache["rel"] = frozenset(_row_pairs(self.worlds, self.succ))
+        return rel
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -99,29 +136,37 @@ class Frame:
     @cached_property
     def pred(self) -> tuple[int, ...]:
         """``pred[j]`` has bit ``i`` set iff world ``i`` sees world ``j``."""
-        pred = [0] * len(self.worlds)
-        for i, row in enumerate(self.succ):
-            for j in _bits(row):
-                pred[j] |= 1 << i
-        return tuple(pred)
+        succ = self.succ
+        n = len(succ)
+        # column j of the matrix, one byte per row, is every n-th byte
+        grid = b"".join([_selector(row).ljust(n, b"\x00") for row in succ])
+        return tuple([int(grid[j::n][::-1].translate(_CHARS), 2) for j in range(n)])
 
     @cached_property
     def transitive(self) -> bool:
         succ = self.succ
-        return all(succ[j] & ~row == 0 for row in succ for j in _bits(row))
+        # worlds with the same successors pass or fail together
+        return all(_union(succ, row) & ~row == 0 for row in set(succ))
+
+    @cached_property
+    def _bit(self) -> dict[str, int]:
+        return {w: 1 << i for i, w in enumerate(self.worlds)}
 
     def mask(self, worlds: Iterable[str]) -> int:
-        index = self.index
-        m = 0
-        for w in worlds:
-            m |= 1 << index[w]
-        return m
+        return reduce(or_, map(self._bit.__getitem__, worlds), 0)
 
     def unmask(self, mask: int) -> frozenset[str]:
-        return frozenset(self.worlds[i] for i in _bits(mask))
+        return frozenset(compress(self.worlds, _selector(mask)))
 
     def successors(self, w: str) -> frozenset[str]:
         return self.unmask(self.succ[self.index[w]])
+
+
+def _check_worlds(worlds: tuple[str, ...]) -> None:
+    if not worlds:
+        raise ValueError("a frame needs at least one world")
+    if len(set(worlds)) != len(worlds):
+        raise ValueError("duplicate world ids")
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -130,6 +175,45 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _selector(mask: int) -> bytes:
+    """One byte per bit of ``mask``, lowest first: 1 where the bit is set.
+    ``compress(items, _selector(mask))`` picks the items at its set bits."""
+    return bin(mask)[:1:-1].encode().translate(_DIGITS)
+
+
+def _union(rows: Sequence[int], mask: int) -> int:
+    """OR of ``rows[i]`` over the set bits ``i`` of ``mask``."""
+    return reduce(or_, compress(rows, _selector(mask)), 0)
+
+
+def _row_pairs(worlds: Sequence[str], rows: Sequence[int]) -> Iterator[tuple[str, str]]:
+    """``(worlds[i], worlds[j])`` for each set bit ``j`` of each ``rows[i]``,
+    ordered by ``i`` and then ``j``."""
+    return chain.from_iterable(
+        zip(repeat(u), compress(worlds, _selector(row))) for u, row in zip(worlds, rows)
+    )
+
+
+def _transitive_rows(succ: Sequence[int]) -> list[int]:
+    """Successor rows of the transitive closure."""
+    rows = list(succ)
+    # a row that takes in its successors' rows doubles the path length it
+    # covers; nothing changes once the relation is transitive
+    changed = True
+    while changed:
+        changed = False
+        for i, row in enumerate(rows):
+            wider = row | _union(rows, row)
+            if wider != row:
+                rows[i] = wider
+                changed = True
+    return rows
 
 
 class KripkeModel:
@@ -187,19 +271,11 @@ class Closures:
 
 
 def closures(frame: Frame) -> Closures:
-    worlds = frame.worlds
-    succ = list(frame.succ)
-    # Warshall: after round k, paths through worlds 0..k are shortcut
-    for k in range(len(succ)):
-        bit, row = 1 << k, succ[k]
-        for i, other in enumerate(succ):
-            if other & bit:
-                succ[i] = other | row
-    trans_pairs = frozenset(
-        (worlds[i], worlds[j]) for i, row in enumerate(succ) for j in _bits(row)
+    rows = _transitive_rows(frame.succ)
+    return Closures(
+        Frame.from_rows(frame.worlds, rows),
+        Frame.from_rows(frame.worlds, (row | 1 << i for i, row in enumerate(rows))),
     )
-    refl_pairs = trans_pairs | frozenset((w, w) for w in worlds)
-    return Closures(Frame(worlds, trans_pairs), Frame(worlds, refl_pairs))
 
 
 @dataclass(frozen=True)
@@ -227,6 +303,8 @@ class ClusterDecomposition:
 
 def _cluster_masks(frame: Frame) -> list[int]:
     """World masks of the clusters of a transitive frame, by first world."""
+    if not frame.transitive:
+        raise NonTransitiveError("cluster decomposition needs a transitive relation")
     succ, pred = frame.succ, frame.pred
     masks: list[int] = []
     seen = 0
@@ -239,20 +317,40 @@ def _cluster_masks(frame: Frame) -> list[int]:
     return masks
 
 
+def _first(mask: int) -> int:
+    """Position of the lowest set bit of ``mask``."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _maximal_clusters(frame: Frame) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The maximal clusters of a transitive frame, as (position among its
+    clusters, world mask) pairs, and per world the indices into that list
+    of the clusters it wholly sees."""
+    succ, pred = frame.succ, frame.pred
+    maximal = [
+        (c, mask) for c, mask in enumerate(_cluster_masks(frame))
+        if not succ[_first(mask)] & ~mask
+    ]
+    seen: list[list[int]] = [[] for _ in frame.worlds]
+    for k, (_, mask) in enumerate(maximal):
+        # a world sees all of a cluster iff it sees its first world
+        for i in _bits(pred[_first(mask)]):
+            seen[i].append(k)
+    return maximal, seen
+
+
 def cluster_decomposition(frame: Frame) -> ClusterDecomposition:
-    if not frame.transitive:
-        raise NonTransitiveError("cluster decomposition needs a transitive relation")
-    succ = frame.succ
     masks = _cluster_masks(frame)
+    succ = frame.succ
     # under transitivity every member of a cluster sees the same worlds, so
     # the first member speaks for the cluster
-    firsts = [(m & -m).bit_length() - 1 for m in masks]
+    firsts = list(map(_first, masks))
     assigned = [0] * len(succ)
     for c, mask in enumerate(masks):
         for i in _bits(mask):
             assigned[i] = c
     later = [
-        {assigned[j] for j in _bits(succ[first] & ~mask)}
+        set(compress(assigned, _selector(succ[first] & ~mask)))
         for first, mask in zip(firsts, masks)
     ]
     # a strictly later cluster sees strictly fewer worlds counting its own,
@@ -279,9 +377,7 @@ def _components(frame: Frame, mask: int) -> list[int]:
     while rest:
         comp = frontier = rest & -rest
         while frontier:
-            reached = 0
-            for i in _bits(frontier):
-                reached |= succ[i] | pred[i]
+            reached = _union(succ, frontier) | _union(pred, frontier)
             frontier = reached & rest & ~comp
             comp |= frontier
         out.append(comp)
@@ -298,7 +394,8 @@ def path_components(frame: Frame) -> tuple[frozenset[str], ...]:
 def _local_component_counts(frame: Frame) -> Iterator[int]:
     """Per world with successors, the path components of its successor set,
     where the connecting paths must stay inside that set."""
-    return (len(_components(frame, row)) for row in frame.succ if row)
+    # worlds with the same successors have the same count
+    return (len(_components(frame, row)) for row in set(frame.succ) if row)
 
 
 def locally_n_connected(frame: Frame, n: int) -> bool:
@@ -505,8 +602,9 @@ class Evaluator:
 
     @cached_property
     def _pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """(world, successor mask) pairs of each relation, as run reads them."""
-        return tuple(enumerate(self.succ)), tuple(enumerate(self.dsucc))
+        """(worlds, successor mask) pairs of each relation, as run reads
+        them: one pair per distinct mask, with the worlds that have it."""
+        return _row_groups(self.succ), _row_groups(self.dsucc)
 
     # -- sets <-> masks ---------------------------------------------------
 
@@ -570,9 +668,9 @@ class Evaluator:
                 # the worlds with a successor in s; a box is the dual
                 s = slots[a] if op == _DIA else full & ~slots[a]
                 seen = 0
-                for i, row in rels[b]:
+                for group, row in rels[b]:
                     if row & s:
-                        seen |= 1 << i
+                        seen |= group
                 slots[out] = seen if op == _DIA else full & ~seen
             elif op == _NOT:
                 slots[out] = full & ~slots[a]
@@ -743,6 +841,14 @@ class Evaluator:
         return self._rows[key]
 
 
+def _row_groups(rows: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Each distinct row with the mask of the positions that hold it."""
+    groups: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        groups[row] = groups.get(row, 0) | 1 << i
+    return tuple((group, row) for row, group in groups.items())
+
+
 @lru_cache(maxsize=1024)
 def _bit_tuple(mask: int) -> tuple[int, ...]:
     """``tuple(_bits(mask))``, remembered for the rows of small frames."""
@@ -841,7 +947,7 @@ def model_to_dict(model: KripkeModel) -> dict:
     order = model.frame.index
     return {
         "worlds": list(model.frame.worlds),
-        "rel": sorted([list(p) for p in model.frame.rel], key=lambda p: (order[p[0]], order[p[1]])),
+        "rel": list(map(list, _row_pairs(model.frame.worlds, model.frame.succ))),
         "val": {
             a: sorted(ws, key=order.get)
             for a, ws in sorted(model.val.items())
@@ -851,13 +957,29 @@ def model_to_dict(model: KripkeModel) -> dict:
 
 
 def model_from_dict(data: Mapping) -> KripkeModel:
+    """The model ``data`` describes; its frame's ``succ``, ``pred`` and
+    ``index`` are built in the same pass over ``data["rel"]``."""
     try:
         worlds = tuple(str(w) for w in data["worlds"])
-        rel = frozenset((str(u), str(v)) for (u, v) in data["rel"])
+        index = {w: i for i, w in enumerate(worlds)}
+        bits = [1 << i for i in range(len(worlds))]
+        succ = [0] * len(worlds)
+        pred = [0] * len(worlds)
+        stray = None  # the first pair outside the world set, in file order
+        for (u, v) in data["rel"]:
+            i, j = index.get(str(u)), index.get(str(v))
+            if i is None or j is None:
+                stray = stray or (str(u), str(v))
+                continue
+            succ[i] |= bits[j]
+            pred[j] |= bits[i]
         val = {str(a): [str(w) for w in ws] for a, ws in data.get("val", {}).items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model data: {exc}") from exc
-    return KripkeModel(Frame(worlds, rel), val)
+    _check_worlds(worlds)
+    if stray:
+        raise ValueError(f"relation pair {stray} outside the world set")
+    return KripkeModel(Frame._seeded(worlds, tuple(succ), tuple(pred), index), val)
 
 
 def model_to_json(model: KripkeModel) -> str:
@@ -906,8 +1028,6 @@ def to_dot(model_or_frame: KripkeModel | Frame, name: str = "model") -> str:
     else:
         for w in frame.worlds:
             lines.append(f'  "{w}" [label="{labels[w]}", fillcolor="#eeeeee"];')
-    order = frame.index
-    for (u, v) in sorted(frame.rel, key=lambda p: (order[p[0]], order[p[1]])):
-        lines.append(f'  "{u}" -> "{v}";')
+    lines.extend(f'  "{u}" -> "{v}";' for u, v in _row_pairs(frame.worlds, frame.succ))
     lines.append("}")
     return "\n".join(lines)

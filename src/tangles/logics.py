@@ -373,13 +373,7 @@ def enumerate_frames(
         if len(rows) == n:
             if up_to_iso and n <= _CANONICAL_LIMIT and not _canonical(rows, n):
                 return
-            rel = frozenset(
-                (worlds[i], worlds[j])
-                for i in range(n)
-                for j in range(n)
-                if rows[i] >> j & 1
-            )
-            frame = Frame(worlds, rel)
+            frame = Frame.from_rows(worlds, rows)
             if connected and len(path_components(frame)) > 1:
                 return
             if local_connectedness is not None and not locally_n_connected(

@@ -89,10 +89,7 @@ class FiniteSpace:
                 mask |= 1 << index[p]
             for i in _bits(mask):
                 nbhd[i] &= mask
-        return Frame(
-            points,
-            frozenset((points[i], points[j]) for i, u in enumerate(nbhd) for j in _bits(u)),
-        )
+        return Frame.from_rows(points, nbhd)
 
 
 class TopoModel:

@@ -68,6 +68,38 @@ def random_model(
     return KripkeModel(frame, val)
 
 
+def random_cluster_model(
+    rng: random.Random,
+    n: int,
+    atoms: tuple[str, ...] = ("p", "q"),
+    *,
+    reflexive: bool = False,
+) -> KripkeModel:
+    """A transitive model on ``n`` worlds built as a random DAG of clusters
+    of 1-6 worlds.  Clusters of two or more worlds are reflexive; a
+    singleton is reflexive with probability 1/2, or always when
+    ``reflexive``."""
+    worlds = tuple(f"w{i}" for i in range(n))
+    order = list(worlds)
+    rng.shuffle(order)
+    clusters = []
+    while order:
+        size = rng.choice((1, 1, 1, 2, 3, 4, 5, 6))
+        clusters.append(order[:size])
+        del order[:size]
+    density = rng.uniform(0.03, 0.25)
+    pairs = set()
+    for k, members in enumerate(clusters):
+        if len(members) > 1 or reflexive or rng.random() < 0.5:
+            pairs.update((u, v) for u in members for v in members)
+        for later in clusters[k + 1:]:
+            if rng.random() < density:
+                pairs.add((members[0], later[0]))
+    frame = closures(Frame(worlds, frozenset(pairs))).transitive
+    val = {a: frozenset(w for w in worlds if rng.random() < 0.4) for a in atoms}
+    return KripkeModel(frame, val)
+
+
 def random_locally_connected_model(
     rng: random.Random,
     max_worlds: int = 6,

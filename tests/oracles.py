@@ -9,6 +9,12 @@ sweep and the bounded search written on it, one valuation at a time, where
 is the frame enumeration with the canonicity test that builds each
 relabeled matrix bit by bit, where ``logics`` relabels rows by table.
 
+``tree_filtrate``, ``tree_untangle``, ``tree_verify_reduction`` and
+``tree_reduction_conditions`` are the filtration constructions and checks
+written on world sets and pair sets, where ``filtration`` works on the
+successor rows and world masks of the frames.  They read only the public
+fields of the results they are given.
+
 ``tree_parse`` is the recursive-descent parser that ``formula.parse``
 replaced: it tokenizes in a Python loop and descends through six levels of
 calls for every node of the tree the text spells, repeats included.  Its
@@ -25,6 +31,11 @@ from tangles import (
     And,
     Atom,
     BudgetExceededError,
+    ClosureSet,
+    CriticalPointError,
+    FiltrationResult,
+    ReductionReport,
+    UntangleResult,
     Bot,
     Box,
     BoxD,
@@ -49,9 +60,12 @@ from tangles import (
     TangleD,
     Top,
     ValidityReport,
+    cluster_decomposition,
+    closures,
     free_atoms,
     locally_n_connected,
     path_components,
+    pretty,
 )
 from tangles.logics import SEARCH_BUDGET, VALUATION_BUDGET, _masks_to_val
 
@@ -398,4 +412,237 @@ def tree_parse(text: str) -> Formula:
     kind, value, pos = parser.peek()
     if kind != "EOF":
         raise ParseError(f"trailing input {value!r}", pos)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Filtration on world sets and pair sets
+
+
+def _quotient_frame(fr: FiltrationResult) -> Frame:
+    return Frame(fr.quotient_worlds, fr.r_phi)
+
+
+def _realized(fr: FiltrationResult, phi: Formula) -> frozenset[str]:
+    if phi not in fr.source_truth:
+        raise KeyError(pretty(phi))
+    return frozenset(fr.quotient_map[x] for x in fr.source_truth[phi])
+
+
+def _maximal_cluster_data(frame: Frame):
+    dec = cluster_decomposition(frame)
+    with_exit = {i for (i, _) in dec.order}
+    maximal = tuple(
+        dec.clusters[i] for i in range(len(dec.clusters)) if i not in with_exit
+    )
+    sees = {
+        w: tuple(i for i, c in enumerate(maximal) if c <= frame.successors(w))
+        for w in frame.worlds
+    }
+    return maximal, sees
+
+
+def _check_inputs(fr: FiltrationResult, m: KripkeModel, closure: ClosureSet) -> None:
+    if set(fr.quotient_map) != set(m.frame.worlds):
+        raise ValueError("filtration was built from a different model")
+    if closure.formulas != fr.closure.formulas:
+        raise ValueError("filtration was built from a different closure set")
+
+
+def tree_filtrate(m: KripkeModel, closure: ClosureSet, mode: str = "standard") -> FiltrationResult:
+    if mode not in ("standard", "refined"):
+        raise ValueError(f"unknown filtration mode {mode!r}")
+    if not m.frame.transitive:
+        raise NonTransitiveError("filtration needs a transitive source model")
+    ev = Evaluator(m.frame)
+    masks = ev.valuation_masks(m.val)
+    ordered = closure.sorted()
+    source_truth = {f: ev.unmask(tree_extension(ev, f, masks)) for f in ordered}
+    maximal, sees = _maximal_cluster_data(m.frame)
+
+    def signature(w: str):
+        profile = tuple(w in source_truth[f] for f in ordered)
+        return (profile, sees[w]) if mode == "refined" else profile
+
+    quotient_map: dict[str, str] = {}
+    classes: list[list[str]] = []
+    ids: dict[object, int] = {}
+    for w in m.frame.worlds:
+        sig = signature(w)
+        if sig not in ids:
+            ids[sig] = len(classes)
+            classes.append([])
+        classes[ids[sig]].append(w)
+        quotient_map[w] = f"c{ids[sig]}"
+
+    quotient_worlds = tuple(f"c{i}" for i in range(len(classes)))
+    r_lambda = frozenset(
+        (quotient_map[x], quotient_map[y]) for (x, y) in m.frame.rel
+    )
+    r_phi = closures(Frame(quotient_worlds, r_lambda)).transitive.rel
+    quotient_val = {
+        a: tuple(
+            w
+            for w in quotient_worlds
+            if any(x in source_truth[Atom(a)] for x in classes[int(w[1:])])
+        )
+        for a in sorted(closure.atoms)
+    }
+    return FiltrationResult(
+        mode=mode,
+        closure=closure,
+        quotient_worlds=quotient_worlds,
+        classes=tuple(tuple(c) for c in classes),
+        quotient_map=quotient_map,
+        r_lambda=r_lambda,
+        r_phi=r_phi,
+        quotient_val=quotient_val,
+        source_truth=source_truth,
+        maximal_clusters=maximal,
+        sees_maximal=sees,
+    )
+
+
+def tree_untangle(
+    fr: FiltrationResult, m: KripkeModel, closure: ClosureSet, reflexive_mode: bool = False
+) -> UntangleResult:
+    _check_inputs(fr, m, closure)
+    quotient = _quotient_frame(fr)
+    dec = cluster_decomposition(quotient)
+    tangles = closure.tangle_members
+    member_realized = {g: _realized(fr, g) for f in tangles for g in f.members}
+    succ_q = {
+        w: frozenset(fr.quotient_map[z] for z in m.frame.successors(w))
+        for w in m.frame.worlds
+    }
+
+    clusters, critical, nuclei = [], [], []
+    for cluster in dec.clusters:
+        chosen = None
+        for y in m.frame.worlds:
+            if fr.quotient_map[y] not in cluster:
+                continue
+            inside = succ_q[y] & cluster
+            if all(
+                any(not (member_realized[g] & inside) for g in f.members)
+                for f in tangles
+                if y not in fr.source_truth[f]
+            ):
+                chosen = y
+                break
+        if chosen is None:
+            raise CriticalPointError(
+                "no critical point for cluster {" + ", ".join(sorted(cluster)) + "}; "
+                "the source model is not a transitive model of this closure"
+            )
+        clusters.append(cluster)
+        critical.append(chosen)
+        nuclei.append(succ_q[chosen] & cluster)
+
+    index_of = {w: i for i, c in enumerate(clusters) for w in c}
+    r_t = set()
+    for (u, v) in fr.r_phi:
+        if index_of[u] != index_of[v]:
+            r_t.add((u, v))
+        elif v in nuclei[index_of[u]]:
+            r_t.add((u, v))
+        elif reflexive_mode and u == v:
+            r_t.add((u, v))
+    return UntangleResult(
+        reflexive_mode=reflexive_mode,
+        quotient_worlds=fr.quotient_worlds,
+        clusters=tuple(clusters),
+        critical_points=tuple(critical),
+        nuclei=tuple(nuclei),
+        r_t=frozenset(r_t),
+    )
+
+
+def tree_verify_reduction(
+    fr: FiltrationResult, ut: UntangleResult, m: KripkeModel, closure: ClosureSet
+) -> ReductionReport:
+    _check_inputs(fr, m, closure)
+    model_t = KripkeModel(Frame(ut.quotient_worlds, ut.r_t), fr.quotient_val)
+    ev = Evaluator(model_t.frame)
+    masks = ev.valuation_masks(model_t.val)
+    checked = 0
+    ordered = closure.sorted()
+    # every extension first, so a tangle on a forged intransitive relation
+    # raises before any mismatch is reported
+    exts = [ev.unmask(tree_extension(ev, f, masks)) for f in ordered]
+    for f, ext in zip(ordered, exts):
+        for x in m.frame.worlds:
+            checked += 1
+            expected = x in fr.source_truth[f]
+            actual = fr.quotient_map[x] in ext
+            if expected != actual:
+                return ReductionReport(False, checked, (f, x, expected, actual))
+    return ReductionReport(True, checked, None)
+
+
+def tree_reduction_conditions(
+    fr: FiltrationResult, m: KripkeModel, closure: ClosureSet
+) -> list[str]:
+    _check_inputs(fr, m, closure)
+    out: list[str] = []
+    truth = fr.source_truth
+    worlds = m.frame.worlds
+    quotient = _quotient_frame(fr)
+    image = fr.quotient_map
+    related = fr.r_phi
+
+    for a in sorted(closure.atoms):
+        held = frozenset(fr.quotient_val.get(a, ()))
+        for x in worlds:
+            if (x in truth[Atom(a)]) != (fr.quotient_map[x] in held):
+                out.append(f"valuation of {a} disagrees between {x} and its class")
+    ordered = closure.sorted()
+    for cls in fr.classes:
+        rep = cls[0]
+        for x in cls[1:]:
+            if any((rep in truth[f]) != (x in truth[f]) for f in ordered):
+                out.append(f"class of {rep} mixes worlds with different profiles")
+                break
+    for x, y in sorted(m.frame.rel, key=lambda p: (m.frame.index[p[0]], m.frame.index[p[1]])):
+        if (image[x], image[y]) not in related:
+            out.append(f"edge {x}->{y} is lost in the quotient")
+
+    tangles = closure.tangle_members
+    diamonds = [f for f in closure.diamond_members if isinstance(f, Dia)]
+    for x in worlds:
+        for y in worlds:
+            if (image[x], image[y]) not in related:
+                continue
+            for f in tangles:
+                if y in truth[f] and x not in truth[f]:
+                    out.append(
+                        f"{pretty(f)} holds at {y} but not at {x} across the quotient"
+                    )
+            for f in diamonds:
+                if (y in truth[f] or y in truth[f.sub]) and x not in truth[f]:
+                    out.append(
+                        f"{pretty(f)} fails at {x} despite its body holding from {y}"
+                    )
+
+    bound = 2 ** len(closure)
+    if fr.mode == "refined":
+        bound *= 2 ** len(fr.maximal_clusters)
+    if len(fr.quotient_worlds) > bound:
+        out.append(
+            f"{len(fr.quotient_worlds)} quotient worlds exceed the bound {bound}"
+        )
+
+    dec = cluster_decomposition(quotient)
+    watched = tuple(tangles) + tuple(closure.diamond_members)
+    for cluster in dec.clusters:
+        reps = sorted(cluster)
+        first = frozenset(f for f in watched if reps[0] in _realized(fr, f))
+        for w in reps[1:]:
+            got = frozenset(f for f in watched if w in _realized(fr, f))
+            if got != first:
+                out.append(
+                    f"cluster of {reps[0]} mixes worlds realising different"
+                    " tangle or diamond members"
+                )
+                break
     return out

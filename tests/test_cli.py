@@ -601,3 +601,19 @@ def test_importing_the_cli_builds_no_parser():
                           capture_output=True, text=True, timeout=60, check=True)
     # nothing at import; the parser and its eleven subparsers once
     assert proc.stdout.split() == ["0", "p", "12"]
+
+
+def test_stray_pair_is_named_in_file_order(tmp_path):
+    # the first pair outside the world set in the file, whatever the hash seed
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps({
+        "worlds": ["a"],
+        "rel": [["a", "x1"], ["a", "x2"], ["y3", "a"], ["z4", "a"]],
+    }))
+    for seed in ("1", "4"):
+        proc = subprocess.run([sys.executable, "-m", "tangles.cli", "analyze", str(path)],
+                              env=_env() | {"PYTHONHASHSEED": seed},
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: relation pair ('a', 'x1') outside the world set\n"
+        ), seed

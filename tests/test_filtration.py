@@ -27,7 +27,13 @@ from tangles import (
     untangle,
     verify_reduction,
 )
-from gen import random_formula, random_model
+from gen import random_cluster_model, random_formula, random_model
+from oracles import (
+    tree_filtrate,
+    tree_reduction_conditions,
+    tree_untangle,
+    tree_verify_reduction,
+)
 
 p, q = Atom("p"), Atom("q")
 
@@ -228,6 +234,65 @@ def test_reduction_conditions_flag_forged_quotients():
     assert any("valuation of p" in msg for msg in reduction_conditions(forged, m, closure))
     gutted = dataclasses.replace(fr, r_phi=frozenset())
     assert any("lost in the quotient" in msg for msg in reduction_conditions(gutted, m, closure))
+    # a copy made by replace reads its own fields, never the original's
+    # quotient frame or masks
+    ut = untangle(fr, m, closure)
+    assert verify_reduction(fr, ut, m, closure).ok
+    assert not verify_reduction(fr, dataclasses.replace(ut, r_t=frozenset()), m, closure).ok
+    assert preservation_report(fr, ut, m).filtered.connected
+    assert untangle(gutted, m, closure).r_t == frozenset()
+    gutted_report = preservation_report(gutted, untangle(gutted, m, closure), m)
+    assert gutted_report.filtered.path_component_count == len(fr.quotient_worlds) == 3
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_filtration_matches_pair_set_oracles(seed):
+    rng = random.Random(8000 + seed)
+    if seed % 6 == 5:
+        m = random_cluster_model(rng, rng.randint(60, 120), reflexive=seed % 12 == 11)
+    else:
+        kind = ("transitive", "serial", "reflexive")[seed % 3]
+        m = random_model(rng, 12, ("p", "q"), kind=kind)
+    closure = random_closure(rng)
+    for mode in ("standard", "refined"):
+        fr = filtrate(m, closure, mode=mode)
+        want = tree_filtrate(m, closure, mode=mode)
+        assert fr == want
+        assert list(fr.quotient_map.items()) == list(want.quotient_map.items())
+        assert list(fr.source_truth) == list(want.source_truth)
+        assert reduction_conditions(fr, m, closure) == tree_reduction_conditions(fr, m, closure)
+        for reflexive_mode in (False, True):
+            ut = untangle(fr, m, closure, reflexive_mode=reflexive_mode)
+            assert ut == tree_untangle(fr, m, closure, reflexive_mode=reflexive_mode)
+            report = verify_reduction(fr, ut, m, closure)
+            assert report == tree_verify_reduction(fr, ut, m, closure)
+            # a forged relation fails the check at the same place
+            r_t = frozenset(p for p in ut.r_t if rng.random() < 0.7)
+            forged_ut = dataclasses.replace(ut, r_t=r_t)
+            assert _outcome(verify_reduction, fr, forged_ut, m, closure) == _outcome(
+                tree_verify_reduction, fr, forged_ut, m, closure
+            )
+        # forged quotients: the same messages and outcomes from the fields alone
+        loops = frozenset(p for p in fr.r_phi if p[0] == p[1] and rng.random() < 0.8)
+        val = {a: tuple(w for w in ws if rng.random() < 0.8) for a, ws in fr.quotient_val.items()}
+        for forged in (
+            dataclasses.replace(fr, r_phi=loops),
+            dataclasses.replace(fr, quotient_val=val),
+            dataclasses.replace(fr, r_phi=frozenset(p for p in fr.r_phi if rng.random() < 0.8)),
+        ):
+            assert _outcome(reduction_conditions, forged, m, closure) == _outcome(
+                tree_reduction_conditions, forged, m, closure
+            )
+            assert _outcome(untangle, forged, m, closure) == _outcome(
+                tree_untangle, forged, m, closure
+            )
 
 
 # ---------------------------------------------------------------------------

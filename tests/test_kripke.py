@@ -1,6 +1,9 @@
 """Relational semantics: evaluator against a naive oracle, frame analyses,
 serialization."""
 
+import copy
+import dataclasses
+import pickle
 import random
 import threading
 
@@ -51,6 +54,7 @@ from tangles import (
     to_dot,
 )
 import tangles.kripke as kmod
+from tangles.cli import _model_lines
 from tangles.kripke import compile_formulas
 from tangles.topo import _evaluator as _space_evaluator
 from gen import random_formula, random_model, random_shared_formula, random_space
@@ -535,6 +539,76 @@ def test_frame_index_is_lazy_and_not_part_of_the_value():
     g = Frame(("a", "b"), frozenset({("a", "b")}))
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
     assert "succ" in vars(f) and "succ" not in vars(g)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_row_built_frames_match_pair_built_ones(seed):
+    rng = random.Random(7700 + seed)
+    if seed % 8 == 7:
+        frame = closures(layered_frame(rng, rng.randint(60, 120))).transitive
+    else:
+        kind = ("general", "transitive", "serial", "reflexive")[seed % 4]
+        frame = random_model(rng, 9, kind=kind).frame
+    built = Frame.from_rows(frame.worlds, frame.succ)
+    assert "rel" not in vars(built) and vars(built)["succ"] == frame.succ
+    for copied in (copy.copy(built), pickle.loads(pickle.dumps(built)),
+                   dataclasses.replace(built)):
+        assert copied == frame and copied.succ == frame.succ
+    check_against_oracles(built)
+    assert built == frame and hash(built) == hash(frame)
+    # the loader builds both rows in its one pass over the pairs, in any
+    # order and with repeats
+    pairs = [list(p) for p in sorted(frame.rel)]
+    rng.shuffle(pairs)
+    loaded = model_from_dict({"worlds": list(frame.worlds), "rel": pairs + pairs[:3]}).frame
+    assert vars(loaded)["succ"] == frame.succ and vars(loaded)["pred"] == frame.pred
+    check_against_oracles(loaded)
+    assert loaded == frame
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_writers_list_pairs_in_world_order(seed):
+    # world names whose string order differs from the frame's order
+    rng = random.Random(7900 + seed)
+    base = random_model(rng, 9, kind="general")
+    names = {w: f"{rng.choice('xyz')}{rng.randrange(100)}_{i}" for i, w in enumerate(base.frame.worlds)}
+    frame = Frame(tuple(names[w] for w in base.frame.worlds),
+                  frozenset((names[u], names[v]) for u, v in base.frame.rel))
+    model = KripkeModel(frame, {a: {names[w] for w in ws} for a, ws in base.val.items()})
+    order = frame.index
+    want = sorted(frame.rel, key=lambda p: (order[p[0]], order[p[1]]))
+    assert [tuple(p) for p in model_to_dict(model)["rel"]] == want
+    edges = [line for line in to_dot(model).splitlines() if "->" in line]
+    assert edges == [f'  "{u}" -> "{v}";' for u, v in want]
+    assert _model_lines(model)[1] == "rel: " + " ".join(f"{u}->{v}" for u, v in want)
+
+
+def test_row_built_frame_validation():
+    with pytest.raises(ValueError):
+        Frame.from_rows((), ())
+    with pytest.raises(ValueError):
+        Frame.from_rows(("w", "w"), (0, 0))
+    with pytest.raises(ValueError):
+        Frame.from_rows(("w",), (0b10,))
+    with pytest.raises(ValueError):
+        Frame.from_rows(("w",), (0, 0))
+    with pytest.raises(ValueError):
+        Frame.from_rows(("w",), (-1,))
+    with pytest.raises(AttributeError):
+        Frame.from_rows(("w",), (1,)).missing
+
+
+def test_stray_pairs_are_named_in_the_given_order():
+    pairs = [("a", "x1"), ("a", "x2"), ("y3", "a")]
+    with pytest.raises(ValueError, match=r"\('a', 'x1'\)"):
+        Frame(("a",), pairs)
+    with pytest.raises(ValueError, match=r"\('y3', 'a'\)"):
+        model_from_dict({"worlds": ["a"], "rel": [["a", "a"], ["y3", "a"], ["a", "x1"]]})
+    # malformed data and world errors come first, as before
+    with pytest.raises(ValueError, match="malformed"):
+        model_from_dict({"worlds": ["a"], "rel": [["a", "x"], ["a"]]})
+    with pytest.raises(ValueError, match="duplicate"):
+        model_from_dict({"worlds": ["a", "a"], "rel": [["a", "x"]]})
 
 
 # ---------------------------------------------------------------------------

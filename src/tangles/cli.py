@@ -139,9 +139,30 @@ def _print_model(model: KripkeModel, fmt: str) -> None:
         print("\n".join(_model_lines(model)))
 
 
-def _check_world(model_worlds: Sequence[str], world: str) -> None:
-    if world not in model_worlds:
-        raise ValueError(f"unknown world '{world}'")
+def _print_answer(
+    args, phi: Formula, ext: frozenset[str], frame: Frame, model: KripkeModel | None = None
+) -> int:
+    """Print where ``phi`` holds among the worlds of ``frame``, or draw
+    ``model``; exit 0 when it holds at ``--world``, or everywhere when no
+    world is named, else 1."""
+    if args.world is not None and args.world not in frame.index:
+        raise ValueError(f"unknown world '{args.world}'")
+    everywhere = ext == frozenset(frame.worlds)
+    if args.format == "structured":
+        _emit_json(
+            {
+                "formula": pretty(phi),
+                "extension": sorted(ext, key=frame.index.get),
+                "holds_everywhere": everywhere,
+            }
+        )
+    elif args.format == "dot":
+        print(to_dot(model))
+    else:
+        for w in frame.worlds:
+            print(f"{w}: {'true' if w in ext else 'false'}")
+    holds = everywhere if args.world is None else args.world in ext
+    return 0 if holds else 1
 
 
 # ---------------------------------------------------------------------------
@@ -160,50 +181,13 @@ def _cmd_fmt(args) -> int:
 def _cmd_mc(args) -> int:
     phi = _one_formula(args)
     model = _load_model(args.model)
-    ext = model_check(model, phi)
-    if args.world is not None:
-        _check_world(model.frame.worlds, args.world)
-    if args.format == "structured":
-        order = model.frame.index
-        _emit_json(
-            {
-                "formula": pretty(phi),
-                "extension": sorted(ext, key=order.get),
-                "holds_everywhere": ext == frozenset(model.frame.worlds),
-            }
-        )
-    elif args.format == "dot":
-        print(to_dot(model))
-    else:
-        for w in model.frame.worlds:
-            print(f"{w}: {'true' if w in ext else 'false'}")
-    if args.world is not None:
-        return 0 if args.world in ext else 1
-    return 0 if ext == frozenset(model.frame.worlds) else 1
+    return _print_answer(args, phi, model_check(model, phi), model.frame, model)
 
 
 def _cmd_tmc(args) -> int:
     phi = _one_formula(args)
     model = topo_model_from_dict(_load_json(args.space))
-    ext = topo_model_check(model, phi)
-    points = model.space.points
-    if args.world is not None:
-        _check_world(points, args.world)
-    if args.format == "structured":
-        order = model.space.frame.index
-        _emit_json(
-            {
-                "formula": pretty(phi),
-                "extension": sorted(ext, key=order.get),
-                "holds_everywhere": ext == frozenset(points),
-            }
-        )
-    else:
-        for p in points:
-            print(f"{p}: {'true' if p in ext else 'false'}")
-    if args.world is not None:
-        return 0 if args.world in ext else 1
-    return 0 if ext == frozenset(points) else 1
+    return _print_answer(args, phi, topo_model_check(model, phi), model.space.frame)
 
 
 _TRANSLATIONS = {"mu": to_mu, "d": to_d, "star": star}
@@ -242,10 +226,9 @@ def _cmd_analyze(args) -> int:
         "min_local_connectedness": local,
         "locally_1_connected": local <= 1,
     }
-    clusters = None
     if props.transitive:
         dec = cluster_decomposition(frame)
-        clusters = [
+        report["clusters"] = [
             {
                 "worlds": sorted(c),
                 "degenerate": dec.degenerate[i],
@@ -253,27 +236,17 @@ def _cmd_analyze(args) -> int:
             }
             for i, c in enumerate(dec.clusters)
         ]
-        report["clusters"] = clusters
     if args.format == "structured":
         _emit_json(report)
     elif args.format == "dot":
         print(to_dot(frame))
     else:
-        for key in (
-            "worlds",
-            "reflexive",
-            "transitive",
-            "serial",
-            "path_components",
-            "connected",
-            "min_local_connectedness",
-            "locally_1_connected",
-        ):
-            print(f"{key}: {report[key]}")
-        if clusters is not None:
-            for c in clusters:
-                tag = " degenerate" if c["degenerate"] else ""
-                print(f"cluster rank {c['rank']}: {' '.join(c['worlds'])}{tag}")
+        clusters = report.pop("clusters", [])
+        for key, value in report.items():
+            print(f"{key}: {value}")
+        for c in clusters:
+            tag = " degenerate" if c["degenerate"] else ""
+            print(f"cluster rank {c['rank']}: {' '.join(c['worlds'])}{tag}")
     return 0
 
 
@@ -403,19 +376,14 @@ def _cmd_axioms(args) -> int:
 
 def _cmd_fixture(args) -> int:
     model = figure3_model(args.m)
-    if args.constraints:
-        constraints = figure3_constraints(args.m // 3)
-        if args.format == "structured":
-            data = model_to_dict(model)
-            _emit_json({"model": data, "constraints": [pretty(f) for f in constraints]})
-        elif args.format == "dot":
-            print(to_dot(model))
-        else:
-            print("\n".join(_model_lines(model)))
-            for f in constraints:
-                print(pretty(f))
+    constraints = figure3_constraints(args.m // 3) if args.constraints else None
+    if constraints is not None and args.format == "structured":
+        _emit_json({"model": model_to_dict(model), "constraints": [pretty(f) for f in constraints]})
         return 0
     _print_model(model, args.format)
+    if args.format == "text":
+        for f in constraints or ():
+            print(pretty(f))
     return 0
 
 

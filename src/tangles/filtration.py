@@ -16,19 +16,19 @@ point always exists, so a failed search signals a broken precondition.
 The characteristic-formula toolkit builds, for a finite atom alphabet, the
 formulas that describe atomic types, maximal clusters, which clusters a
 world sees, and path components of successor sets.  Their defining
-properties are checked on the given model; the sharp forms only hold when
-distinct maximal clusters carry distinct type sets, so the report records
-which checks were applicable.
+properties are checked on the given model in one compiled program, as
+comparisons of world masks; the sharp forms only hold when distinct
+maximal clusters carry distinct type sets, so the report records which
+checks were applicable.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from operator import or_
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .formula import (
     And,
@@ -45,7 +45,6 @@ from .formula import (
     pretty,
 )
 from .kripke import (
-    ClusterDecomposition,
     Evaluator,
     Frame,
     KripkeModel,
@@ -59,7 +58,6 @@ from .kripke import (
     _selector,
     _transitive_rows,
     _union,
-    cluster_decomposition,
     min_local_connectedness,
     path_components,
     relation_properties,
@@ -534,10 +532,10 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
     """Build the type alphabet of ``m`` over ``closure`` and its formulas.
 
     The construction is exponential in the alphabet, which is capped at
-    ten members.  All defining properties are evaluated on ``m`` and the
-    outcomes collected in the report; nothing is raised for a failed
-    check, since the sharp ones can legitimately fail when two maximal
-    clusters carry the same type set.
+    ten members.  All defining properties are evaluated on ``m`` in one
+    program and the outcomes collected in the report; nothing is raised
+    for a failed check, since the sharp ones can legitimately fail when two
+    maximal clusters carry the same type set.
     """
     frame = m.frame
     if not frame.transitive:
@@ -551,76 +549,116 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
             f" {2 ** len(alphabet)} conjuncts per cluster formula"
         )
 
-    ev = Evaluator(m.frame)
-    masks = ev.valuation_masks(m.val)
-    ext = {a: ev.unmask(e) for a, e in zip(alphabet, ev.extensions(alphabet, masks))}
-    type_of = {
-        w: frozenset(a for a in alphabet if w in ext[a]) for w in m.frame.worlds
-    }
-
-    dec = cluster_decomposition(m.frame)
+    worlds, succ, pred = frame.worlds, frame.succ, frame.pred
+    ev = Evaluator(frame)
+    val = ev.valuation_masks(m.val)
+    ordered = closure.sorted()
+    exts = ev.extensions((*alphabet, *ordered), val)
+    truth = exts[len(alphabet):]
+    # types[t] holds alphabet[k] iff bit k of t is set; code[i] is the
+    # type of world i and of_type[t] the mask of the worlds of type t
+    types = list(_subsets(alphabet))
+    code = [0] * len(worlds)
+    for k, e in enumerate(exts[:len(alphabet)]):
+        for i in _bits(e):
+            code[i] |= 1 << k
+    of_type = [0] * len(types)
+    for i, t in enumerate(code):
+        of_type[t] |= 1 << i
+    type_of = dict(zip(worlds, map(types.__getitem__, code)))
     cluster_types = tuple(
-        frozenset(type_of[w] for w in c) for c in dec.clusters
+        frozenset(types[code[i]] for i in _bits(c)) for c in _cluster_masks(frame)
     )
     found, seen = _maximal_clusters(frame)
     maximal = tuple(c for c, _ in found)
-    cluster_mask = dict(found)
-    sees_maximal = {
-        w: tuple(maximal[k] for k in ks) for w, ks in zip(frame.worlds, seen)
+    sees_maximal = {w: tuple(maximal[k] for k in ks) for w, ks in zip(worlds, seen)}
+
+    chi = [conj(a if a in s else Neg(a) for a in alphabet) for s in types]
+    reach = [dia_star(f) for f in chi]
+    cluster_formula = {
+        i: conj(r if s in cluster_types[i] else Neg(r) for s, r in zip(types, reach))
+        for i in maximal
     }
-
-    def chi(s: frozenset[Formula]) -> Formula:
-        return conj(a if a in s else Neg(a) for a in alphabet)
-
-    def alpha(i: int) -> Formula:
-        return conj(
-            dia_star(chi(s)) if s in cluster_types[i] else Neg(dia_star(chi(s)))
-            for s in _subsets(alphabet)
-        )
-
-    cluster_formula = {i: alpha(i) for i in maximal}
-    sees_cluster_formula = {i: Dia(box_star(cluster_formula[i])) for i in maximal}
-
-    ordered = closure.sorted()
-    closure_truth = {
-        f: ev.unmask(ext) for f, ext in zip(ordered, ev.extensions(ordered, masks))
-    }
+    sees_cluster_formula = {i: Dia(box_star(f)) for i, f in cluster_formula.items()}
+    views = [sees_cluster_formula[i] for i in maximal]
     profile_formula = {
-        w: conj(f if w in closure_truth[f] else Neg(f) for f in ordered)
-        for w in m.frame.worlds
+        w: conj(f if t >> i & 1 else Neg(f) for f, t in zip(ordered, truth))
+        for i, w in enumerate(worlds)
     }
     view_formula = {
-        w: conj(
-            sees_cluster_formula[i]
-            if i in sees_maximal[w]
-            else Neg(sees_cluster_formula[i])
-            for i in maximal
-        )
-        for w in m.frame.worlds
+        w: conj(v if k in ks else Neg(v) for k, v in enumerate(views))
+        for w, ks in zip(worlds, seen)
     }
-    class_formula = {
-        w: And(profile_formula[w], view_formula[w]) for w in m.frame.worlds
-    }
-
+    class_formula = {w: And(profile_formula[w], view_formula[w]) for w in worlds}
     # path components of each successor set, using only edges inside it
-    component_formulas: dict[str, tuple[tuple[frozenset[str], Formula], ...]] = {}
-    for x, row in zip(frame.worlds, frame.succ):
-        entries = []
-        for comp in _components(frame, row):
-            in_comp = tuple(i for i in maximal if cluster_mask[i] & ~comp == 0)
-            entries.append(
-                (frame.unmask(comp), disj(sees_cluster_formula[i] for i in in_comp))
-            )
-        component_formulas[x] = tuple(entries)
-
-    signature_of = {
-        w: (
-            frozenset(f for f in closure_truth if w in closure_truth[f]),
-            sees_maximal[w],
-        )
-        for w in m.frame.worlds
+    parts = {
+        row: [
+            (comp, disj(v for v, (_, c) in zip(views, found) if c & ~comp == 0))
+            for comp in _components(frame, row)
+        ]
+        for row in set(succ)
     }
-    data = AtomicTypeData(
+    named = {row: tuple((frame.unmask(c), f) for c, f in ps) for row, ps in parts.items()}
+    component_formulas = {x: named[row] for x, row in zip(worlds, succ)}
+
+    # A class formula spells out the closure profile and the view of the
+    # maximal clusters, so worlds share one iff they share both.
+    classes: dict[Formula, int] = {}
+    for i, w in enumerate(worlds):
+        classes[class_formula[w]] = classes.get(class_formula[w], 0) | 1 << i
+    checked = tuple(dict.fromkeys((
+        *chi, *cluster_formula.values(), *views, *classes,
+        *(f for ps in parts.values() for _, f in ps),
+    )))
+    ext = dict(zip(checked, ev.extensions(checked, val)))
+
+    # per type set of maximal clusters: their worlds, and the worlds that
+    # see one of them
+    by_type: dict[frozenset, tuple[int, int]] = {}
+    for i, mask in found:
+        have, see = by_type.get(cluster_types[i], (0, 0))
+        by_type[cluster_types[i]] = (have | mask, see | pred[_first(mask)])
+    maximal_worlds = reduce(or_, (mask for _, mask in found), 0)
+    serial = sum(1 << i for i, row in enumerate(succ) if row)
+    types_distinct = len(by_type) == len(maximal)
+    reachable_serial = all(row & ~serial == 0 for row in succ)
+    member = [(ext[cluster_formula[i]] & maximal_worlds, i, mask) for i, mask in found]
+    scope = [(ext[sees_cluster_formula[i]], i, mask) for i, mask in found]
+    located = [(ext[f] & row, comp) for row, ps in parts.items() for comp, f in ps]
+
+    notes = []
+    if not types_distinct:
+        notes.append(
+            "two maximal clusters share a type set, so formulas can only"
+            " identify type sets, not individual clusters"
+        )
+    if not reachable_serial:
+        notes.append(
+            "a reachable world has no successors, so no diamond can place"
+            " it in its path component"
+        )
+
+    def sharp(holds: bool, applicable: bool = True) -> bool | None:
+        return holds if types_distinct and applicable else None
+
+    report = CharacteristicReport(
+        types_distinct=types_distinct,
+        reachable_serial=reachable_serial,
+        type_description_ok=all(ext[f] == mask for f, mask in zip(chi, of_type)),
+        maximal_membership_by_type=all(
+            got == by_type[cluster_types[i]][0] for got, i, _ in member
+        ),
+        cluster_scope_by_type=all(got == by_type[cluster_types[i]][1] for got, i, _ in scope),
+        component_cover_ok=all(not comp & serial & ~got for got, comp in located),
+        maximal_membership_sharp=sharp(all(got == mask for got, _, mask in member)),
+        cluster_scope_sharp=sharp(all(got == pred[_first(mask)] for got, _, mask in scope)),
+        class_formula_sharp=sharp(all(ext[f] == mask for f, mask in classes.items())),
+        component_formula_sharp=sharp(
+            all(got == comp for got, comp in located), reachable_serial
+        ),
+        notes=tuple(notes),
+    )
+    return AtomicTypeData(
         alphabet=alphabet,
         type_of=type_of,
         cluster_types=cluster_types,
@@ -632,117 +670,7 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
         view_formula=view_formula,
         class_formula=class_formula,
         component_formulas=component_formulas,
-        report=None,
-    )
-    report = _verify_characteristics(data, m, ev, masks, dec, signature_of)
-    return dataclasses.replace(data, report=report)
-
-
-def _verify_characteristics(
-    data: AtomicTypeData,
-    m: KripkeModel,
-    ev: Evaluator,
-    masks: Mapping[str, int],
-    dec: ClusterDecomposition,
-    signature_of: Mapping[str, object],
-) -> CharacteristicReport:
-    """The report on ``data``, every field but ``report`` filled in."""
-    def holds(f: Formula) -> frozenset[str]:
-        return ev.unmask(ev.extension(f, masks))
-
-    frame = m.frame
-    maximal, cluster_types = data.maximal_clusters, data.cluster_types
-    sees_maximal = data.sees_maximal
-    notes: list[str] = []
-    types_distinct = len({cluster_types[i] for i in maximal}) == len(maximal)
-    serial = frame.mask(w for w, row in zip(frame.worlds, frame.succ) if row)
-    reachable_serial = all(row & ~serial == 0 for row in frame.succ)
-
-    type_description_ok = all(
-        holds(data.type_formula(s))
-        == frozenset(w for w in m.frame.worlds if data.type_of[w] == s)
-        for s in _subsets(data.alphabet)
-    )
-
-    maximal_worlds = frozenset(
-        w for i in maximal for w in dec.clusters[i]
-    )
-    by_type = True
-    sharp_membership = True
-    for i in maximal:
-        got = holds(data.cluster_formula[i]) & maximal_worlds
-        same_type = frozenset(
-            w
-            for j in maximal
-            if cluster_types[j] == cluster_types[i]
-            for w in dec.clusters[j]
-        )
-        if got != same_type:
-            by_type = False
-        if got != dec.clusters[i]:
-            sharp_membership = False
-
-    scope_by_type = True
-    sharp_scope = True
-    for i in maximal:
-        got = holds(data.sees_cluster_formula[i])
-        same_type = frozenset(
-            w
-            for w in m.frame.worlds
-            if any(
-                cluster_types[j] == cluster_types[i] for j in sees_maximal[w]
-            )
-        )
-        exact = frozenset(w for w in m.frame.worlds if i in sees_maximal[w])
-        if got != same_type:
-            scope_by_type = False
-        if got != exact:
-            sharp_scope = False
-
-    sharp_class = all(
-        holds(data.class_formula[x])
-        == frozenset(
-            y for y in m.frame.worlds if signature_of[y] == signature_of[x]
-        )
-        for x in m.frame.worlds
-    )
-
-    cover_ok = True
-    sharp_component = True
-    for x, row in zip(frame.worlds, frame.succ):
-        for comp, f in data.component_formulas[x]:
-            got = ev.extension(f, masks) & row
-            cmask = frame.mask(comp)
-            if cmask & serial & ~got:
-                cover_ok = False
-            if got != cmask:
-                sharp_component = False
-
-    if not types_distinct:
-        notes.append(
-            "two maximal clusters share a type set, so formulas can only"
-            " identify type sets, not individual clusters"
-        )
-    if not reachable_serial:
-        notes.append(
-            "a reachable world has no successors, so no diamond can place"
-            " it in its path component"
-        )
-    applicable = types_distinct
-    return CharacteristicReport(
-        types_distinct=types_distinct,
-        reachable_serial=reachable_serial,
-        type_description_ok=type_description_ok,
-        maximal_membership_by_type=by_type,
-        cluster_scope_by_type=scope_by_type,
-        component_cover_ok=cover_ok,
-        maximal_membership_sharp=sharp_membership if applicable else None,
-        cluster_scope_sharp=sharp_scope if applicable else None,
-        class_formula_sharp=sharp_class if applicable else None,
-        component_formula_sharp=(
-            sharp_component if applicable and reachable_serial else None
-        ),
-        notes=tuple(notes),
+        report=report,
     )
 
 

@@ -956,24 +956,35 @@ def model_to_dict(model: KripkeModel) -> dict:
     }
 
 
+def _listed(value, *, nested: bool = False):
+    """``value``, which the data format has as a list, and when ``nested``
+    as a list of lists.  A string is refused in those places: iterating it
+    would split it into characters."""
+    if nested and not isinstance(value, str) and str in map(type, value):
+        value = next(v for v in value if type(v) is str)
+    if isinstance(value, str):
+        raise TypeError(f"expected a list, got the string {value!r}")
+    return value
+
+
 def model_from_dict(data: Mapping) -> KripkeModel:
     """The model ``data`` describes; its frame's ``succ``, ``pred`` and
     ``index`` are built in the same pass over ``data["rel"]``."""
     try:
-        worlds = tuple(str(w) for w in data["worlds"])
+        worlds = tuple(str(w) for w in _listed(data["worlds"]))
         index = {w: i for i, w in enumerate(worlds)}
         bits = [1 << i for i in range(len(worlds))]
         succ = [0] * len(worlds)
         pred = [0] * len(worlds)
         stray = None  # the first pair outside the world set, in file order
-        for (u, v) in data["rel"]:
+        for (u, v) in _listed(data["rel"], nested=True):
             i, j = index.get(str(u)), index.get(str(v))
             if i is None or j is None:
                 stray = stray or (str(u), str(v))
                 continue
             succ[i] |= bits[j]
             pred[j] |= bits[i]
-        val = {str(a): [str(w) for w in ws] for a, ws in data.get("val", {}).items()}
+        val = {str(a): [str(w) for w in _listed(ws)] for a, ws in data.get("val", {}).items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model data: {exc}") from exc
     _check_worlds(worlds)

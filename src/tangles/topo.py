@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .formula import Formula
-from .kripke import Evaluator, Frame, NonTransitiveError, _bits, path_components
+from .kripke import Evaluator, Frame, NonTransitiveError, _bits, _listed, path_components
 
 
 class SpaceError(ValueError):
@@ -208,8 +208,8 @@ def space_to_dict(space: FiniteSpace, val: Mapping[str, Iterable[str]] | None = 
 
 def space_from_dict(data: Mapping) -> FiniteSpace:
     try:
-        points = tuple(str(p) for p in data["points"])
-        opens = frozenset(frozenset(str(p) for p in o) for o in data["opens"])
+        points = tuple(str(p) for p in _listed(data["points"]))
+        opens = frozenset(frozenset(str(p) for p in o) for o in _listed(data["opens"], nested=True))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed space data: {exc}") from exc
     return FiniteSpace(points, opens)
@@ -218,7 +218,7 @@ def space_from_dict(data: Mapping) -> FiniteSpace:
 def topo_model_from_dict(data: Mapping) -> TopoModel:
     space = space_from_dict(data)
     try:
-        val = {str(a): [str(p) for p in ps] for a, ps in data.get("val", {}).items()}
+        val = {str(a): [str(p) for p in _listed(ps)] for a, ps in data.get("val", {}).items()}
     except (AttributeError, TypeError) as exc:
         raise ValueError(f"malformed space data: {exc}") from exc
     return TopoModel(space, val)

@@ -15,6 +15,10 @@ written on world sets and pair sets, where ``filtration`` works on the
 successor rows and world masks of the frames.  They read only the public
 fields of the results they are given.
 
+``tree_characteristic_formulas`` builds the characteristic formulas on
+world sets and checks each defining property with a program of its own,
+where ``filtration`` works on masks and checks them all in one program.
+
 ``tree_parse`` is the recursive-descent parser that ``formula.parse``
 replaced: it tokenizes in a Python loop and descends through six levels of
 calls for every node of the tree the text spells, repeats included.  Its
@@ -23,6 +27,7 @@ depth limit is Python's recursion limit.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import re
 from typing import Iterator, Mapping, Sequence
@@ -30,6 +35,8 @@ from typing import Iterator, Mapping, Sequence
 from tangles import (
     And,
     Atom,
+    AtomicTypeData,
+    CharacteristicReport,
     BudgetExceededError,
     ClosureSet,
     CriticalPointError,
@@ -60,8 +67,12 @@ from tangles import (
     TangleD,
     Top,
     ValidityReport,
+    box_star,
     cluster_decomposition,
     closures,
+    conj,
+    dia_star,
+    disj,
     free_atoms,
     locally_n_connected,
     path_components,
@@ -646,3 +657,201 @@ def tree_reduction_conditions(
                 )
                 break
     return out
+
+
+# ---------------------------------------------------------------------------
+# Characteristic formulas on world sets
+
+
+def _subsets(alphabet: tuple[Formula, ...]) -> Iterator[frozenset[Formula]]:
+    for bits in range(1 << len(alphabet)):
+        yield frozenset(a for i, a in enumerate(alphabet) if bits >> i & 1)
+
+
+def _local_components(frame: Frame, w: str) -> tuple[frozenset[str], ...]:
+    """Path components of the successors of ``w``, joined only by pairs
+    that stay among them."""
+    inside = frame.successors(w)
+    if not inside:
+        return ()
+    worlds = tuple(v for v in frame.worlds if v in inside)
+    pairs = frozenset(p for p in frame.rel if p[0] in inside and p[1] in inside)
+    return path_components(Frame(worlds, pairs))
+
+
+def tree_characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeData:
+    frame = m.frame
+    if not frame.transitive:
+        raise NonTransitiveError("characteristic formulas need a transitive model")
+    alphabet: tuple[Formula, ...] = tuple(
+        sorted((Atom(a) for a in closure.atoms), key=pretty)
+    ) + (Dia(Top()),)
+    if len(alphabet) > 10:
+        raise ValueError(
+            f"an alphabet of {len(alphabet)} members would need"
+            f" {2 ** len(alphabet)} conjuncts per cluster formula"
+        )
+
+    ev = Evaluator(frame)
+    masks = ev.valuation_masks(m.val)
+    ext = {a: ev.unmask(ev.extension(a, masks)) for a in alphabet}
+    type_of = {w: frozenset(a for a in alphabet if w in ext[a]) for w in frame.worlds}
+
+    dec = cluster_decomposition(frame)
+    cluster_types = tuple(frozenset(type_of[w] for w in c) for c in dec.clusters)
+    with_exit = {i for (i, _) in dec.order}
+    maximal = tuple(i for i in range(len(dec.clusters)) if i not in with_exit)
+    sees_maximal = {
+        w: tuple(i for i in maximal if dec.clusters[i] <= frame.successors(w))
+        for w in frame.worlds
+    }
+
+    def chi(s: frozenset[Formula]) -> Formula:
+        return conj(a if a in s else Neg(a) for a in alphabet)
+
+    def alpha(i: int) -> Formula:
+        return conj(
+            dia_star(chi(s)) if s in cluster_types[i] else Neg(dia_star(chi(s)))
+            for s in _subsets(alphabet)
+        )
+
+    cluster_formula = {i: alpha(i) for i in maximal}
+    sees_cluster_formula = {i: Dia(box_star(cluster_formula[i])) for i in maximal}
+
+    ordered = closure.sorted()
+    closure_truth = {f: ev.unmask(ev.extension(f, masks)) for f in ordered}
+    profile_formula = {
+        w: conj(f if w in closure_truth[f] else Neg(f) for f in ordered)
+        for w in frame.worlds
+    }
+    view_formula = {
+        w: conj(
+            sees_cluster_formula[i] if i in sees_maximal[w] else Neg(sees_cluster_formula[i])
+            for i in maximal
+        )
+        for w in frame.worlds
+    }
+    class_formula = {w: And(profile_formula[w], view_formula[w]) for w in frame.worlds}
+    component_formulas = {
+        x: tuple(
+            (comp, disj(sees_cluster_formula[i] for i in maximal if dec.clusters[i] <= comp))
+            for comp in _local_components(frame, x)
+        )
+        for x in frame.worlds
+    }
+    signature_of = {
+        w: (frozenset(f for f in ordered if w in closure_truth[f]), sees_maximal[w])
+        for w in frame.worlds
+    }
+    data = AtomicTypeData(
+        alphabet=alphabet,
+        type_of=type_of,
+        cluster_types=cluster_types,
+        maximal_clusters=maximal,
+        sees_maximal=sees_maximal,
+        cluster_formula=cluster_formula,
+        sees_cluster_formula=sees_cluster_formula,
+        profile_formula=profile_formula,
+        view_formula=view_formula,
+        class_formula=class_formula,
+        component_formulas=component_formulas,
+        report=None,
+    )
+    report = _verify_characteristics(data, m, ev, masks, dec, signature_of)
+    return dataclasses.replace(data, report=report)
+
+
+def _verify_characteristics(
+    data: AtomicTypeData,
+    m: KripkeModel,
+    ev: Evaluator,
+    masks: Mapping[str, int],
+    dec,
+    signature_of: Mapping[str, object],
+) -> CharacteristicReport:
+    """The report on ``data``, every field but ``report`` filled in, each
+    formula evaluated on its own."""
+    def holds(f: Formula) -> frozenset[str]:
+        return ev.unmask(ev.extension(f, masks))
+
+    worlds = m.frame.worlds
+    maximal, cluster_types = data.maximal_clusters, data.cluster_types
+    sees_maximal = data.sees_maximal
+    notes: list[str] = []
+    types_distinct = len({cluster_types[i] for i in maximal}) == len(maximal)
+    serial = frozenset(w for w in worlds if m.frame.successors(w))
+    reachable_serial = all(m.frame.successors(w) <= serial for w in worlds)
+
+    type_description_ok = all(
+        holds(data.type_formula(s)) == frozenset(w for w in worlds if data.type_of[w] == s)
+        for s in _subsets(data.alphabet)
+    )
+
+    maximal_worlds = frozenset(w for i in maximal for w in dec.clusters[i])
+    by_type = True
+    sharp_membership = True
+    for i in maximal:
+        got = holds(data.cluster_formula[i]) & maximal_worlds
+        same_type = frozenset(
+            w for j in maximal if cluster_types[j] == cluster_types[i] for w in dec.clusters[j]
+        )
+        if got != same_type:
+            by_type = False
+        if got != dec.clusters[i]:
+            sharp_membership = False
+
+    scope_by_type = True
+    sharp_scope = True
+    for i in maximal:
+        got = holds(data.sees_cluster_formula[i])
+        same_type = frozenset(
+            w for w in worlds if any(cluster_types[j] == cluster_types[i] for j in sees_maximal[w])
+        )
+        exact = frozenset(w for w in worlds if i in sees_maximal[w])
+        if got != same_type:
+            scope_by_type = False
+        if got != exact:
+            sharp_scope = False
+
+    sharp_class = all(
+        holds(data.class_formula[x])
+        == frozenset(y for y in worlds if signature_of[y] == signature_of[x])
+        for x in worlds
+    )
+
+    cover_ok = True
+    sharp_component = True
+    for x in worlds:
+        for comp, f in data.component_formulas[x]:
+            got = holds(f) & m.frame.successors(x)
+            if comp & serial - got:
+                cover_ok = False
+            if got != comp:
+                sharp_component = False
+
+    if not types_distinct:
+        notes.append(
+            "two maximal clusters share a type set, so formulas can only"
+            " identify type sets, not individual clusters"
+        )
+    if not reachable_serial:
+        notes.append(
+            "a reachable world has no successors, so no diamond can place"
+            " it in its path component"
+        )
+    applicable = types_distinct
+    return CharacteristicReport(
+        types_distinct=types_distinct,
+        reachable_serial=reachable_serial,
+        type_description_ok=type_description_ok,
+        maximal_membership_by_type=by_type,
+        cluster_scope_by_type=scope_by_type,
+        component_cover_ok=cover_ok,
+        maximal_membership_sharp=sharp_membership if applicable else None,
+        cluster_scope_sharp=sharp_scope if applicable else None,
+        class_formula_sharp=sharp_class if applicable else None,
+        component_formula_sharp=(
+            sharp_component if applicable and reachable_serial else None
+        ),
+        notes=tuple(notes),
+    )

@@ -158,6 +158,30 @@ def test_loaders_reject_bad_valuation_types(capsys, tmp_path, command, val):
     assert "Traceback" not in err
 
 
+SPLIT_STRINGS = {
+    "worlds": ("analyze", {"worlds": "ab", "rel": []}),
+    "rel": ("analyze", {"worlds": ["a", "b"], "rel": ""}),
+    "pair": ("mc", {"worlds": ["a", "b"], "rel": ["ab"]}),
+    "val": ("mc", {"worlds": ["a", "b"], "rel": [], "val": {"p": "b"}}),
+    "points": ("tmc", {"points": "xy", "opens": [[], ["x"], ["x", "y"]]}),
+    "opens": ("tmc", {"points": ["x", "y"], "opens": ["", "x", "xy"]}),
+    "space-val": ("tmc", {"points": ["x"], "opens": [[], ["x"]], "val": {"p": "x"}}),
+}
+
+
+@pytest.mark.parametrize("position", sorted(SPLIT_STRINGS))
+def test_loaders_reject_strings_where_lists_belong(capsys, tmp_path, position):
+    # iterating a string would read "ab" as the worlds a and b
+    command, data = SPLIT_STRINGS[position]
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(data))
+    argv = [command, str(path)] + ([] if command == "analyze" else ["p"])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed")
+    assert "expected a list" in err
+
+
 def test_mc_dot(capsys, chain_model):
     code, out, _ = run(capsys, "mc", "--format", "dot", chain_model, "p")
     assert out.startswith("digraph")

@@ -29,6 +29,7 @@ from tangles import (
 )
 from gen import random_cluster_model, random_formula, random_model
 from oracles import (
+    tree_characteristic_formulas,
     tree_filtrate,
     tree_reduction_conditions,
     tree_untangle,
@@ -361,6 +362,26 @@ def test_defining_formula(seed):
     )
     with pytest.raises(ValueError):
         defining_formula(fr, data, {"not-a-world"})
+
+
+@pytest.mark.parametrize("seed", range(240))
+def test_characteristic_formulas_match_world_set_oracle(seed):
+    rng = random.Random(9000 + seed)
+    atoms = ("p", "q", "r")[:rng.randint(1, 3)]
+    if seed % 2:
+        m = random_cluster_model(rng, rng.randint(20, 60), atoms, reflexive=seed % 4 == 3)
+    else:
+        m = random_model(rng, 7, atoms, kind=("transitive", "serial", "reflexive")[seed // 2 % 3])
+    closure = random_closure(rng)
+    data = characteristic_formulas(m, closure)
+    assert data == tree_characteristic_formulas(m, closure)
+    assert data.report.ok
+    wide = closure_of(*(Atom(f"a{i}") for i in range(rng.randint(9, 11))), *closure.formulas)
+    general = random_model(rng, 6, atoms, kind="general")
+    for model, roots in ((m, wide), (general, closure)):
+        assert _outcome(characteristic_formulas, model, roots) == _outcome(
+            tree_characteristic_formulas, model, roots
+        )
 
 
 # ---------------------------------------------------------------------------

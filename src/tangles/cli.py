@@ -15,14 +15,7 @@ import json
 import sys
 from typing import Sequence
 
-from .filtration import (
-    FiltrationResult,
-    UntangleResult,
-    filtrate,
-    preservation_report,
-    untangle,
-    verify_reduction,
-)
+from .filtration import FiltrationResult, filtrate, untangle, verify_reduction
 from .formula import (
     Formula,
     free_atoms,
@@ -46,6 +39,8 @@ from .kripke import (
     to_dot,
 )
 from .logics import (
+    SEARCH_BUDGET,
+    VALUATION_BUDGET,
     BudgetExceededError,
     bounded_sat,
     figure3_constraints,
@@ -54,7 +49,7 @@ from .logics import (
     instantiate,
     parse_profile,
 )
-from .topo import space_predicates, topo_model_check, topo_model_from_dict
+from .topo import topo_model_check, topo_model_from_dict
 from .translate import star, to_d, to_mu
 
 
@@ -63,19 +58,15 @@ from .translate import star, to_d, to_mu
 # opened, so grammar mistakes surface first.
 
 
-def _formula_text(args) -> str:
+def _one_formula(args) -> Formula:
     inline = getattr(args, "formula", None)
     path = getattr(args, "formula_file", None)
     if (inline is None) == (path is None):
         raise ValueError("give a formula inline or via --formula-file, not both")
     if inline is not None:
-        return inline
+        return parse(inline)
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _one_formula(args) -> Formula:
-    return parse(_formula_text(args))
+        return parse(fh.read())
 
 
 def _root_formulas(args) -> list[Formula]:
@@ -106,16 +97,21 @@ def _load_model(path: str) -> KripkeModel:
     return model_from_dict(_load_json(path))
 
 
-def _load_frame(path: str) -> Frame:
-    return _load_model(path).frame
-
-
 # ---------------------------------------------------------------------------
-# Output helpers
+# Output
 
 
-def _emit_json(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+def _emit(args, structured, text, dot=None) -> None:
+    """Print a result in the form ``--format`` asks for: the JSON of
+    ``structured()``, the lines of ``text()``, or the model or frame ``dot``
+    in DOT.  Only the asked-for form is built."""
+    if args.format == "structured":
+        print(json.dumps(structured(), indent=2, sort_keys=True))
+    elif args.format == "dot":
+        print(to_dot(dot))
+    else:
+        for line in text():
+            print(line)
 
 
 def _model_lines(model: KripkeModel) -> list[str]:
@@ -130,15 +126,6 @@ def _model_lines(model: KripkeModel) -> list[str]:
     return lines
 
 
-def _print_model(model: KripkeModel, fmt: str) -> None:
-    if fmt == "structured":
-        _emit_json(model_to_dict(model))
-    elif fmt == "dot":
-        print(to_dot(model))
-    else:
-        print("\n".join(_model_lines(model)))
-
-
 def _print_answer(
     args, phi: Formula, ext: frozenset[str], frame: Frame, model: KripkeModel | None = None
 ) -> int:
@@ -148,19 +135,16 @@ def _print_answer(
     if args.world is not None and args.world not in frame.index:
         raise ValueError(f"unknown world '{args.world}'")
     everywhere = ext == frozenset(frame.worlds)
-    if args.format == "structured":
-        _emit_json(
-            {
-                "formula": pretty(phi),
-                "extension": sorted(ext, key=frame.index.get),
-                "holds_everywhere": everywhere,
-            }
-        )
-    elif args.format == "dot":
-        print(to_dot(model))
-    else:
-        for w in frame.worlds:
-            print(f"{w}: {'true' if w in ext else 'false'}")
+    _emit(
+        args,
+        lambda: {
+            "formula": pretty(phi),
+            "extension": sorted(ext, key=frame.index.get),
+            "holds_everywhere": everywhere,
+        },
+        lambda: [f"{w}: {'true' if w in ext else 'false'}" for w in frame.worlds],
+        model,
+    )
     holds = everywhere if args.world is None else args.world in ext
     return 0 if holds else 1
 
@@ -171,10 +155,11 @@ def _print_answer(
 
 def _cmd_fmt(args) -> int:
     phi = _one_formula(args)
-    if args.format == "structured":
-        _emit_json({"formula": pretty(phi), "atoms": sorted(free_atoms(phi))})
-    else:
-        print(pretty(phi))
+    _emit(
+        args,
+        lambda: {"formula": pretty(phi), "atoms": sorted(free_atoms(phi))},
+        lambda: [pretty(phi)],
+    )
     return 0
 
 
@@ -204,15 +189,16 @@ def _cmd_translate(args) -> int:
         raise BudgetExceededError(
             f"the translation would print {size} characters, over the limit of {_PRINT_LIMIT}"
         )
-    if args.format == "structured":
-        _emit_json({"input": pretty(phi), "mode": args.mode, "output": pretty(out)})
-    else:
-        print(pretty(out))
+    _emit(
+        args,
+        lambda: {"input": pretty(phi), "mode": args.mode, "output": pretty(out)},
+        lambda: [pretty(out)],
+    )
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    frame = _load_frame(args.model)
+    frame = _load_model(args.model).frame
     props = relation_properties(frame)
     comps = path_components(frame)
     local = min_local_connectedness(frame)
@@ -236,67 +222,63 @@ def _cmd_analyze(args) -> int:
             }
             for i, c in enumerate(dec.clusters)
         ]
-    if args.format == "structured":
-        _emit_json(report)
-    elif args.format == "dot":
-        print(to_dot(frame))
-    else:
-        clusters = report.pop("clusters", [])
-        for key, value in report.items():
-            print(f"{key}: {value}")
-        for c in clusters:
+
+    def text() -> list[str]:
+        lines = [f"{key}: {value}" for key, value in report.items() if key != "clusters"]
+        for c in report.get("clusters", ()):
             tag = " degenerate" if c["degenerate"] else ""
-            print(f"cluster rank {c['rank']}: {' '.join(c['worlds'])}{tag}")
+            lines.append(f"cluster rank {c['rank']}: {' '.join(c['worlds'])}{tag}")
+        return lines
+
+    _emit(args, lambda: report, text, frame)
     return 0
 
 
-def _filtration_data(fr: FiltrationResult) -> dict:
+def _filtration(args):
+    """The model, the closure of the root formulas, and its filtration."""
+    roots = _root_formulas(args)
+    model = _load_model(args.model)
+    closure = subformula_closure(roots)
+    return model, closure, filtrate(model, closure, mode=args.mode)
+
+
+def _filtration_data(fr: FiltrationResult, quotient: KripkeModel) -> dict:
     return {
         "mode": fr.mode,
         "classes": {
             q: sorted(cls) for q, cls in zip(fr.quotient_worlds, fr.classes)
         },
+        "model": model_to_dict(quotient),
     }
 
 
 def _cmd_filtrate(args) -> int:
-    roots = _root_formulas(args)
-    model = _load_model(args.model)
-    closure = subformula_closure(roots)
-    fr = filtrate(model, closure, mode=args.mode)
-    if args.format == "structured":
-        _emit_json(_filtration_data(fr) | {"model": model_to_dict(fr.filtered_model())})
-    elif args.format == "dot":
-        print(to_dot(fr.filtered_model()))
-    else:
-        print(f"mode: {fr.mode}")
-        print(f"closure: {len(closure.formulas)} formulas")
-        for q, cls in zip(fr.quotient_worlds, fr.classes):
-            print(f"{q} <- {' '.join(cls)}")
-        print("\n".join(_model_lines(fr.filtered_model())))
+    _, closure, fr = _filtration(args)
+    quotient = fr.filtered_model()
+
+    def text() -> list[str]:
+        lines = [f"mode: {fr.mode}", f"closure: {len(closure.formulas)} formulas"]
+        lines += [f"{q} <- {' '.join(cls)}" for q, cls in zip(fr.quotient_worlds, fr.classes)]
+        return lines + _model_lines(quotient)
+
+    _emit(args, lambda: _filtration_data(fr, quotient), text, quotient)
     return 0
 
 
-def _untangle_data(fr: FiltrationResult, ut: UntangleResult) -> dict:
-    return {
-        "reflexive_mode": ut.reflexive_mode,
-        "clusters": [sorted(c) for c in ut.clusters],
-        "critical_points": list(ut.critical_points),
-        "nuclei": [sorted(nu) for nu in ut.nuclei],
-        "model": model_to_dict(ut.untangled_model(fr)),
-    }
-
-
 def _cmd_untangle(args) -> int:
-    roots = _root_formulas(args)
-    model = _load_model(args.model)
-    closure = subformula_closure(roots)
-    fr = filtrate(model, closure, mode=args.mode)
+    model, closure, fr = _filtration(args)
     ut = untangle(fr, model, closure, reflexive_mode=args.reflexive)
     rep = verify_reduction(fr, ut, model, closure)
-    if args.format == "structured":
-        data = _filtration_data(fr) | _untangle_data(fr, ut)
-        data["reduction_ok"] = rep.ok
+    quotient = ut.untangled_model(fr)
+
+    def structured() -> dict:
+        data = _filtration_data(fr, quotient) | {
+            "reflexive_mode": ut.reflexive_mode,
+            "clusters": [sorted(c) for c in ut.clusters],
+            "critical_points": list(ut.critical_points),
+            "nuclei": [sorted(nu) for nu in ut.nuclei],
+            "reduction_ok": rep.ok,
+        }
         if rep.failure:
             phi, world, want, got = rep.failure
             data["reduction_failure"] = {
@@ -305,61 +287,62 @@ def _cmd_untangle(args) -> int:
                 "source_truth": want,
                 "quotient_truth": got,
             }
-        _emit_json(data)
-    elif args.format == "dot":
-        print(to_dot(ut.untangled_model(fr)))
-    else:
-        print(f"mode: {fr.mode}" + (" reflexive" if ut.reflexive_mode else ""))
-        for i, c in enumerate(ut.clusters):
-            crit, nucleus = ut.critical_points[i], ut.nuclei[i]
-            print(f"cluster {{{' '.join(sorted(c))}}} critical {crit} nucleus {{{' '.join(sorted(nucleus))}}}")
-        print("\n".join(_model_lines(ut.untangled_model(fr))))
-        print(f"reduction: {'ok' if rep.ok else 'FAILED'} ({rep.checked} checks)")
-    if not rep.ok:
-        phi, world, want, got = rep.failure
-        print(
-            f"reduction failed: {pretty(phi)} at {world}: source {want}, quotient {got}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        return data
+
+    def text() -> list[str]:
+        lines = [f"mode: {fr.mode}" + (" reflexive" if ut.reflexive_mode else "")]
+        for c, crit, nucleus in zip(ut.clusters, ut.critical_points, ut.nuclei):
+            lines.append(f"cluster {{{' '.join(sorted(c))}}} critical {crit} "
+                         f"nucleus {{{' '.join(sorted(nucleus))}}}")
+        lines += _model_lines(quotient)
+        lines.append(f"reduction: {'ok' if rep.ok else 'FAILED'} ({rep.checked} checks)")
+        return lines
+
+    _emit(args, structured, text, quotient)
+    if rep.ok:
+        return 0
+    phi, world, want, got = rep.failure
+    print(f"reduction failed: {pretty(phi)} at {world}: source {want}, quotient {got}",
+          file=sys.stderr)
+    return 1
 
 
 def _cmd_sat(args) -> int:
     phi = _one_formula(args)
     profile = parse_profile(args.profile)
-    kwargs = {} if args.budget is None else {"budget": args.budget}
-    model = bounded_sat(phi, profile, args.max, **kwargs)
+    model = bounded_sat(phi, profile, args.max, args.budget)
     if model is None:
         print(
             f"no {profile.name} model within {args.max} worlds",
             file=sys.stderr,
         )
         return 1
-    _print_model(model, args.format)
+    _emit(args, lambda: model_to_dict(model), lambda: _model_lines(model), model)
     return 0
 
 
 def _cmd_validate(args) -> int:
     phi = _one_formula(args)
-    frame = _load_frame(args.frame)
-    kwargs = {} if args.budget is None else {"budget": args.budget}
-    report = frame_validates(frame, phi, **kwargs)
-    if args.format == "structured":
+    report = frame_validates(_load_model(args.frame).frame, phi, args.budget)
+
+    def structured() -> dict:
         data = {"valid": report.valid, "checked": report.checked}
         if not report.valid:
             data["witness_valuation"] = {
                 a: list(ws) for a, ws in sorted(report.witness_valuation.items())
             }
             data["witness_world"] = report.witness_world
-        _emit_json(data)
-    elif report.valid:
-        print(f"valid ({report.checked} valuations)")
-    else:
+        return data
+
+    def text() -> list[str]:
+        if report.valid:
+            return [f"valid ({report.checked} valuations)"]
         val = ", ".join(
             f"{a}={{{' '.join(ws)}}}" for a, ws in sorted(report.witness_valuation.items())
         )
-        print(f"fails at {report.witness_world} under {val}")
+        return [f"fails at {report.witness_world} under {val}"]
+
+    _emit(args, structured, text)
     return 0 if report.valid else 1
 
 
@@ -367,23 +350,21 @@ def _cmd_axioms(args) -> int:
     sets = [parse_members(text) for text in args.set]
     formulas = [parse(text) for text in args.args]
     phi = instantiate(args.schema, *sets, *formulas)
-    if args.format == "structured":
-        _emit_json({"schema": args.schema, "formula": pretty(phi)})
-    else:
-        print(pretty(phi))
+    _emit(args, lambda: {"schema": args.schema, "formula": pretty(phi)}, lambda: [pretty(phi)])
     return 0
 
 
 def _cmd_fixture(args) -> int:
     model = figure3_model(args.m)
-    constraints = figure3_constraints(args.m // 3) if args.constraints else None
-    if constraints is not None and args.format == "structured":
-        _emit_json({"model": model_to_dict(model), "constraints": [pretty(f) for f in constraints]})
-        return 0
-    _print_model(model, args.format)
-    if args.format == "text":
-        for f in constraints or ():
-            print(pretty(f))
+    constraints = None
+    if args.constraints:
+        constraints = [pretty(f) for f in figure3_constraints(args.m // 3)]
+
+    def structured() -> dict:
+        data = model_to_dict(model)
+        return data if constraints is None else {"model": data, "constraints": constraints}
+
+    _emit(args, structured, lambda: _model_lines(model) + (constraints or []), model)
     return 0
 
 
@@ -391,14 +372,23 @@ def _cmd_fixture(args) -> int:
 # Parser
 
 
-def _add_format(sub, *, dot: bool) -> None:
+def _add_output(sub, handler, *, dot: bool) -> None:
+    """Close a subcommand's arguments with ``--format`` and name its handler."""
     choices = ["text", "structured"] + (["dot"] if dot else [])
     sub.add_argument("--format", choices=choices, default="text")
+    sub.set_defaults(handler=handler)
 
 
 def _add_formula(sub) -> None:
     sub.add_argument("formula", nargs="?", help="formula text")
     sub.add_argument("--formula-file", help="read the formula from a file")
+
+
+def _add_closure(sub) -> None:
+    sub.add_argument("model", help="model JSON file")
+    sub.add_argument("formulas", nargs="*", help="closure root formulas")
+    sub.add_argument("--formula-file", help="read root formulas, one per line")
+    sub.add_argument("--mode", choices=["standard", "refined"], default="standard")
 
 
 @functools.cache
@@ -414,81 +404,64 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("fmt", help="parse and pretty print a formula")
     _add_formula(p)
-    _add_format(p, dot=False)
-    p.set_defaults(handler=_cmd_fmt)
+    _add_output(p, _cmd_fmt, dot=False)
 
     p = subs.add_parser("mc", help="evaluate a formula on a Kripke model")
     p.add_argument("model", help="model JSON file")
     _add_formula(p)
     p.add_argument("--world", help="exit by the truth value at this world")
-    _add_format(p, dot=True)
-    p.set_defaults(handler=_cmd_mc)
+    _add_output(p, _cmd_mc, dot=True)
 
     p = subs.add_parser("tmc", help="evaluate a formula on a finite topological space")
     p.add_argument("space", help="space JSON file")
     _add_formula(p)
     p.add_argument("--world", help="exit by the truth value at this point")
-    _add_format(p, dot=False)
-    p.set_defaults(handler=_cmd_tmc)
+    _add_output(p, _cmd_tmc, dot=False)
 
     p = subs.add_parser("translate", help="rewrite a formula into another fragment")
     p.add_argument("--mode", choices=sorted(_TRANSLATIONS), required=True)
     _add_formula(p)
-    _add_format(p, dot=False)
-    p.set_defaults(handler=_cmd_translate)
+    _add_output(p, _cmd_translate, dot=False)
 
     p = subs.add_parser("analyze", help="structural report on a frame or model")
     p.add_argument("model", help="model or frame JSON file")
-    _add_format(p, dot=True)
-    p.set_defaults(handler=_cmd_analyze)
+    _add_output(p, _cmd_analyze, dot=True)
 
     p = subs.add_parser("filtrate", help="quotient a model by a subformula closure")
-    p.add_argument("model", help="model JSON file")
-    p.add_argument("formulas", nargs="*", help="closure root formulas")
-    p.add_argument("--formula-file", help="read root formulas, one per line")
-    p.add_argument("--mode", choices=["standard", "refined"], default="standard")
-    _add_format(p, dot=True)
-    p.set_defaults(handler=_cmd_filtrate)
+    _add_closure(p)
+    _add_output(p, _cmd_filtrate, dot=True)
 
     p = subs.add_parser("untangle", help="filtrate, then rebuild the quotient relation")
-    p.add_argument("model", help="model JSON file")
-    p.add_argument("formulas", nargs="*", help="closure root formulas")
-    p.add_argument("--formula-file", help="read root formulas, one per line")
-    p.add_argument("--mode", choices=["standard", "refined"], default="standard")
+    _add_closure(p)
     p.add_argument("--reflexive", action="store_true", help="keep self loops outside nuclei")
-    _add_format(p, dot=True)
-    p.set_defaults(handler=_cmd_untangle)
+    _add_output(p, _cmd_untangle, dot=True)
 
     p = subs.add_parser("sat", help="bounded satisfiability search")
     p.add_argument("--profile", required=True, help="logic name, e.g. K4t or S4t.UC")
     p.add_argument("--max", type=int, required=True, help="largest frame size to try")
-    p.add_argument("--budget", type=int, help="work budget override")
+    p.add_argument("--budget", type=int, default=SEARCH_BUDGET, help="work budget override")
     _add_formula(p)
-    _add_format(p, dot=True)
-    p.set_defaults(handler=_cmd_sat)
+    _add_output(p, _cmd_sat, dot=True)
 
     p = subs.add_parser("validate", help="exhaustive validity on one frame")
     p.add_argument("--frame", required=True, help="frame or model JSON file")
-    p.add_argument("--budget", type=int, help="valuation budget override")
+    p.add_argument("--budget", type=int, default=VALUATION_BUDGET, help="valuation budget override")
     _add_formula(p)
-    _add_format(p, dot=False)
-    p.set_defaults(handler=_cmd_validate)
+    _add_output(p, _cmd_validate, dot=False)
 
     p = subs.add_parser("axioms", help="instantiate an axiom schema")
     p.add_argument("--schema", required=True, help="schema id, e.g. 4, Fix, G2")
     p.add_argument("-s", "--set", action="append", default=[], help="member set, e.g. 'p, q'")
     p.add_argument("-f", "--formula", dest="args", action="append", default=[],
                    help="formula argument (repeatable)")
-    _add_format(p, dot=False)
-    p.set_defaults(handler=_cmd_axioms)
+    _add_output(p, _cmd_axioms, dot=False)
 
     p = subs.add_parser("fixture", help="built-in example models")
     p.add_argument("name", choices=["figure3"])
     p.add_argument("--m", type=int, required=True, help="length of the segment")
     p.add_argument("--constraints", action="store_true",
                    help="also print the separation constraints the fixture satisfies")
-    _add_format(p, dot=True)
-    p.set_defaults(handler=_cmd_fixture)
+    _add_output(p, _cmd_fixture, dot=True)
 
     return parser
 

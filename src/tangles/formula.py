@@ -22,9 +22,10 @@ returns the one live node of that structure, from a table that holds nodes
 weakly.  Equality is therefore identity, hashing is the object's, and a
 formula that repeats a subformula is a DAG that stores it once.  The
 canonical order of tangle members and closure sets is by printed form,
-computed once per node.  :func:`pretty` and :func:`printed_length` lay out
-each node once per printing context, so shared subformulas cost one layout;
-the evaluator in ``kripke`` likewise computes each distinct subformula once.
+computed once per node; a tangle prints its members from that cached text.
+:func:`pretty` and :func:`printed_length` lay out each node once per
+printing context, so shared subformulas cost one layout; the evaluator in
+``kripke`` likewise computes each distinct subformula once.
 
 Concrete grammar accepted by :func:`parse` (loosest to tightest):
 
@@ -74,22 +75,16 @@ class CaptureError(FormulaError):
 # AST
 
 
-class _Entry(weakref.ref):
-    """A weak reference to an interned node that remembers the node's key."""
-
-    __slots__ = ("key",)
-
-
 # Every live node by its structure: the node's class and its field values.
 # Children enter a key by identity, which is sound because a live node keeps
 # its children, and so their table entries, alive.  Lookups read the table
 # without the lock; adding and removing entries hold it.  It is reentrant
 # because a node can die, and its entry go, while its thread adds another.
-_NODES: dict[tuple, _Entry] = {}
+_NODES: dict[tuple, weakref.KeyedRef] = {}
 _NODES_LOCK = threading.RLock()
 
 
-def _forget(entry: _Entry, nodes: dict = _NODES, lock=_NODES_LOCK) -> None:
+def _forget(entry: weakref.KeyedRef, nodes: dict = _NODES, lock=_NODES_LOCK) -> None:
     with lock:
         # only if the key still names this entry and not a newer node's
         if nodes.get(entry.key) is entry:
@@ -132,9 +127,7 @@ class Formula:
                     node = object.__new__(kind)
                     for name, value in zip(fields, args):
                         object.__setattr__(node, name, value)
-                    entry = _Entry(node, _forget)
-                    entry.key = key
-                    _NODES[key] = entry
+                    _NODES[key] = weakref.KeyedRef(node, _forget, key)
         return node
 
     def __str__(self) -> str:
@@ -651,7 +644,9 @@ def _layout(f: Formula, need: int, rightmost: bool) -> Sequence:
     if kind in _TANGLES:
         out = ["<t>{" if kind is Tangle else "<dt>{"]
         for m in f.members:
-            out += ((m, 0, True), ", ")
+            # a member prints as it does alone, so its cached sort key will do
+            text = getattr(m, "_text", None)
+            out += ((m, 0, True) if text is None else text, ", ")
         out[-1] = "}"
         return out
     op, lvl, assoc = _BINARY[kind]

@@ -317,6 +317,17 @@ def test_repr_grows_with_the_distinct_nodes():
     assert len(text) < 5000
 
 
+def test_nested_two_member_tangles_parse_in_linear_time():
+    # a tangle orders its members by their printed form; a member's own
+    # members print from the text cached when it was made, not laid out again
+    text = "<t>{q, " * 1000 + "p" + "}" * 1000
+    start = time.perf_counter()
+    phi = parse(text)
+    assert time.perf_counter() - start < 0.5
+    assert parse(pretty(phi)) is phi
+    assert printed_length(phi) == len(pretty(phi)) == len(text)
+
+
 def test_parse_cost_is_linear_in_nesting():
     # 999 parentheses around a 20,000-character conjunction of distinct
     # atoms cost about what the bare conjunction does; one more opens the

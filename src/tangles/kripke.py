@@ -598,13 +598,18 @@ class Evaluator:
         self.dsucc = self.succ if dsucc is None else dsucc
         self._rows: dict[int, list[tuple[int, set[int]]]] = {}
         self._programs: dict[object, Program] = {}
-        self._lists: dict[int, list[tuple[int, ...]]] = {}
 
     @cached_property
     def _pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """(worlds, successor mask) pairs of each relation, as run reads
         them: one pair per distinct mask, with the worlds that have it."""
         return _row_groups(self.succ), _row_groups(self.dsucc)
+
+    @cached_property
+    def _successors(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """Each world's successors through ``succ`` and through ``dsucc``."""
+        succ = list(map(_bit_tuple, self.succ))
+        return succ, succ if self.dsucc is self.succ else list(map(_bit_tuple, self.dsucc))
 
     # -- sets <-> masks ---------------------------------------------------
 
@@ -780,16 +785,6 @@ class Evaluator:
                     slots[out] = step
         return [slots[r] for r in program.roots]
 
-    def _successors(self, rel: int) -> list[tuple[int, ...]]:
-        """Each world's successors through ``succ`` (0) or ``dsucc`` (1)."""
-        found = self._lists.get(rel)
-        if found is None:
-            rows = self.dsucc if rel else self.succ
-            if rel and rows is self.succ:
-                return self._successors(0)
-            found = self._lists[rel] = list(map(_bit_tuple, rows))
-        return found
-
     def _tangle_block(self, members: list[list[int]], rel: int, full: int) -> list[int]:
         """The tangle of ``members`` on a block: per valuation, a cluster is
         good when each of its rows meets every member, and the result is
@@ -811,7 +806,7 @@ class Evaluator:
     def _dia_block(self, s: list[int], rel: int) -> list[int]:
         """Per world, the OR of ``s`` over its successors through ``rel``."""
         out = []
-        for js in self._successors(rel):
+        for js in self._successors[rel]:
             acc = 0
             for j in js:
                 acc |= s[j]
@@ -958,12 +953,15 @@ def model_to_dict(model: KripkeModel) -> dict:
 
 def _listed(value, *, nested: bool = False):
     """``value``, which the data format has as a list, and when ``nested``
-    as a list of lists.  A string is refused in those places: iterating it
-    would split it into characters."""
-    if nested and not isinstance(value, str) and str in map(type, value):
-        value = next(v for v in value if type(v) is str)
-    if isinstance(value, str):
-        raise TypeError(f"expected a list, got the string {value!r}")
+    as a list of lists.  A string or an object is refused in those places:
+    iterating it would split it into characters or read its keys."""
+    if nested and not isinstance(value, (str, Mapping)):
+        # by exact type, in C: a large frame has many pairs
+        if not {str, dict}.isdisjoint(map(type, value)):
+            value = next(v for v in value if type(v) in (str, dict))
+    if isinstance(value, (str, Mapping)):
+        kind = "string" if isinstance(value, str) else "object"
+        raise TypeError(f"expected a list, got the {kind} {value!r}")
     return value
 
 

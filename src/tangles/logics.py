@@ -34,7 +34,6 @@ from .formula import (
     dia_star,
     disj,
     free_atoms,
-    pretty,
 )
 from .kripke import (
     Evaluator,
@@ -71,39 +70,63 @@ def _neg(phi: Formula) -> Formula:
 
 def _exclusive(parts: Sequence[Formula], i: int) -> Formula:
     """The i-th member of a pairwise exclusion family: parts[i] and not the
-    others.  Duplicate conjuncts (as arise when one part is the negation of
+    others.  Repeated conjuncts (as arise when one part is the negation of
     another) are dropped, so the single-atom instances come out in their
-    familiar short form."""
-    seen: set[str] = set()
-    kept: list[Formula] = []
-    for f in [parts[i]] + [_neg(parts[j]) for j in range(len(parts)) if j != i]:
-        key = pretty(f)
-        if key not in seen:
-            seen.add(key)
-            kept.append(f)
-    return conj(kept)
+    familiar short form.  Nodes are interned, so repeats are the same node."""
+    return conj(dict.fromkeys([parts[i]] + [_neg(p) for j, p in enumerate(parts) if j != i]))
 
+
+def _gn(n: int, derivative: bool, *parts: Formula) -> Formula:
+    """G_n over ``parts`` (default: atoms p0..pn), or G1d when ``derivative``."""
+    parts = parts or tuple(Atom(f"p{i}") for i in range(n + 1))
+    qs = [_exclusive(parts, i) for i in range(n + 1)]
+    if derivative:
+        return Implies(
+            BoxD(disj([Box(q) for q in qs])),
+            disj([BoxD(_neg(q)) for q in qs]),
+        )
+    return Implies(
+        conj([Dia(q) for q in qs]),
+        Dia(conj([dia_star(_neg(q)) for q in qs])),
+    )
+
+
+def _fix(t: Tangle, *gamma: Formula) -> Formula:
+    """The fixpoint axiom for one member ``gamma``, or for all of them."""
+    return conj([Implies(t, Dia(And(g, t))) for g in gamma or t.members])
+
+
+def _ind(t: Tangle, phi: Formula) -> Formula:
+    step = Implies(phi, conj([Dia(And(g, phi)) for g in t.members]))
+    return Implies(box_star(step), Implies(phi, t))
+
+
+#: Plain schemas: the numbers of formulas each takes, and its builder.
+_PLAIN = {
+    "K": ((2,), lambda a, b: Implies(Box(Implies(a, b)), Implies(Box(a), Box(b)))),
+    "4": ((1,), lambda a: Implies(Dia(Dia(a)), Dia(a))),
+    "T": ((1,), lambda a: Implies(Box(a), a)),
+    "D": ((0,), lambda: Dia(Top())),
+    "U": ((1,), lambda a: Implies(Forall(a), Box(a))),
+    "C": ((1,), lambda a: Implies(
+        Forall(disj([box_star(a), box_star(Neg(a))])),
+        disj([Forall(a), Forall(Neg(a))]),
+    )),
+}
+
+#: Tangle schemas: the numbers of formulas each takes after its member set,
+#: and its builder, which gets the tangle of that set first.
+_TANGLED = {
+    "Fix": ((0, 1), _fix),
+    "Ind": ((1,), _ind),
+    "4t": ((0,), lambda t: Implies(Dia(t), t)),
+    "Tt": ((0,), lambda t: Implies(conj(t.members), t)),
+}
 
 _G_RE = re.compile(r"^G([1-9]\d*)(d?)$")
 
 #: Schema ids with fixed arity; G1, G2, ... and G1d are recognised by pattern.
-BASE_SCHEMAS = ("K", "4", "T", "D", "U", "C", "Fix", "Ind", "4t", "Tt")
-
-
-def _members_arg(args: tuple, schema: str) -> tuple[Formula, ...]:
-    if not args or isinstance(args[0], Formula):
-        raise SchemaError(f"schema '{schema}' wants a set of member formulas first")
-    members = tuple(args[0])
-    if not members or not all(isinstance(f, Formula) for f in members):
-        raise SchemaError(f"schema '{schema}' wants a non-empty set of formulas")
-    return members
-
-
-def _formulas(args: tuple, k: int, schema: str) -> tuple[Formula, ...]:
-    if len(args) != k or not all(isinstance(f, Formula) for f in args):
-        noun = "formula" if k == 1 else "formulas"
-        raise SchemaError(f"schema '{schema}' takes exactly {k} {noun}")
-    return args
+BASE_SCHEMAS = (*_PLAIN, *_TANGLED)
 
 
 def instantiate(schema: str, *args) -> Formula:
@@ -114,82 +137,28 @@ def instantiate(schema: str, *args) -> Formula:
     Ind(members, a), 4t(members), Tt(members).  Gn takes n+1 formulas
     (default: atoms p0..pn); G1d is the derivative-language variant.
     """
-    if schema == "K":
-        a, b = _formulas(args, 2, schema)
-        return Implies(Box(Implies(a, b)), Implies(Box(a), Box(b)))
-    if schema == "4":
-        (a,) = _formulas(args, 1, schema)
-        return Implies(Dia(Dia(a)), Dia(a))
-    if schema == "T":
-        (a,) = _formulas(args, 1, schema)
-        return Implies(Box(a), a)
-    if schema == "D":
-        if args:
-            raise SchemaError("schema 'D' takes no arguments")
-        return Dia(Top())
-    if schema == "U":
-        (a,) = _formulas(args, 1, schema)
-        return Implies(Forall(a), Box(a))
-    if schema == "C":
-        (a,) = _formulas(args, 1, schema)
-        return Implies(
-            Forall(disj([box_star(a), box_star(Neg(a))])),
-            disj([Forall(a), Forall(Neg(a))]),
-        )
-    if schema == "Fix":
-        members = _members_arg(args, schema)
-        t = Tangle(members)
-        if len(args) == 2:
-            gamma = args[1]
-            if not isinstance(gamma, Formula):
-                raise SchemaError("schema 'Fix' wants a single member formula second")
-            return Implies(t, Dia(And(gamma, t)))
-        if len(args) != 1:
-            raise SchemaError("schema 'Fix' takes a member set and optionally one member")
-        return conj([Implies(t, Dia(And(g, t))) for g in t.members])
-    if schema == "Ind":
-        members = _members_arg(args, schema)
-        if len(args) != 2 or not isinstance(args[1], Formula):
-            raise SchemaError("schema 'Ind' takes a member set and one formula")
-        phi = args[1]
-        t = Tangle(members)
-        step = Implies(phi, conj([Dia(And(g, phi)) for g in t.members]))
-        return Implies(box_star(step), Implies(phi, t))
-    if schema == "4t":
-        members = _members_arg(args, schema)
-        if len(args) != 1:
-            raise SchemaError("schema '4t' takes just a member set")
-        t = Tangle(members)
-        return Implies(Dia(t), t)
-    if schema == "Tt":
-        members = _members_arg(args, schema)
-        if len(args) != 1:
-            raise SchemaError("schema 'Tt' takes just a member set")
-        t = Tangle(members)
-        return Implies(conj(t.members), t)
-
-    m = _G_RE.match(schema)
-    if m:
-        n = int(m.group(1))
-        derivative = bool(m.group(2))
+    head: tuple[Formula, ...] = ()
+    if schema in _TANGLED:
+        counts, build = _TANGLED[schema]
+        members = tuple(args[0]) if args and not isinstance(args[0], Formula) else ()
+        if not members or not all(isinstance(f, Formula) for f in members):
+            raise SchemaError(f"schema '{schema}' wants a non-empty set of member formulas first")
+        head, args = (Tangle(members),), args[1:]
+    elif schema in _PLAIN:
+        counts, build = _PLAIN[schema]
+    else:
+        g = _G_RE.match(schema)
+        if not g:
+            raise SchemaError(f"unknown schema '{schema}'")
+        n, derivative = int(g.group(1)), bool(g.group(2))
         if derivative and n != 1:
             raise SchemaError("only G1 has a derivative-language form")
-        parts: tuple[Formula, ...]
-        if args:
-            parts = _formulas(args, n + 1, schema)
-        else:
-            parts = tuple(Atom(f"p{i}") for i in range(n + 1))
-        qs = [_exclusive(parts, i) for i in range(n + 1)]
-        if derivative:
-            return Implies(
-                BoxD(disj([Box(q) for q in qs])),
-                disj([BoxD(_neg(q)) for q in qs]),
-            )
-        return Implies(
-            conj([Dia(q) for q in qs]),
-            Dia(conj([dia_star(_neg(q)) for q in qs])),
-        )
-    raise SchemaError(f"unknown schema '{schema}'")
+        counts, build = (0, n + 1), functools.partial(_gn, n, derivative)
+    if len(args) not in counts or not all(isinstance(f, Formula) for f in args):
+        noun = "formula" if counts == (1,) else "formulas"
+        after = " after its member set" if head else ""
+        raise SchemaError(f"schema '{schema}' takes {' or '.join(map(str, counts))} {noun}{after}")
+    return build(*head, *args)
 
 
 @dataclass(frozen=True)

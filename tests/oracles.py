@@ -19,6 +19,11 @@ fields of the results they are given.
 world sets and checks each defining property with a program of its own,
 where ``filtration`` works on masks and checks them all in one program.
 
+``tree_instantiate`` builds the axiom schemas with one branch and one arity
+check per schema, and drops repeated conjuncts of ``G_n`` by their printed
+text, where ``logics.instantiate`` looks the schema up in a table and drops
+repeats by node.
+
 ``tree_parse`` is the recursive-descent parser that ``formula.parse``
 replaced: it tokenizes in a Python loop and descends through six levels of
 calls for every node of the tree the text spells, repeats included.  Its
@@ -42,6 +47,7 @@ from tangles import (
     CriticalPointError,
     FiltrationResult,
     ReductionReport,
+    SchemaError,
     UntangleResult,
     Bot,
     Box,
@@ -855,3 +861,128 @@ def _verify_characteristics(
         ),
         notes=tuple(notes),
     )
+
+
+def _tree_neg(phi: Formula) -> Formula:
+    """Negate, collapsing a double negation."""
+    return phi.sub if isinstance(phi, Neg) else Neg(phi)
+
+
+def _tree_exclusive(parts: Sequence[Formula], i: int) -> Formula:
+    """The i-th member of a pairwise exclusion family: parts[i] and not the
+    others.  Duplicate conjuncts (as arise when one part is the negation of
+    another) are dropped, so the single-atom instances come out in their
+    familiar short form."""
+    seen: set[str] = set()
+    kept: list[Formula] = []
+    for f in [parts[i]] + [_tree_neg(parts[j]) for j in range(len(parts)) if j != i]:
+        key = pretty(f)
+        if key not in seen:
+            seen.add(key)
+            kept.append(f)
+    return conj(kept)
+
+
+_tree_G_RE = re.compile(r"^G([1-9]\d*)(d?)$")
+
+
+def _tree_members_arg(args: tuple, schema: str) -> tuple[Formula, ...]:
+    if not args or isinstance(args[0], Formula):
+        raise SchemaError(f"schema '{schema}' wants a set of member formulas first")
+    members = tuple(args[0])
+    if not members or not all(isinstance(f, Formula) for f in members):
+        raise SchemaError(f"schema '{schema}' wants a non-empty set of formulas")
+    return members
+
+
+def _tree_formulas(args: tuple, k: int, schema: str) -> tuple[Formula, ...]:
+    if len(args) != k or not all(isinstance(f, Formula) for f in args):
+        noun = "formula" if k == 1 else "formulas"
+        raise SchemaError(f"schema '{schema}' takes exactly {k} {noun}")
+    return args
+
+
+def tree_instantiate(schema: str, *args) -> Formula:
+    """Build one instance of a named axiom schema, one branch per schema.
+
+    Plain schemas take formulas: K(a, b), 4(a), T(a), U(a), C(a), D().
+    Tangle schemas take a member set first: Fix(members, gamma=None),
+    Ind(members, a), 4t(members), Tt(members).  Gn takes n+1 formulas
+    (default: atoms p0..pn); G1d is the derivative-language variant.
+    """
+    if schema == "K":
+        a, b = _tree_formulas(args, 2, schema)
+        return Implies(Box(Implies(a, b)), Implies(Box(a), Box(b)))
+    if schema == "4":
+        (a,) = _tree_formulas(args, 1, schema)
+        return Implies(Dia(Dia(a)), Dia(a))
+    if schema == "T":
+        (a,) = _tree_formulas(args, 1, schema)
+        return Implies(Box(a), a)
+    if schema == "D":
+        if args:
+            raise SchemaError("schema 'D' takes no arguments")
+        return Dia(Top())
+    if schema == "U":
+        (a,) = _tree_formulas(args, 1, schema)
+        return Implies(Forall(a), Box(a))
+    if schema == "C":
+        (a,) = _tree_formulas(args, 1, schema)
+        return Implies(
+            Forall(disj([box_star(a), box_star(Neg(a))])),
+            disj([Forall(a), Forall(Neg(a))]),
+        )
+    if schema == "Fix":
+        members = _tree_members_arg(args, schema)
+        t = Tangle(members)
+        if len(args) == 2:
+            gamma = args[1]
+            if not isinstance(gamma, Formula):
+                raise SchemaError("schema 'Fix' wants a single member formula second")
+            return Implies(t, Dia(And(gamma, t)))
+        if len(args) != 1:
+            raise SchemaError("schema 'Fix' takes a member set and optionally one member")
+        return conj([Implies(t, Dia(And(g, t))) for g in t.members])
+    if schema == "Ind":
+        members = _tree_members_arg(args, schema)
+        if len(args) != 2 or not isinstance(args[1], Formula):
+            raise SchemaError("schema 'Ind' takes a member set and one formula")
+        phi = args[1]
+        t = Tangle(members)
+        step = Implies(phi, conj([Dia(And(g, phi)) for g in t.members]))
+        return Implies(box_star(step), Implies(phi, t))
+    if schema == "4t":
+        members = _tree_members_arg(args, schema)
+        if len(args) != 1:
+            raise SchemaError("schema '4t' takes just a member set")
+        t = Tangle(members)
+        return Implies(Dia(t), t)
+    if schema == "Tt":
+        members = _tree_members_arg(args, schema)
+        if len(args) != 1:
+            raise SchemaError("schema 'Tt' takes just a member set")
+        t = Tangle(members)
+        return Implies(conj(t.members), t)
+
+    m = _tree_G_RE.match(schema)
+    if m:
+        n = int(m.group(1))
+        derivative = bool(m.group(2))
+        if derivative and n != 1:
+            raise SchemaError("only G1 has a derivative-language form")
+        parts: tuple[Formula, ...]
+        if args:
+            parts = _tree_formulas(args, n + 1, schema)
+        else:
+            parts = tuple(Atom(f"p{i}") for i in range(n + 1))
+        qs = [_tree_exclusive(parts, i) for i in range(n + 1)]
+        if derivative:
+            return Implies(
+                BoxD(disj([Box(q) for q in qs])),
+                disj([BoxD(_tree_neg(q)) for q in qs]),
+            )
+        return Implies(
+            conj([Dia(q) for q in qs]),
+            Dia(conj([dia_star(_tree_neg(q)) for q in qs])),
+        )
+    raise SchemaError(f"unknown schema '{schema}'")

@@ -182,6 +182,29 @@ def test_loaders_reject_strings_where_lists_belong(capsys, tmp_path, position):
     assert "expected a list" in err
 
 
+SPLIT_OBJECTS = {
+    "worlds": ("analyze", {"worlds": {"a": 1, "b": 2}, "rel": []}),
+    "pair": ("mc", {"worlds": ["a", "b"], "rel": [{"a": 0, "b": 1}], "val": {"p": ["b"]}}),
+    "val": ("mc", {"worlds": ["a", "b"], "rel": [], "val": {"p": {"b": 0}}}),
+    "points": ("tmc", {"points": {"x": 1}, "opens": [[], ["x"]]}),
+    "opens": ("tmc", {"points": ["x"], "opens": [[], {"x": 0}]}),
+    "space-val": ("tmc", {"points": ["x"], "opens": [[], ["x"]], "val": {"p": {"x": 0}}}),
+}
+
+
+@pytest.mark.parametrize("position", sorted(SPLIT_OBJECTS))
+def test_loaders_reject_objects_where_lists_belong(capsys, tmp_path, position):
+    # iterating an object would read {"a": 0, "b": 1} as the pair a, b
+    command, data = SPLIT_OBJECTS[position]
+    path = tmp_path / "objects.json"
+    path.write_text(json.dumps(data))
+    argv = [command, str(path)] + ([] if command == "analyze" else ["p"])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed")
+    assert "expected a list" in err
+
+
 def test_mc_dot(capsys, chain_model):
     code, out, _ = run(capsys, "mc", "--format", "dot", chain_model, "p")
     assert out.startswith("digraph")

@@ -45,8 +45,13 @@ from tangles import (
     to_mu,
 )
 from tangles.logics import BASE_SCHEMAS, BLOCK
-from gen import random_member_set, random_model, random_tangle_formula
-from oracles import tree_bounded_sat, tree_enumerate_frames, tree_frame_validates
+from gen import random_formula, random_member_set, random_model, random_tangle_formula
+from oracles import (
+    tree_bounded_sat,
+    tree_enumerate_frames,
+    tree_frame_validates,
+    tree_instantiate,
+)
 
 p, q = Atom("p"), Atom("q")
 p0, p1 = Atom("p0"), Atom("p1")
@@ -139,6 +144,33 @@ def test_g1_instances_are_substitution_instances(seed):
     derived = substitute(substitute(instantiate("G1"), a, "p0"), b, "p1")
     model = random_model(rng, 6, ("q", "r"), kind="general")
     assert model_check(model, built) == model_check(model, derived)
+
+
+def _instance_or_error(build, schema, args):
+    try:
+        return build(schema, *args)
+    except SchemaError:
+        return SchemaError
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_instantiate_matches_the_schema_ladder(seed):
+    # the schema tables build the very node the per-schema ladder built, and
+    # refuse what it refused; negated parts make G_n drop repeated conjuncts
+    rng = random.Random(8800 + seed)
+    pool = [random_formula(rng, rng.randint(0, 2), ("p", "q")) for _ in range(3)]
+    pool += [Neg(f) for f in pool]
+    schemas = BASE_SCHEMAS + ("G1", "G2", "G3", "G4", "G1d", "G2d", "G0", "Z")
+    built = 0
+    for schema in schemas:
+        for count, member_set in itertools.product(range(5), (False, True)):
+            args = [rng.choice(pool) for _ in range(count)]
+            if member_set:
+                args.insert(0, [rng.choice(pool) for _ in range(rng.randint(0, 2))])
+            want = _instance_or_error(tree_instantiate, schema, args)
+            assert _instance_or_error(instantiate, schema, args) is want, (schema, args)
+            built += want is not SchemaError
+    assert built >= 12
 
 
 def test_schema_instance_records_arguments():

@@ -1,6 +1,7 @@
 """Translations: fixpoint unfolding of tangles, derivative rewriting,
 reflexive-transitive star."""
 
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from tangles import (
     BoxD,
     Dia,
     DiaD,
+    Evaluator,
     FiniteSpace,
     Forall,
     KripkeModel,
@@ -23,6 +25,7 @@ from tangles import (
     TopoModel,
     TranslationError,
     closures,
+    enumerate_frames,
     model_check,
     parse,
     pretty,
@@ -31,6 +34,7 @@ from tangles import (
     to_mu,
     topo_model_check,
 )
+from tangles.kripke import compile_formulas
 from gen import random_formula, random_model, random_space, random_tangle_formula
 
 p, q = Atom("p"), Atom("q")
@@ -85,6 +89,37 @@ def test_to_mu_agrees_on_spaces(seed):
         rng, rng.randint(1, 4), tangles=True, fixpoints=True, derivative=True
     )
     assert topo_model_check(model, phi) == topo_model_check(model, to_mu(phi))
+
+
+def _formulas_up_to(size):
+    """Every formula over p and q of at most ``size`` symbols, built from
+    ~, <>, [], &, | and one- and two-member tangles, each once."""
+    by_size = {1: [p, q]}
+    for s in range(2, size + 1):
+        out = [op(f) for op in (Neg, Dia, Box, lambda f: Tangle((f,))) for f in by_size[s - 1]]
+        for k in range(1, s - 1):
+            for a, b in itertools.product(by_size[k], by_size[s - 1 - k]):
+                out += [And(a, b), Or(a, b), Tangle((a, b))]
+        by_size[s] = out
+    return list(dict.fromkeys(f for fs in by_size.values() for f in fs))
+
+
+def test_to_mu_agrees_on_every_small_transitive_frame():
+    # each formula and its translation in one program, on every transitive
+    # frame of 1-4 worlds up to isomorphism (OEIS A091073), under every
+    # valuation of p and q at once
+    phis = _formulas_up_to(4)
+    program = compile_formulas(phis + [to_mu(phi) for phi in phis])
+    assert (len(phis), program.size) == (295, 746)
+    counts = []
+    for n in range(1, 5):
+        frames = list(enumerate_frames(n))
+        counts.append(len(frames))
+        for frame in frames:
+            roots = Evaluator(frame).run_block(program, ("p", "q"), 0, 1 << 2 * n)
+            for phi, got, want in zip(phis, roots, roots[len(phis):]):
+                assert got == want, (pretty(phi), frame.succ)
+    assert counts == [2, 8, 39, 242]
 
 
 # ---------------------------------------------------------------------------

@@ -176,19 +176,25 @@ def _cmd_tmc(args) -> int:
 
 
 _TRANSLATIONS = {"mu": to_mu, "d": to_d, "star": star}
-#: Longest translation ``translate`` prints.  ``to_d`` shares each rewritten
-#: child twice, so its printed form can double with every nested box.
+#: Longest formula ``translate`` and ``axioms`` print.  ``to_d`` shares each
+#: rewritten child twice, so its printed form can double with every nested
+#: box, and the ``G_n`` instances grow quadratically in n.
 _PRINT_LIMIT = 1 << 24
+
+
+def _printable(phi: Formula, what: str) -> Formula:
+    """``phi``, unless its printed form is longer than the limit."""
+    size = printed_length(phi)
+    if size > _PRINT_LIMIT:
+        raise BudgetExceededError(
+            f"{what} would print {size} characters, over the limit of {_PRINT_LIMIT}"
+        )
+    return phi
 
 
 def _cmd_translate(args) -> int:
     phi = _one_formula(args)
-    out = _TRANSLATIONS[args.mode](phi)
-    size = printed_length(out)
-    if size > _PRINT_LIMIT:
-        raise BudgetExceededError(
-            f"the translation would print {size} characters, over the limit of {_PRINT_LIMIT}"
-        )
+    out = _printable(_TRANSLATIONS[args.mode](phi), "the translation")
     _emit(
         args,
         lambda: {"input": pretty(phi), "mode": args.mode, "output": pretty(out)},
@@ -349,7 +355,7 @@ def _cmd_validate(args) -> int:
 def _cmd_axioms(args) -> int:
     sets = [parse_members(text) for text in args.set]
     formulas = [parse(text) for text in args.args]
-    phi = instantiate(args.schema, *sets, *formulas)
+    phi = _printable(instantiate(args.schema, *sets, *formulas), "the instance")
     _emit(args, lambda: {"schema": args.schema, "formula": pretty(phi)}, lambda: [pretty(phi)])
     return 0
 

@@ -12,9 +12,9 @@ code expands them.
 :func:`rebuild` its inverse: it makes a node of the same kind over new
 children.  Folds (``free_atoms``, ``all_names``, polarity) and rewrites
 (``substitute`` and the translations) name only the constructors they treat
-specially and pass every other node through these two.  All but ``to_mu``
-and ``star`` visit each distinct node once, without recursion; so do the
-printer and ``repr``.
+specially and pass every other node through these two.  None of them
+recurses, nor do the printer and ``repr``; the folds walk
+:func:`post_order`, which lists each distinct node once.
 
 Nodes are hash-consed: every way of making a node (the class call,
 ``rebuild``, the parser, ``dataclasses.replace``, ``copy`` and ``pickle``)
@@ -363,34 +363,22 @@ def _polarities(phi: Formula, name: str) -> int:
     """Parities of the free occurrences of ``name`` once derived forms are
     expanded into the primitive connectives.  A negation or an implication
     flips its first side; an equivalence mentions both sides with both
-    parities.  Each distinct node is walked once, children first, without
-    recursion."""
+    parities."""
     memo: dict[Formula, int] = {}
-    stack = [phi]
-    while stack:
-        f = stack[-1]
-        if f in memo:
-            stack.pop()
-            continue
+    for f in post_order(phi):
         kind = type(f)
         if kind is Atom:
             memo[f] = _POS if f.name == name else 0
         elif kind in _BINDERS and f.var == name:
             memo[f] = 0
         else:
-            subs = immediate_subformulas(f)
-            todo = [sub for sub in subs if sub not in memo]
-            if todo:
-                stack += todo
-                continue
-            pols = [memo[sub] for sub in subs]
+            pols = [memo[sub] for sub in immediate_subformulas(f)]
             if kind is Neg or kind is Implies:
                 pols[0] = _FLIPPED[pols[0]]
             out = 0
             for pol in pols:
                 out |= pol
             memo[f] = out | _FLIPPED[out] if kind is Iff else out
-        stack.pop()
     return memo[phi]
 
 
@@ -582,15 +570,7 @@ class ClosureSet:
 
 def subformula_closure(roots: Iterable[Formula]) -> ClosureSet:
     """Least set containing ``roots`` and closed under immediate subformulas."""
-    seen: set[Formula] = set()
-    stack = list(roots)
-    while stack:
-        f = stack.pop()
-        if f in seen:
-            continue
-        seen.add(f)
-        stack.extend(immediate_subformulas(f))
-    return ClosureSet(frozenset(seen))
+    return ClosureSet(frozenset().union(*map(post_order, roots)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ valuation.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, reduce
 from itertools import chain, compress, repeat
@@ -483,78 +484,64 @@ def compile_formulas(roots: Sequence[Formula]) -> Program:
     # the nested loop of the binder at ``var``.
     blocks: dict[int | None, list[tuple]] = {None: []}
     depth_of: dict[int, int] = {}  # binder slot -> how many loops enclose its body
-    shared: dict[tuple, tuple[int, frozenset]] = {}  # (node, deps) -> (slot, deps)
+    table: defaultdict[frozenset, dict[Formula, int]] = defaultdict(dict)  # deps -> node -> slot
     free: dict[Formula, frozenset[str]] = {}  # node -> free names, once compiled
+    done: list[int] = []  # the slot of each node visited, after its children's
     size = 0
 
-    def block(deps: frozenset) -> list[tuple]:
-        return blocks[max(deps, key=depth_of.get)] if deps else blocks[None]
+    def deps_of(names: frozenset[str], bindings: dict[str, int]) -> frozenset:
+        return frozenset([bindings[n] for n in names if n in bindings]) if bindings else _EMPTY
 
-    # A scope is the binding of names to binder slots, the nodes compiled
-    # under it, and its loop depth.
-    top: tuple[dict, dict, int] = ({}, {}, 0)
+    # A scope binds names to binder slots and has a loop depth.
+    top: tuple[dict, int] = ({}, 0)
     stack: list[tuple] = [(_VISIT, f, top, None) for f in reversed(roots)]
     while stack:
-        task, f, scope, extra = stack.pop()
-        bindings, compiled, depth = scope
+        task, f, scope, slot = stack.pop()
+        bindings, depth = scope
         if task == _VISIT:
-            if f in compiled:
-                continue
-            if f in free and bindings:
-                # compiled under another scope: reuse it if it binds alike
-                deps = frozenset(bindings[n] for n in free[f] if n in bindings)
-                if (f, deps) in shared:
-                    compiled[f] = shared[f, deps]
+            if f in free:
+                slot = table[deps_of(free[f], bindings)].get(f)
+                if slot is not None:
+                    done.append(slot)
                     continue
             kind = type(f)
             if kind is Atom and f.name in bindings:
-                var = bindings[f.name]
-                compiled[f] = (var, frozenset((var,)))
                 free[f] = frozenset((f.name,))
+                done.append(bindings[f.name])
             elif kind in _BINDERS:
                 # two slots: the bound variable, which ends as the result,
                 # and the loop's round count
-                var = size
+                depth_of[size] = depth + 1
+                blocks[size] = []
+                inner = ({**bindings, f.var: size}, depth + 1)
+                stack += [(_CLOSE, f, scope, size), (_VISIT, f.body, inner, None)]
                 size += 2
-                depth_of[var] = depth + 1
-                blocks[var] = []
-                inner = ({**bindings, f.var: var}, {}, depth + 1)
-                stack += [(_CLOSE, f, scope, (var, inner)), (_VISIT, f.body, inner, None)]
             else:
                 stack.append((_EMIT, f, scope, None))
                 stack += [(_VISIT, g, scope, None) for g in reversed(immediate_subformulas(f))]
-        elif task == _EMIT:
-            if f in compiled:
-                continue
-            args = []
-            deps = names = _EMPTY
-            for g in immediate_subformulas(f):
-                slot, d = compiled[g]
-                args.append(slot)
-                # most nodes mention no bound name: skip the empty unions
-                if d:
-                    deps = deps | d if deps else d
+            continue
+        if task == _EMIT:
+            subs = immediate_subformulas(f)
+            names = frozenset((f.name,)) if type(f) is Atom else _EMPTY
+            for g in subs:
+                # most children mention no name: skip the empty unions
                 if free[g]:
                     names = names | free[g] if names else free[g]
-            free[f] = frozenset((f.name,)) if type(f) is Atom else names
-            done = shared.get((f, deps))
-            if done is None:
-                ins = _instruction(f, size, args)
-                if ins:
-                    block(deps).append(ins)
-                done = shared[f, deps] = (size, deps)
-                size += 1
-            compiled[f] = done
+            cut = len(done) - len(subs)
+            ins = _instruction(f, size, done[cut:])
+            del done[cut:]
+            slot = size
+            size += 1
         else:
-            var, inner = extra
-            body, body_deps = inner[1][f.body]
-            free[f] = free[f.body] - {f.var}
-            deps = body_deps - {var}
-            if (f, deps) not in shared:
-                block(deps).append((None, var, body, type(f) is Nu))
-                shared[f, deps] = (var, deps)
-            # else the same fixpoint is compiled already; this loop is dropped
-            compiled[f] = shared[f, deps]
+            names = free[f.body] - {f.var}
+            ins = (None, slot, done.pop(), type(f) is Nu)
+        # f computes into slot, in the loop of its innermost binder
+        free[f] = names
+        deps = deps_of(names, bindings)
+        if ins:
+            blocks[max(deps, key=depth_of.get) if deps else None].append(ins)
+        table[deps][f] = slot
+        done.append(slot)
 
     # Lay the blocks out, each loop between its _FIX and its _LOOP.
     code: list[tuple] = []
@@ -574,7 +561,7 @@ def compile_formulas(roots: Sequence[Formula]) -> Program:
                 var, body, start = loop
                 code.append((_LOOP, var, body, (var + 1, start)))
     tangles = any(ins[0] == _TANGLE for ins in code)
-    return Program(tuple(code), size, tuple(top[1][f][0] for f in roots), tangles)
+    return Program(tuple(code), size, tuple(done), tangles)
 
 
 class Evaluator:
@@ -597,7 +584,7 @@ class Evaluator:
         self.succ = frame.succ
         self.dsucc = self.succ if dsucc is None else dsucc
         self._rows: dict[int, list[tuple[int, set[int]]]] = {}
-        self._programs: dict[object, Program] = {}
+        self._programs: dict[tuple[Formula, ...], Program] = {}
 
     @cached_property
     def _pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -639,10 +626,7 @@ class Evaluator:
     # -- evaluation -------------------------------------------------------
 
     def extension(self, phi: Formula, val: Mapping[str, int]) -> int:
-        program = self._programs.get(phi)
-        if program is None:
-            program = self._programs[phi] = compile_formulas((phi,))
-        return self.run(program, val)[0]
+        return self.extensions((phi,), val)[0]
 
     def extensions(self, phis: Sequence[Formula], val: Mapping[str, int]) -> list[int]:
         """The extension of each of ``phis``, sharing their subformulas."""

@@ -21,6 +21,9 @@ reflexive-transitive closure.
 Fresh variables are ``_g0, _g1, ...``, skipping every identifier of the
 input formula, allocated one per rewritten node in depth-first pre-order:
 an outer tangle or box takes its name before the ones nested inside it.
+So ``to_mu`` and ``star`` rewrite a subformula that hands out names once
+per occurrence, with an explicit stack, and return one that hands out
+none as it is; ``to_d`` rewrites each distinct subformula once.
 """
 
 from __future__ import annotations
@@ -56,22 +59,48 @@ class TranslationError(ValueError):
     """The input lies outside the fragment a translation is defined on."""
 
 
+_TANGLES = (Tangle, TangleD)
+
+
+def _rewrite(phi: Formula, keep, name, build) -> Formula:
+    """Rewrite ``phi`` in pre-order, without recursion.  A node built only
+    from kinds that pass ``keep`` stays as it is.  Any other node ``f``
+    takes the fresh name ``q = name(f)``, which may be None, before its
+    children are rewritten; then ``build(f, q, subs)`` rewrites a named
+    node from its children's rewrites, and ``rebuild`` any other."""
+    kept: set[Formula] = set()
+    for f in post_order(phi):
+        if keep(type(f)) and kept.issuperset(immediate_subformulas(f)):
+            kept.add(f)
+    out: list[Formula] = []
+    stack: list = [phi]
+    while stack:
+        f = stack.pop()
+        if type(f) is tuple:  # the children of f are rewritten
+            f, q, cut = f
+            subs = out[cut:]
+            out[cut:] = [rebuild(f, subs) if q is None else build(f, q, subs)]
+        elif f in kept:
+            out.append(f)
+        else:
+            stack += [(f, name(f), len(out)), *reversed(immediate_subformulas(f))]
+    return out[0]
+
+
 def to_mu(phi: Formula) -> Formula:
     """Replace every tangle by its greatest-fixpoint encoding."""
     fresh = fresh_names(all_names(phi))
 
-    def walk(f: Formula) -> Formula:
-        if isinstance(f, (Tangle, TangleD)):
-            q = next(fresh)
-            step = Dia if isinstance(f, Tangle) else DiaD
-            body = conj(step(And(walk(m), Atom(q))) for m in f.members)
-            return Nu(q, body)
-        subs = []
-        for sub in immediate_subformulas(f):
-            subs.append(walk(sub))
-        return rebuild(f, subs)
+    def build(f: Formula, q: str, subs: list[Formula]) -> Formula:
+        step = Dia if type(f) is Tangle else DiaD
+        return Nu(q, conj(step(And(m, Atom(q))) for m in subs))
 
-    return walk(phi)
+    return _rewrite(
+        phi,
+        lambda kind: kind not in _TANGLES,
+        lambda f: next(fresh) if type(f) in _TANGLES else None,
+        build,
+    )
 
 
 def to_d(phi: Formula) -> Formula:
@@ -106,20 +135,19 @@ def star(phi: Formula) -> Formula:
     """
     fresh = fresh_names(all_names(phi))
 
-    def walk(f: Formula) -> Formula:
-        if isinstance(f, Box):
-            q = next(fresh)
-            return Nu(q, And(walk(f.sub), Box(Atom(q))))
-        if isinstance(f, Dia):
-            # diamond is the negated box of the negation
-            return Neg(walk(Box(Neg(f.sub))))
-        if not isinstance(f, _STAR_FRAGMENT):
+    def name(f: Formula) -> str | None:
+        if type(f) is Box or type(f) is Dia:
+            return next(fresh)
+        if type(f) not in _STAR_FRAGMENT:
             raise TranslationError(
                 f"operator outside the box/fixpoint fragment: {f}"
             )
-        subs = []
-        for sub in immediate_subformulas(f):
-            subs.append(walk(sub))
-        return rebuild(f, subs)
+        return None
 
-    return walk(phi)
+    def build(f: Formula, q: str, subs: list[Formula]) -> Formula:
+        # a diamond is the negated box of the negation
+        if type(f) is Box:
+            return Nu(q, And(subs[0], Box(Atom(q))))
+        return Neg(Nu(q, And(Neg(subs[0]), Box(Atom(q)))))
+
+    return _rewrite(phi, _STAR_FRAGMENT.__contains__, name, build)

@@ -24,6 +24,11 @@ check per schema, and drops repeated conjuncts of ``G_n`` by their printed
 text, where ``logics.instantiate`` looks the schema up in a table and drops
 repeats by node.
 
+``tree_to_mu`` and ``tree_star`` are the translations written as
+recursive walks of the formula tree, where ``translate`` walks with an
+explicit stack and returns a subformula that hands out no fresh name as
+it is.
+
 ``tree_parse`` is the recursive-descent parser that ``formula.parse``
 replaced: it tokenizes in a Python loop and descends through six levels of
 calls for every node of the tree the text spells, repeats included.  Its
@@ -72,7 +77,9 @@ from tangles import (
     Tangle,
     TangleD,
     Top,
+    TranslationError,
     ValidityReport,
+    all_names,
     box_star,
     cluster_decomposition,
     closures,
@@ -80,10 +87,13 @@ from tangles import (
     dia_star,
     disj,
     free_atoms,
+    fresh_names,
+    immediate_subformulas,
     locally_n_connected,
     path_components,
     pretty,
 )
+from tangles.formula import rebuild
 from tangles.logics import SEARCH_BUDGET, VALUATION_BUDGET, _masks_to_val
 
 
@@ -986,3 +996,49 @@ def tree_instantiate(schema: str, *args) -> Formula:
             Dia(conj([dia_star(_tree_neg(q)) for q in qs])),
         )
     raise SchemaError(f"unknown schema '{schema}'")
+
+
+def tree_to_mu(phi: Formula) -> Formula:
+    """Replace every tangle by its greatest-fixpoint encoding, one
+    recursive call per node of the tree."""
+    fresh = fresh_names(all_names(phi))
+
+    def walk(f: Formula) -> Formula:
+        if isinstance(f, (Tangle, TangleD)):
+            q = next(fresh)
+            step = Dia if isinstance(f, Tangle) else DiaD
+            body = conj(step(And(walk(m), Atom(q))) for m in f.members)
+            return Nu(q, body)
+        subs = []
+        for sub in immediate_subformulas(f):
+            subs.append(walk(sub))
+        return rebuild(f, subs)
+
+    return walk(phi)
+
+
+_TREE_STAR_FRAGMENT = (Atom, Top, Bot, Neg, And, Or, Implies, Iff, Mu, Nu)
+
+
+def tree_star(phi: Formula) -> Formula:
+    """Reflexive-transitive rewriting of the box/fixpoint fragment, one
+    recursive call per node of the tree."""
+    fresh = fresh_names(all_names(phi))
+
+    def walk(f: Formula) -> Formula:
+        if isinstance(f, Box):
+            q = next(fresh)
+            return Nu(q, And(walk(f.sub), Box(Atom(q))))
+        if isinstance(f, Dia):
+            # diamond is the negated box of the negation
+            return Neg(walk(Box(Neg(f.sub))))
+        if not isinstance(f, _TREE_STAR_FRAGMENT):
+            raise TranslationError(
+                f"operator outside the box/fixpoint fragment: {f}"
+            )
+        subs = []
+        for sub in immediate_subformulas(f):
+            subs.append(walk(sub))
+        return rebuild(f, subs)
+
+    return walk(phi)

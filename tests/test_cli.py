@@ -11,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from tangles import Atom, Neg, instantiate, pretty
+from tangles import Atom, Neg, instantiate, parse, pretty, star, to_mu
+from tangles import cli
 from tangles.cli import main
+from tangles.formula import MAX_DEPTH
 from gen import random_formula
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -265,6 +267,20 @@ def test_deep_formula_exits_2(capsys, chain_model, sierpinski_space, command, te
     assert code == 2
     assert out == ""
     assert err == "error: formula nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "mode,text",
+    [("star", "~" * (MAX_DEPTH - 1) + "<>p"), ("mu", "[]" * (MAX_DEPTH - 2) + "<t>{p, <>q}")],
+    ids=["star", "mu"],
+)
+def test_translate_takes_the_deepest_formula_parse_accepts(capsys, mode, text):
+    # both inputs nest MAX_DEPTH deep, with the one node that takes a
+    # fresh name at the bottom: a walk that recursed once per level would
+    # run out of stack here
+    code, out, err = run(capsys, "translate", "--mode", mode, text)
+    assert (code, err) == (0, "")
+    assert out == pretty({"star": star, "mu": to_mu}[mode](parse(text))) + "\n"
 
 
 def test_deep_json_exits_2(capsys, tmp_path):
@@ -522,6 +538,15 @@ def test_axioms(capsys):
     assert json.loads(out)["schema"] == "G1"
     assert run(capsys, "axioms", "--schema", "Z")[0] == 2
     assert run(capsys, "axioms", "--schema", "Fix")[0] == 2
+
+
+def test_axioms_over_the_print_limit_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_PRINT_LIMIT", 50)
+    code, out, err = run(capsys, "axioms", "--schema", "G3")
+    size = len(pretty(instantiate("G3")))
+    assert (code, out) == (3, "")
+    assert err == f"error: the instance would print {size} characters, over the limit of 50\n"
+    assert run(capsys, "axioms", "--schema", "4", "-f", "p")[:2] == (0, "<><>p -> <>p\n")
 
 
 def test_fixture_figure3(capsys):

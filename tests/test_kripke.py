@@ -691,6 +691,18 @@ def test_fixpoint_loop_repeats_only_what_mentions_its_variable():
                    kmod._LOOP, kmod._LOOP]
 
 
+def test_a_fixpoint_compiled_inside_a_loop_is_shared_at_top_level():
+    # nu x. <>x mentions no name the outer binder binds, so it runs once
+    # before the outer loop, and the second root reads that loop's slot
+    # instead of compiling it again into two dead slots
+    outer, inner = parse("mu y. (nu x. <>x) | <>y"), parse("nu x. <>x")
+    alone = compile_formulas([outer])
+    program = compile_formulas([outer, inner])
+    assert (program.size, program.code) == (7, alone.code)
+    assert program.roots == (alone.roots[0], program.code[0][1])
+    assert program.code[0][:3] == (kmod._FIX, program.code[0][1], True)
+
+
 def test_fixpoint_iteration_is_capped():
     # a loop whose body negates its variable never settles; n + 2 rounds end it
     ev = Evaluator(Frame(("a",), frozenset()))

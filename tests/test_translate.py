@@ -35,7 +35,14 @@ from tangles import (
     topo_model_check,
 )
 from tangles.kripke import compile_formulas
-from gen import random_formula, random_model, random_space, random_tangle_formula
+from gen import (
+    random_formula,
+    random_model,
+    random_shared_formula,
+    random_space,
+    random_tangle_formula,
+)
+from oracles import tree_star, tree_to_mu
 
 p, q = Atom("p"), Atom("q")
 g0, g1 = Atom("_g0"), Atom("_g1")
@@ -91,15 +98,21 @@ def test_to_mu_agrees_on_spaces(seed):
     assert topo_model_check(model, phi) == topo_model_check(model, to_mu(phi))
 
 
-def _formulas_up_to(size):
+def _formulas_up_to(size, derivative=False):
     """Every formula over p and q of at most ``size`` symbols, built from
-    ~, <>, [], &, | and one- and two-member tangles, each once."""
+    ~, <>, [], &, | and one- and two-member tangles, each once; with
+    ``derivative``, also from <d>, [d] and one- and two-member <dt>."""
+    unary = [Neg, Dia, Box, lambda f: Tangle((f,))]
+    binary = [And, Or, lambda a, b: Tangle((a, b))]
+    if derivative:
+        unary += [DiaD, BoxD, lambda f: TangleD((f,))]
+        binary.append(lambda a, b: TangleD((a, b)))
     by_size = {1: [p, q]}
     for s in range(2, size + 1):
-        out = [op(f) for op in (Neg, Dia, Box, lambda f: Tangle((f,))) for f in by_size[s - 1]]
+        out = [op(f) for op in unary for f in by_size[s - 1]]
         for k in range(1, s - 1):
             for a, b in itertools.product(by_size[k], by_size[s - 1 - k]):
-                out += [And(a, b), Or(a, b), Tangle((a, b))]
+                out += [op(a, b) for op in binary]
         by_size[s] = out
     return list(dict.fromkeys(f for fs in by_size.values() for f in fs))
 
@@ -120,6 +133,42 @@ def test_to_mu_agrees_on_every_small_transitive_frame():
             for phi, got, want in zip(phis, roots, roots[len(phis):]):
                 assert got == want, (pretty(phi), frame.succ)
     assert counts == [2, 8, 39, 242]
+
+
+def _small_spaces():
+    """Every finite space of 1-4 points up to homeomorphism, as an
+    evaluator over its specialization preorder with the punctured
+    neighbourhoods for the d-modalities, and whether the preorder is a
+    partial order."""
+    for n in range(1, 5):
+        for frame in enumerate_frames(n, reflexive=True):
+            succ = frame.succ
+            punctured = tuple(row & ~(1 << i) for i, row in enumerate(succ))
+            # a partial order: no two points see each other
+            partial = not any(punctured[i] >> j & succ[j] >> i & 1 for i in range(n) for j in range(n))
+            yield n, Evaluator(frame, punctured), partial
+
+
+def _disagreements(translate):
+    """Per small space: its size, whether it is a partial order, and the
+    formulas of size at most 4 whose translation by ``translate`` differs
+    from them there under some valuation of p and q."""
+    phis = _formulas_up_to(4, derivative=True)
+    assert len(phis) == 1048
+    program = compile_formulas(phis + [translate(phi) for phi in phis])
+    for n, ev, partial in _small_spaces():
+        roots = ev.run_block(program, ("p", "q"), 0, 1 << 2 * n)
+        yield n, partial, [phi for phi, got, want in zip(phis, roots, roots[len(phis):]) if got != want]
+
+
+def test_to_mu_agrees_on_every_small_space():
+    # the paper's equivalence of the tangle language and the mu-calculus,
+    # on all 46 finite spaces of 1-4 points up to homeomorphism
+    counts = [0] * 4
+    for n, _, wrong in _disagreements(to_mu):
+        counts[n - 1] += 1
+        assert wrong == [], (n, [pretty(phi) for phi in wrong[:5]])
+    assert counts == [1, 3, 9, 33]
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +216,21 @@ def test_to_d_on_spaces():
     assert "a" not in topo_model_check(m, to_d(phi))
 
 
+def test_to_d_agrees_exactly_on_small_td_spaces():
+    # the finite TD spaces are those whose specialization preorder is a
+    # partial order: there to_d is faithful, and on every other small
+    # space some formula of size at most 4 tells the two apart
+    faithful = unfaithful = 0
+    for n, partial, wrong in _disagreements(to_d):
+        if partial:
+            faithful += 1
+            assert wrong == [], (n, [pretty(phi) for phi in wrong[:5]])
+        else:
+            unfaithful += 1
+            assert wrong, n
+    assert (faithful, unfaithful) == (24, 22)
+
+
 # ---------------------------------------------------------------------------
 # star
 
@@ -208,6 +272,25 @@ def test_star_is_closure_semantics(seed):
         rng, rng.randint(1, 4), tangles=False, fixpoints=True
     )
     assert model_check(model, star(phi)) == model_check(starred, phi)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_translations_match_the_tree_walks(seed):
+    # the same node as the recursive walks build, or the same error; star
+    # mostly meets a foreign operator in shared formulas, so it also gets
+    # formulas of its own fragment
+    rng = random.Random(4500 + seed)
+    fragment = random_formula(rng, rng.randint(1, 5), tangles=False, fixpoints=True)
+    for phi in [random_shared_formula(rng, rng.randint(1, 6)) for _ in range(5)] + [fragment]:
+        for fast, tree in ((to_mu, tree_to_mu), (star, tree_star)):
+            try:
+                want = tree(phi)
+            except TranslationError as exc:
+                with pytest.raises(TranslationError) as got:
+                    fast(phi)
+                assert str(got.value) == str(exc)
+                continue
+            assert fast(phi) is want, pretty(phi)
 
 
 @pytest.mark.parametrize("seed", range(30))

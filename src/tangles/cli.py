@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Sequence
 
-from .filtration import FiltrationResult, filtrate, untangle, verify_reduction
+from .filtration import FiltrationResult, _profile, filtrate, untangle, verify_reduction
 from .formula import (
     Formula,
     free_atoms,
@@ -28,14 +28,10 @@ from .formula import (
 from .kripke import (
     Frame,
     KripkeModel,
-    _row_pairs,
     cluster_decomposition,
-    min_local_connectedness,
     model_check,
     model_from_dict,
     model_to_dict,
-    path_components,
-    relation_properties,
     to_dot,
 )
 from .logics import (
@@ -115,15 +111,10 @@ def _emit(args, structured, text, dot=None) -> None:
 
 
 def _model_lines(model: KripkeModel) -> list[str]:
-    frame = model.frame
-    order = frame.index
-    rel = _row_pairs(frame.worlds, frame.succ)
-    lines = ["worlds: " + " ".join(frame.worlds)]
-    lines.append("rel: " + " ".join(f"{u}->{v}" for u, v in rel))
-    for atom, ws in sorted(model.val.items()):
-        if ws:
-            lines.append(f"{atom}: " + " ".join(sorted(ws, key=order.get)))
-    return lines
+    data = model_to_dict(model)
+    lines = ["worlds: " + " ".join(data["worlds"])]
+    lines.append("rel: " + " ".join(f"{u}->{v}" for u, v in data["rel"]))
+    return lines + [f"{atom}: " + " ".join(ws) for atom, ws in data["val"].items()]
 
 
 def _print_answer(
@@ -205,20 +196,18 @@ def _cmd_translate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     frame = _load_model(args.model).frame
-    props = relation_properties(frame)
-    comps = path_components(frame)
-    local = min_local_connectedness(frame)
+    profile = _profile(frame)
     report = {
         "worlds": len(frame.worlds),
-        "reflexive": props.reflexive,
-        "transitive": props.transitive,
-        "serial": props.serial,
-        "path_components": len(comps),
-        "connected": len(comps) == 1,
-        "min_local_connectedness": local,
-        "locally_1_connected": local <= 1,
+        "reflexive": profile.reflexive,
+        "transitive": frame.transitive,
+        "serial": profile.serial,
+        "path_components": profile.path_component_count,
+        "connected": profile.connected,
+        "min_local_connectedness": profile.local_connectedness,
+        "locally_1_connected": profile.local_connectedness <= 1,
     }
-    if props.transitive:
+    if frame.transitive:
         dec = cluster_decomposition(frame)
         report["clusters"] = [
             {

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress
 from operator import or_
 from typing import Iterable
 
@@ -51,11 +50,12 @@ from .kripke import (
     NonTransitiveError,
     _bits,
     _cluster_masks,
+    _columns,
     _components,
     _first,
     _maximal_clusters,
+    _picked,
     _row_pairs,
-    _selector,
     _transitive_rows,
     _union,
     min_local_connectedness,
@@ -140,7 +140,7 @@ class FiltrationResult:
         """Quotient worlds whose class members make ``phi`` true."""
         if phi not in self.source_truth:
             raise KeyError(pretty(phi))
-        return frozenset(compress(self.quotient_worlds, _selector(self._realized[phi])))
+        return frozenset(_picked(self.quotient_worlds, self._realized[phi]))
 
 
 def filtrate(
@@ -165,16 +165,14 @@ def filtrate(
     ordered = closure.sorted()
     exts = ev.extensions(ordered, ev.valuation_masks(m.val))
     maximal, seen = _maximal_clusters(frame)
-    # A world's signature is its column of the splitting masks: the
-    # extensions, and in refined mode the worlds that see each maximal
-    # cluster.  The full mask keeps a column per world for an empty closure.
+    # A world's signature is its column of the splitting masks: the extensions,
+    # and in refined mode the worlds that see each maximal cluster.
     n = len(frame.worlds)
-    splitters = [(1 << n) - 1, *exts]
+    splitters = list(exts)
     if mode == "refined":
         splitters += [frame.pred[_first(mask)] for _, mask in maximal]
-    grid = [_selector(s).ljust(n, b"\x00") for s in splitters]
-    ids: dict[tuple, int] = {}
-    class_of = [ids.setdefault(sig, len(ids)) for sig in zip(*grid)]
+    ids: dict[int, int] = {}
+    class_of = [ids.setdefault(sig, len(ids)) for sig in _columns(splitters, n)]
 
     quotient_worlds = tuple(f"c{k}" for k in range(len(ids)))
     parts = [0] * len(ids)
@@ -188,13 +186,12 @@ def filtrate(
         mode=mode,
         closure=closure,
         quotient_worlds=quotient_worlds,
-        classes=tuple(tuple(compress(frame.worlds, _selector(p))) for p in parts),
+        classes=tuple(tuple(_picked(frame.worlds, p)) for p in parts),
         quotient_map=dict(zip(frame.worlds, map(quotient_worlds.__getitem__, class_of))),
         r_lambda=frozenset(_row_pairs(quotient_worlds, r_lambda_rows)),
         r_phi=quotient.rel,
         quotient_val={
-            a: tuple(compress(quotient_worlds, _selector(realized[Atom(a)])))
-            for a in sorted(closure.atoms)
+            a: tuple(_picked(quotient_worlds, realized[Atom(a)])) for a in sorted(closure.atoms)
         },
         source_truth={f: frame.unmask(e) for f, e in zip(ordered, exts)},
         maximal_clusters=tuple(frame.unmask(mask) for _, mask in maximal),
@@ -524,8 +521,7 @@ class AtomicTypeData:
 
 
 def _subsets(alphabet: tuple[Formula, ...]) -> Iterable[frozenset[Formula]]:
-    for bits in range(1 << len(alphabet)):
-        yield frozenset(a for i, a in enumerate(alphabet) if bits >> i & 1)
+    return (frozenset(_picked(alphabet, bits)) for bits in range(1 << len(alphabet)))
 
 
 def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeData:

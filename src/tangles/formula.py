@@ -43,6 +43,7 @@ Atoms match ``[A-Za-z_][A-Za-z0-9_]*`` minus the keywords
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import threading
@@ -329,25 +330,20 @@ def dia_star(phi: Formula) -> Formula:
     return Or(phi, Dia(phi))
 
 
+def _left_fold(kind: type, formulas: Iterable[Formula], empty: type) -> Formula:
+    items = iter(formulas)
+    first = next(items, None)
+    return empty() if first is None else functools.reduce(kind, items, first)
+
+
 def conj(formulas: Iterable[Formula]) -> Formula:
     """Left-folded conjunction; empty input gives the verum constant."""
-    items = list(formulas)
-    if not items:
-        return Top()
-    out = items[0]
-    for f in items[1:]:
-        out = And(out, f)
-    return out
+    return _left_fold(And, formulas, Top)
 
 
 def disj(formulas: Iterable[Formula]) -> Formula:
-    items = list(formulas)
-    if not items:
-        return Bot()
-    out = items[0]
-    for f in items[1:]:
-        out = Or(out, f)
-    return out
+    """Left-folded disjunction; empty input gives the falsum constant."""
+    return _left_fold(Or, formulas, Bot)
 
 
 # ---------------------------------------------------------------------------
@@ -363,22 +359,22 @@ def _polarities(phi: Formula, name: str) -> int:
     """Parities of the free occurrences of ``name`` once derived forms are
     expanded into the primitive connectives.  A negation or an implication
     flips its first side; an equivalence mentions both sides with both
-    parities."""
+    parities.  Only the subformulas where ``name`` is free are visited."""
+    if name not in free_atoms(phi):
+        return 0
     memo: dict[Formula, int] = {}
-    for f in post_order(phi):
+    for f in _post_order_within(phi, lambda sub: name in sub._free):
         kind = type(f)
         if kind is Atom:
-            memo[f] = _POS if f.name == name else 0
-        elif kind in _BINDERS and f.var == name:
-            memo[f] = 0
-        else:
-            pols = [memo[sub] for sub in immediate_subformulas(f)]
-            if kind is Neg or kind is Implies:
-                pols[0] = _FLIPPED[pols[0]]
-            out = 0
-            for pol in pols:
-                out |= pol
-            memo[f] = out | _FLIPPED[out] if kind is Iff else out
+            memo[f] = _POS
+            continue
+        pols = [memo.get(sub, 0) for sub in immediate_subformulas(f)]
+        if kind is Neg or kind is Implies:
+            pols[0] = _FLIPPED[pols[0]]
+        out = 0
+        for pol in pols:
+            out |= pol
+        memo[f] = out | _FLIPPED[out] if kind is Iff else out
     return memo[phi]
 
 
@@ -407,20 +403,49 @@ def post_order(phi: Formula) -> list[Formula]:
     return order
 
 
-def _free_atoms(phi: Formula, memo: dict) -> frozenset[str]:
-    """``free_atoms(phi)``, with the free atoms of each node below it
-    recorded in ``memo``."""
-    for f in post_order(phi):
-        if type(f) is Atom:
-            memo[f] = frozenset([f.name])
-            continue
-        out = frozenset().union(*[memo[sub] for sub in immediate_subformulas(f)])
-        memo[f] = out - {f.var} if type(f) in _BINDERS else out
-    return memo[phi]
+def _post_order_within(phi: Formula, enter) -> list[Formula]:
+    """``post_order(phi)`` cut down to ``phi`` and the nodes that pass
+    ``enter`` and are reached through such nodes only."""
+    order: list[Formula] = []
+    seen = {phi}
+    stack = [(phi, iter(immediate_subformulas(phi)))]
+    while stack:
+        f, subs = stack[-1]
+        for sub in subs:
+            if sub not in seen and enter(sub):
+                seen.add(sub)
+                stack.append((sub, iter(immediate_subformulas(sub))))
+                break
+        else:
+            stack.pop()
+            order.append(f)
+    return order
+
+
+_NO_NAMES: frozenset[str] = frozenset()
 
 
 def free_atoms(phi: Formula) -> frozenset[str]:
-    return _free_atoms(phi, {})
+    """The names that occur free in ``phi``.  Each node keeps its own once
+    they are found, as it keeps its sort key, so a later call visits only
+    the nodes that no call has visited yet."""
+    try:
+        return phi._free
+    except AttributeError:
+        pass
+    for f in _post_order_within(phi, lambda sub: not hasattr(sub, "_free")):
+        if type(f) is Atom:
+            names = frozenset((f.name,))
+        else:
+            names = _NO_NAMES
+            for sub in immediate_subformulas(f):
+                # most children mention no name: skip the empty unions
+                if sub._free:
+                    names = names | sub._free if names else sub._free
+            if type(f) in _BINDERS and f.var in names:
+                names = names - {f.var}
+        object.__setattr__(f, "_free", names)
+    return phi._free
 
 
 def all_names(phi: Formula) -> frozenset[str]:
@@ -455,8 +480,7 @@ def substitute(phi: Formula, psi: Formula, name: str) -> Formula:
     Each distinct subformula is rewritten once, depth first and left to
     right, so the first of these errors is raised.
     """
-    free: dict[Formula, frozenset[str]] = {}
-    if name not in _free_atoms(phi, free):
+    if name not in free_atoms(phi):
         return phi
     psi_free = free_atoms(psi)
     done: dict[Formula, Formula] = {}
@@ -467,7 +491,8 @@ def substitute(phi: Formula, psi: Formula, name: str) -> Formula:
             # rebuilding a binder re-checks its positivity
             done[f] = rebuild(f, [done[sub] for sub in immediate_subformulas(f)])
         elif f not in done:
-            if name not in free[f]:
+            # free_atoms(phi) gave every node below phi its free names
+            if name not in f._free:
                 done[f] = f
             elif type(f) is Atom:
                 done[f] = psi

@@ -137,11 +137,7 @@ class Frame:
     @cached_property
     def pred(self) -> tuple[int, ...]:
         """``pred[j]`` has bit ``i`` set iff world ``i`` sees world ``j``."""
-        succ = self.succ
-        n = len(succ)
-        # column j of the matrix, one byte per row, is every n-th byte
-        grid = b"".join([_selector(row).ljust(n, b"\x00") for row in succ])
-        return tuple([int(grid[j::n][::-1].translate(_CHARS), 2) for j in range(n)])
+        return _columns(self.succ, len(self.succ))
 
     @cached_property
     def transitive(self) -> bool:
@@ -157,7 +153,7 @@ class Frame:
         return reduce(or_, map(self._bit.__getitem__, worlds), 0)
 
     def unmask(self, mask: int) -> frozenset[str]:
-        return frozenset(compress(self.worlds, _selector(mask)))
+        return frozenset(_picked(self.worlds, mask))
 
     def successors(self, w: str) -> frozenset[str]:
         return self.unmask(self.succ[self.index[w]])
@@ -178,27 +174,36 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# Every mask is decoded by one of the two helpers below, which read its
+# binary digits with byte operations in C.
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
-_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _selector(mask: int) -> bytes:
-    """One byte per bit of ``mask``, lowest first: 1 where the bit is set.
-    ``compress(items, _selector(mask))`` picks the items at its set bits."""
-    return bin(mask)[:1:-1].encode().translate(_DIGITS)
+def _picked(items: Sequence, mask: int) -> Iterator:
+    """``items[i]`` for each set bit ``i`` of ``mask`` below ``len(items)``,
+    lowest first."""
+    # one selector byte per bit, lowest first: 1 where the bit is set
+    return compress(items, bin(mask)[:1:-1].encode().translate(_DIGITS))
+
+
+def _columns(rows: Sequence[int], n: int) -> tuple[int, ...]:
+    """Column ``j`` of the bit matrix ``rows`` has bit ``i`` set iff bit ``j``
+    of ``rows[i]`` is, for each ``j`` below ``n``, which bounds every row."""
+    # the digits of each row, lowest first, and of the last row first:
+    # column j, highest bit first, is every n-th digit from the j-th
+    grid = b"".join([bin(row)[:1:-1].encode().ljust(n, b"0") for row in reversed(rows)])
+    return tuple([int(grid[j::n] or b"0", 2) for j in range(n)])
 
 
 def _union(rows: Sequence[int], mask: int) -> int:
     """OR of ``rows[i]`` over the set bits ``i`` of ``mask``."""
-    return reduce(or_, compress(rows, _selector(mask)), 0)
+    return reduce(or_, _picked(rows, mask), 0)
 
 
 def _row_pairs(worlds: Sequence[str], rows: Sequence[int]) -> Iterator[tuple[str, str]]:
     """``(worlds[i], worlds[j])`` for each set bit ``j`` of each ``rows[i]``,
     ordered by ``i`` and then ``j``."""
-    return chain.from_iterable(
-        zip(repeat(u), compress(worlds, _selector(row))) for u, row in zip(worlds, rows)
-    )
+    return chain.from_iterable(zip(repeat(u), _picked(worlds, row)) for u, row in zip(worlds, rows))
 
 
 def _transitive_rows(succ: Sequence[int]) -> list[int]:
@@ -217,35 +222,46 @@ def _transitive_rows(succ: Sequence[int]) -> list[int]:
     return rows
 
 
-class KripkeModel:
-    """A frame plus a valuation.  Atoms absent from ``val`` are false
-    everywhere.  Instances are value-compared and treated as immutable."""
+class _Valued:
+    """A structure, in the first slot of a subclass, plus a valuation of
+    the elements that the structure's ``_ELEMENTS`` attribute lists.  Atoms
+    absent from ``val`` are false everywhere.  Instances are value-compared
+    and treated as immutable."""
 
-    __slots__ = ("frame", "val")
+    __slots__ = ()
+    _structure = property(lambda self: getattr(self, self.__slots__[0]))
 
-    def __init__(self, frame: Frame, val: Mapping[str, Iterable[str]]):
-        scope = set(frame.worlds)
-        clean: dict[str, frozenset[str]] = {}
-        for atom, worlds in val.items():
-            ws = frozenset(worlds)
-            if not ws <= scope:
-                raise ValueError(f"valuation of '{atom}' mentions unknown worlds")
-            clean[atom] = ws
-        self.frame = frame
-        self.val = clean
+    def _set(self, structure, val: Mapping[str, Iterable[str]]) -> None:
+        setattr(self, self.__slots__[0], structure)
+        scope = set(getattr(structure, self._ELEMENTS))
+        self.val = {}
+        for atom, elements in val.items():
+            found = self.val[atom] = frozenset(elements)
+            if not found <= scope:
+                raise ValueError(f"valuation of '{atom}' mentions unknown {self._ELEMENTS}")
+
+    def _key(self) -> tuple:
+        return self._structure, frozenset((a, s) for a, s in self.val.items() if s)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, KripkeModel):
-            return NotImplemented
-        mine = {a: s for a, s in self.val.items() if s}
-        theirs = {a: s for a, s in other.val.items() if s}
-        return self.frame == other.frame and mine == theirs
+        return self._key() == other._key() if isinstance(other, type(self)) else NotImplemented
 
     def __hash__(self):
-        return hash((self.frame, frozenset((a, s) for a, s in self.val.items() if s)))
+        return hash(self._key())
 
     def __repr__(self):
-        return f"KripkeModel(worlds={len(self.frame.worlds)}, atoms={sorted(self.val)})"
+        size = len(getattr(self._structure, self._ELEMENTS))
+        return f"{type(self).__name__}({self._ELEMENTS}={size}, atoms={sorted(self.val)})"
+
+
+class KripkeModel(_Valued):
+    """A frame plus a valuation of its worlds."""
+
+    __slots__ = ("frame", "val")
+    _ELEMENTS = "worlds"
+
+    def __init__(self, frame: Frame, val: Mapping[str, Iterable[str]]):
+        self._set(frame, val)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +366,7 @@ def cluster_decomposition(frame: Frame) -> ClusterDecomposition:
     for c, mask in enumerate(masks):
         for i in _bits(mask):
             assigned[i] = c
-    later = [
-        set(compress(assigned, _selector(succ[first] & ~mask)))
-        for first, mask in zip(firsts, masks)
-    ]
+    later = [set(_picked(assigned, succ[f] & ~m)) for f, m in zip(firsts, masks)]
     # a strictly later cluster sees strictly fewer worlds counting its own,
     # so ascending by that count every later cluster is ranked first
     rank = [0] * len(masks)
@@ -905,13 +918,10 @@ def generated_submodel(model: KripkeModel, root: str) -> KripkeModel:
     frame = model.frame
     reach = frontier = 1 << frame.index[root]
     while frontier:
-        reached = 0
-        for i in _bits(frontier):
-            reached |= frame.succ[i]
-        frontier = reached & ~reach
+        frontier = _union(frame.succ, frontier) & ~reach
         reach |= frontier
     keep = frame.unmask(reach)
-    worlds = tuple(w for w in frame.worlds if w in keep)
+    worlds = tuple(_picked(frame.worlds, reach))
     # keep is closed under successors: a pair starting in it ends in it
     rel = frozenset(p for p in frame.rel if p[0] in keep)
     val = {a: ws & keep for a, ws in model.val.items()}
@@ -949,6 +959,11 @@ def _listed(value, *, nested: bool = False):
     return value
 
 
+def _valuation_data(data: Mapping) -> dict[str, list[str]]:
+    """The ``val`` entry of a model's or a space's data, as strings."""
+    return {str(a): [str(w) for w in _listed(ws)] for a, ws in data.get("val", {}).items()}
+
+
 def model_from_dict(data: Mapping) -> KripkeModel:
     """The model ``data`` describes; its frame's ``succ``, ``pred`` and
     ``index`` are built in the same pass over ``data["rel"]``."""
@@ -966,7 +981,7 @@ def model_from_dict(data: Mapping) -> KripkeModel:
                 continue
             succ[i] |= bits[j]
             pred[j] |= bits[i]
-        val = {str(a): [str(w) for w in _listed(ws)] for a, ws in data.get("val", {}).items()}
+        val = _valuation_data(data)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model data: {exc}") from exc
     _check_worlds(worlds)

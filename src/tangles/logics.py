@@ -40,6 +40,7 @@ from .kripke import (
     Frame,
     KripkeModel,
     Program,
+    _picked,
     compile_formulas,
     locally_n_connected,
     path_components,
@@ -423,10 +424,7 @@ def _valuation(atoms: Sequence[str], n: int, v: int) -> dict[str, int]:
 
 
 def _masks_to_val(masks: Mapping[str, int], worlds: Sequence[str]) -> dict[str, tuple[str, ...]]:
-    return {
-        a: tuple(w for i, w in enumerate(worlds) if m >> i & 1)
-        for a, m in masks.items()
-    }
+    return {a: tuple(_picked(worlds, m)) for a, m in masks.items()}
 
 
 def frame_validates(frame: Frame, phi: Formula, budget: int = VALUATION_BUDGET) -> ValidityReport:

@@ -25,7 +25,16 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .formula import Formula
-from .kripke import Evaluator, Frame, NonTransitiveError, _bits, _listed, path_components
+from .kripke import (
+    Evaluator,
+    Frame,
+    NonTransitiveError,
+    _bits,
+    _listed,
+    _Valued,
+    _valuation_data,
+    path_components,
+)
 
 
 class SpaceError(ValueError):
@@ -92,34 +101,14 @@ class FiniteSpace:
         return Frame.from_rows(points, nbhd)
 
 
-class TopoModel:
-    """A finite space plus a valuation; absent atoms are false everywhere."""
+class TopoModel(_Valued):
+    """A finite space plus a valuation of its points."""
 
     __slots__ = ("space", "val")
+    _ELEMENTS = "points"
 
     def __init__(self, space: FiniteSpace, val: Mapping[str, Iterable[str]]):
-        scope = set(space.points)
-        clean: dict[str, frozenset[str]] = {}
-        for atom, pts in val.items():
-            ps = frozenset(pts)
-            if not ps <= scope:
-                raise ValueError(f"valuation of '{atom}' mentions unknown points")
-            clean[atom] = ps
-        self.space = space
-        self.val = clean
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TopoModel):
-            return NotImplemented
-        mine = {a: s for a, s in self.val.items() if s}
-        theirs = {a: s for a, s in other.val.items() if s}
-        return self.space == other.space and mine == theirs
-
-    def __hash__(self):
-        return hash((self.space, frozenset((a, s) for a, s in self.val.items() if s)))
-
-    def __repr__(self):
-        return f"TopoModel(points={len(self.space.points)}, atoms={sorted(self.val)})"
+        self._set(space, val)
 
 
 @dataclass(frozen=True)
@@ -218,7 +207,7 @@ def space_from_dict(data: Mapping) -> FiniteSpace:
 def topo_model_from_dict(data: Mapping) -> TopoModel:
     space = space_from_dict(data)
     try:
-        val = {str(a): [str(p) for p in _listed(ps)] for a, ps in data.get("val", {}).items()}
+        val = _valuation_data(data)
     except (AttributeError, TypeError) as exc:
         raise ValueError(f"malformed space data: {exc}") from exc
     return TopoModel(space, val)

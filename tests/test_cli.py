@@ -283,6 +283,17 @@ def test_translate_takes_the_deepest_formula_parse_accepts(capsys, mode, text):
     assert out == pretty({"star": star, "mu": to_mu}[mode](parse(text))) + "\n"
 
 
+def test_translate_star_nests_999_binders_in_linear_time(capsys):
+    # every level takes a fresh binder whose positivity check stays where
+    # its variable is free
+    text = "<>" * 999 + "p"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "translate", "--mode", "star", text)
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out == pretty(star(parse(text))) + "\n"
+
+
 def test_deep_json_exits_2(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text('{"worlds": ["w"], "rel": [], "val": {"p": ' + "[" * 100000 + "]" * 100000 + "}}")

@@ -3,6 +3,7 @@ serialization."""
 
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 import threading
@@ -37,6 +38,7 @@ from tangles import (
     Top,
     closures,
     cluster_decomposition,
+    enumerate_frames,
     generated_submodel,
     locally_n_connected,
     min_local_connectedness,
@@ -305,6 +307,30 @@ def test_tangle_matches_lasso_oracle(seed):
     got = model_check(model, Tangle(members))
     for w in model.frame.worlds:
         assert (w in got) == tangle_oracle(model, w, members)
+
+
+def test_tangle_oracle_agrees_on_every_small_transitive_frame():
+    # one- and two-member tangles of literals over p and q, at every world
+    # of every transitive frame of 1-3 worlds up to isomorphism, under every
+    # valuation: the evaluator's cluster criterion against the lasso search
+    literals = [p, Neg(p), q, Neg(q)]
+    members = [(m,) for m in literals] + list(itertools.combinations(literals, 2))
+    program = compile_formulas([Tangle(ms) for ms in members])
+    counts = []
+    for n in range(1, 4):
+        frames = list(enumerate_frames(n))
+        counts.append(len(frames))
+        full = (1 << n) - 1
+        for frame in frames:
+            roots = Evaluator(frame).run_block(program, ("p", "q"), 0, 1 << 2 * n)
+            for v in range(1 << 2 * n):
+                val = {"p": frame.unmask(v >> n), "q": frame.unmask(v & full)}
+                model = KripkeModel(frame, val)
+                for ms, root in zip(members, roots):
+                    for w, bits in zip(frame.worlds, root):
+                        want = bool(bits >> v & 1)
+                        assert tangle_oracle(model, w, ms) == want, (frame.succ, v, w, ms)
+    assert counts == [2, 8, 39]
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -786,3 +812,39 @@ def test_model_check_takes_a_5000_deep_chain():
     model = KripkeModel(Frame(("a", "b"), frozenset()), {"p": {"a"}})
     assert model_check(model, phi) == {"a"}
     assert model_check(model, Dia(phi)) == set()
+
+
+def _bits_picked(items, mask):
+    return [items[i] for i in kmod._bits(mask) if i < len(items)]
+
+
+def _bits_columns(rows, n):
+    columns = [0] * n
+    for i, row in enumerate(rows):
+        for j in kmod._bits(row):
+            columns[j] |= 1 << i
+    return tuple(columns)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_mask_decoding_helpers_match_bit_walks(seed):
+    # every mask is decoded by kripke._picked or kripke._columns; this pins
+    # what they return, whatever technique they use, on dense masks, sparse
+    # ones and the shape of the figure3 fixture at m=4000: 8,003 worlds,
+    # with a successor set of 3 of them
+    rng = random.Random(9100 + seed)
+    dense = rng.getrandbits(rng.randint(1, 400))
+    sparse = sum(1 << rng.randrange(3000) for _ in range(rng.randint(1, 6)))
+    wide = 1 << 8002 | 1 << rng.randrange(1, 8002) | 1
+    for mask in (0, 1, dense, sparse, wide):
+        for length in {0, mask.bit_length(), mask.bit_length() // 2, 8003}:
+            items = [f"w{i}" for i in range(length)]
+            assert list(kmod._picked(items, mask)) == _bits_picked(items, mask)
+    for n, rows in [
+        (1, []),
+        (5, []),
+        (40, [rng.getrandbits(40) for _ in range(rng.randint(1, 60))]),
+        (3000, [sum(1 << rng.randrange(3000) for _ in range(3)) for _ in range(50)]),
+        (8003, [wide, 0, 1 << 4000, wide]),
+    ]:
+        assert kmod._columns(rows, n) == _bits_columns(rows, n)

@@ -3,6 +3,7 @@ reflexive-transitive star."""
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -16,7 +17,9 @@ from tangles import (
     Evaluator,
     FiniteSpace,
     Forall,
+    Frame,
     KripkeModel,
+    Mu,
     Neg,
     Nu,
     Or,
@@ -26,6 +29,7 @@ from tangles import (
     TranslationError,
     closures,
     enumerate_frames,
+    free_atoms,
     model_check,
     parse,
     pretty,
@@ -34,7 +38,9 @@ from tangles import (
     to_mu,
     topo_model_check,
 )
+from tangles.formula import post_order
 from tangles.kripke import compile_formulas
+from tangles.logics import _canonical
 from gen import (
     random_formula,
     random_model,
@@ -272,6 +278,55 @@ def test_star_is_closure_semantics(seed):
         rng, rng.randint(1, 4), tangles=False, fixpoints=True
     )
     assert model_check(model, star(phi)) == model_check(starred, phi)
+
+
+def _all_frames(n):
+    """Every relation on n worlds up to isomorphism, as frames."""
+    worlds = tuple(f"w{i}" for i in range(n))
+    for rows in itertools.product(range(1 << n), repeat=n):
+        if _canonical(rows, n):
+            yield Frame.from_rows(worlds, rows)
+
+
+def test_star_agrees_on_every_small_frame():
+    # star(phi) on a frame against phi on its reflexive-transitive closure,
+    # on every frame of 1-3 worlds up to isomorphism, under every valuation
+    # of p and q at once: the formulas of size at most 4 in star's fragment,
+    # and fixpoints around those of size at most 2
+    x = Atom("x")
+    phis = [f for f in _formulas_up_to(4) if not any(type(g) is Tangle for g in post_order(f))]
+    small = [f for f in phis if len(post_order(f)) <= 2]
+    phis += [Mu("x", Or(f, Dia(x))) for f in small] + [Nu("x", And(f, Box(x))) for f in small]
+    assert len(phis) == 160 + 2 * 12
+    starred = compile_formulas([star(phi) for phi in phis])
+    plain = compile_formulas(phis)
+    counts = []
+    for n in range(1, 4):
+        frames = list(_all_frames(n))
+        counts.append(len(frames))
+        for frame in frames:
+            closed = closures(frame).reflexive_transitive
+            got = Evaluator(frame).run_block(starred, ("p", "q"), 0, 1 << 2 * n)
+            want = Evaluator(closed).run_block(plain, ("p", "q"), 0, 1 << 2 * n)
+            for phi, g, w in zip(phis, got, want):
+                assert g == w, (pretty(phi), frame.succ)
+    assert counts == [2, 10, 104]
+
+
+@pytest.mark.parametrize(
+    "translate,text",
+    [(star, "<>" * 999 + "p"), (to_mu, "<t>{q, " * 999 + "p" + "}" * 999)],
+    ids=["star", "mu"],
+)
+def test_nested_fresh_binders_build_in_linear_time(translate, text):
+    # a new binder checks positivity only where its variable is free, and
+    # nodes keep their free names, so none of the 999 nested binders walks
+    # its whole body
+    phi = parse(text)
+    start = time.perf_counter()
+    out = translate(phi)
+    assert time.perf_counter() - start < 1
+    assert free_atoms(out) == free_atoms(phi)
 
 
 @pytest.mark.parametrize("seed", range(40))

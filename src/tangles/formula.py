@@ -387,32 +387,20 @@ def positive_in(phi: Formula, name: str) -> bool:
 def post_order(phi: Formula) -> list[Formula]:
     """The distinct nodes of ``phi``, each after its immediate subformulas,
     found without recursion."""
-    order: list[Formula] = []
-    seen = {phi}
-    stack = [(phi, iter(immediate_subformulas(phi)))]
-    while stack:
-        f, subs = stack[-1]
-        for sub in subs:
-            if sub not in seen:
-                seen.add(sub)
-                stack.append((sub, iter(immediate_subformulas(sub))))
-                break
-        else:
-            stack.pop()
-            order.append(f)
-    return order
+    return _post_order_within(phi, None)
 
 
 def _post_order_within(phi: Formula, enter) -> list[Formula]:
     """``post_order(phi)`` cut down to ``phi`` and the nodes that pass
-    ``enter`` and are reached through such nodes only."""
+    ``enter`` and are reached through such nodes only; with ``enter`` None,
+    all of it."""
     order: list[Formula] = []
     seen = {phi}
     stack = [(phi, iter(immediate_subformulas(phi)))]
     while stack:
         f, subs = stack[-1]
         for sub in subs:
-            if sub not in seen and enter(sub):
+            if sub not in seen and (enter is None or enter(sub)):
                 seen.add(sub)
                 stack.append((sub, iter(immediate_subformulas(sub))))
                 break

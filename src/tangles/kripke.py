@@ -223,22 +223,21 @@ def _transitive_rows(succ: Sequence[int]) -> list[int]:
 
 
 class _Valued:
-    """A structure, in the first slot of a subclass, plus a valuation of
-    the elements that the structure's ``_ELEMENTS`` attribute lists.  Atoms
+    """A structure plus a valuation of its elements.  A subclass keeps the
+    structure in its own slot and names it by ``_structure``, its elements
+    by ``_elements`` and their kind, for messages, by ``_NOUN``.  Atoms
     absent from ``val`` are false everywhere.  Instances are value-compared
     and treated as immutable."""
 
     __slots__ = ()
-    _structure = property(lambda self: getattr(self, self.__slots__[0]))
 
-    def _set(self, structure, val: Mapping[str, Iterable[str]]) -> None:
-        setattr(self, self.__slots__[0], structure)
-        scope = set(getattr(structure, self._ELEMENTS))
+    def _set_val(self, val: Mapping[str, Iterable[str]]) -> None:
+        scope = set(self._elements)
         self.val = {}
         for atom, elements in val.items():
             found = self.val[atom] = frozenset(elements)
             if not found <= scope:
-                raise ValueError(f"valuation of '{atom}' mentions unknown {self._ELEMENTS}")
+                raise ValueError(f"valuation of '{atom}' mentions unknown {self._NOUN}")
 
     def _key(self) -> tuple:
         return self._structure, frozenset((a, s) for a, s in self.val.items() if s)
@@ -250,18 +249,20 @@ class _Valued:
         return hash(self._key())
 
     def __repr__(self):
-        size = len(getattr(self._structure, self._ELEMENTS))
-        return f"{type(self).__name__}({self._ELEMENTS}={size}, atoms={sorted(self.val)})"
+        return f"{type(self).__name__}({self._NOUN}={len(self._elements)}, atoms={sorted(self.val)})"
 
 
 class KripkeModel(_Valued):
     """A frame plus a valuation of its worlds."""
 
     __slots__ = ("frame", "val")
-    _ELEMENTS = "worlds"
+    _NOUN = "worlds"
+    _structure = property(lambda self: self.frame)
+    _elements = property(lambda self: self.frame.worlds)
 
     def __init__(self, frame: Frame, val: Mapping[str, Iterable[str]]):
-        self._set(frame, val)
+        self.frame = frame
+        self._set_val(val)
 
 
 # ---------------------------------------------------------------------------

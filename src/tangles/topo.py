@@ -105,10 +105,13 @@ class TopoModel(_Valued):
     """A finite space plus a valuation of its points."""
 
     __slots__ = ("space", "val")
-    _ELEMENTS = "points"
+    _NOUN = "points"
+    _structure = property(lambda self: self.space)
+    _elements = property(lambda self: self.space.points)
 
     def __init__(self, space: FiniteSpace, val: Mapping[str, Iterable[str]]):
-        self._set(space, val)
+        self.space = space
+        self._set_val(val)
 
 
 @dataclass(frozen=True)

@@ -554,10 +554,7 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
     # types[t] holds alphabet[k] iff bit k of t is set; code[i] is the
     # type of world i and of_type[t] the mask of the worlds of type t
     types = list(_subsets(alphabet))
-    code = [0] * len(worlds)
-    for k, e in enumerate(exts[:len(alphabet)]):
-        for i in _bits(e):
-            code[i] |= 1 << k
+    code = _columns(exts[:len(alphabet)], len(worlds))
     of_type = [0] * len(types)
     for i, t in enumerate(code):
         of_type[t] |= 1 << i

@@ -14,7 +14,7 @@ sets to its punctured neighbourhoods.
 A brute-force lasso oracle (:func:`tangle_oracle`) is kept alongside purely
 for cross-validation; it never feeds the checker.
 
-:class:`Evaluator` compiles each formula once into a flat program over its
+:class:`Evaluator` compiles formulas into a flat program over their
 distinct subformulas (:func:`compile_formulas`) and runs that program per
 valuation as a loop without recursion.  Inside a fixpoint only the
 subformulas that mention the bound variable run again each round.
@@ -26,6 +26,7 @@ valuation.
 from __future__ import annotations
 
 import json
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, reduce
@@ -45,13 +46,13 @@ from .formula import (
     Formula,
     Iff,
     Implies,
-    Mu,
     Neg,
     Nu,
     Or,
     Tangle,
     TangleD,
     Top,
+    _BINDERS,
     immediate_subformulas,
 )
 
@@ -438,7 +439,6 @@ def min_local_connectedness(frame: Frame) -> int:
 _BINARY_OPS = {And: _AND, Or: _OR, Implies: _IMP, Iff: _IFF}
 _UNARY_OPS = {Neg: (_NOT, 0), Box: (_BOX, 0), BoxD: (_BOX, 1), Dia: (_DIA, 0),
               DiaD: (_DIA, 1), Forall: (_ALL, 0), Exists: (_EX, 0)}
-_BINDERS = (Mu, Nu)
 
 
 @dataclass(frozen=True)
@@ -582,8 +582,8 @@ class Evaluator:
     """Bitmask evaluator over a fixed frame.
 
     Build once per frame, then query :meth:`extension` with different
-    valuations; the frame's relation index and clusters, and each
-    formula's compiled program, are reused.  The plain modalities and
+    valuations; the frame's relation index and clusters are reused, and
+    each call compiles its formulas afresh.  The plain modalities and
     ``<t>`` read the frame's successor masks; the d-modalities and ``<dt>``
     read ``dsucc``, which defaults to the same masks.  A topological space
     passes its punctured neighbourhoods there.
@@ -591,14 +591,11 @@ class Evaluator:
 
     def __init__(self, frame: Frame, dsucc: tuple[int, ...] | None = None):
         self.frame = frame
-        self.worlds = frame.worlds
         self.n = len(frame.worlds)
         self.full = (1 << self.n) - 1
-        self.index = frame.index
         self.succ = frame.succ
         self.dsucc = self.succ if dsucc is None else dsucc
         self._rows: dict[int, list[tuple[int, set[int]]]] = {}
-        self._programs: dict[tuple[Formula, ...], Program] = {}
 
     @cached_property
     def _pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -644,11 +641,7 @@ class Evaluator:
 
     def extensions(self, phis: Sequence[Formula], val: Mapping[str, int]) -> list[int]:
         """The extension of each of ``phis``, sharing their subformulas."""
-        phis = tuple(phis)
-        program = self._programs.get(phis)
-        if program is None:
-            program = self._programs[phis] = compile_formulas(phis)
-        return self.run(program, val)
+        return self.run(compile_formulas(phis), val)
 
     def run(self, program: Program, val: Mapping[str, int]) -> list[int]:
         """Run a compiled program under ``val``; the extensions of its roots."""
@@ -879,7 +872,7 @@ def tangle_oracle(model: KripkeModel, world: str, members: Iterable[Formula]) ->
     val = ev.valuation_masks(model.val)
     member_masks = [ev.extension(m, val) for m in members]
     n = ev.n
-    start = ev.index[world]
+    start = model.frame.index[world]
 
     reach = 1 << start
     frontier = [start]
@@ -921,8 +914,8 @@ def generated_submodel(model: KripkeModel, root: str) -> KripkeModel:
     while frontier:
         frontier = _union(frame.succ, frontier) & ~reach
         reach |= frontier
-    keep = frame.unmask(reach)
     worlds = tuple(_picked(frame.worlds, reach))
+    keep = frozenset(worlds)
     # keep is closed under successors: a pair starting in it ends in it
     rel = frozenset(p for p in frame.rel if p[0] in keep)
     val = {a: ws & keep for a, ws in model.val.items()}
@@ -1010,7 +1003,15 @@ _RANK_COLORS = [
 ]
 
 
-def to_dot(model_or_frame: KripkeModel | Frame, name: str = "model") -> str:
+def _dot_quoted(text: str) -> str:
+    """``text`` as a DOT quoted string that reads back as ``text``.  DOT
+    reads ``\\"`` as a quote and drops a backslash before a newline, and
+    every other character stands for itself; so a backslash that ends the
+    text or comes before a newline is followed by such a dropped pair."""
+    return '"' + re.sub(r"\\(?=\n|\Z)", r"\\\\\n", text).replace('"', '\\"') + '"'
+
+
+def to_dot(model_or_frame: KripkeModel | Frame) -> str:
     """Graphviz digraph; on transitive frames clusters become same-rank
     groups filled by rank."""
     if isinstance(model_or_frame, KripkeModel):
@@ -1019,11 +1020,15 @@ def to_dot(model_or_frame: KripkeModel | Frame, name: str = "model") -> str:
     else:
         frame = model_or_frame
         val = {}
+    ids = {w: _dot_quoted(w) for w in frame.worlds}
     labels = {}
     for w in frame.worlds:
         atoms = sorted(a for a, ws in val.items() if w in ws)
-        labels[w] = f"{w}\\n{', '.join(atoms)}" if atoms else w
-    lines = [f"digraph {name} {{", "  node [shape=ellipse, style=filled];"]
+        # graphviz reads escapes such as \n in a label, so the backslashes
+        # of names and atoms are doubled
+        text = [w, ", ".join(atoms)] if atoms else [w]
+        labels[w] = _dot_quoted("\\n".join(t.replace("\\", "\\\\") for t in text))
+    lines = ["digraph model {", "  node [shape=ellipse, style=filled];"]
     if frame.transitive:
         dec = cluster_decomposition(frame)
         for i, cluster in enumerate(dec.clusters):
@@ -1032,11 +1037,11 @@ def to_dot(model_or_frame: KripkeModel | Frame, name: str = "model") -> str:
             lines.append(f"  subgraph cluster_{i} {{")
             lines.append(f'    label="rank {dec.rank[i]}"; rank=same;')
             for w in members:
-                lines.append(f'    "{w}" [label="{labels[w]}", fillcolor="{color}"];')
+                lines.append(f'    {ids[w]} [label={labels[w]}, fillcolor="{color}"];')
             lines.append("  }")
     else:
         for w in frame.worlds:
-            lines.append(f'  "{w}" [label="{labels[w]}", fillcolor="#eeeeee"];')
-    lines.extend(f'  "{u}" -> "{v}";' for u, v in _row_pairs(frame.worlds, frame.succ))
+            lines.append(f'  {ids[w]} [label={labels[w]}, fillcolor="#eeeeee"];')
+    lines.extend(f"  {ids[u]} -> {ids[v]};" for u, v in _row_pairs(frame.worlds, frame.succ))
     lines.append("}")
     return "\n".join(lines)

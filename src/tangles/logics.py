@@ -14,7 +14,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .formula import (
     And,
@@ -198,15 +198,6 @@ class LogicProfile:
     reflexive: bool = False
     connected: bool = False
     local_connectedness: int | None = None
-
-    def conditions(self) -> dict:
-        return {
-            "transitive": True,
-            "serial": self.serial,
-            "reflexive": self.reflexive,
-            "connected": self.connected,
-            "locally_n_connected": self.local_connectedness,
-        }
 
     @property
     def schemas(self) -> tuple[str, ...]:

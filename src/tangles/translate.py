@@ -46,6 +46,7 @@ from .formula import (
     Tangle,
     TangleD,
     Top,
+    _TANGLES,
     all_names,
     conj,
     fresh_names,
@@ -57,9 +58,6 @@ from .formula import (
 
 class TranslationError(ValueError):
     """The input lies outside the fragment a translation is defined on."""
-
-
-_TANGLES = (Tangle, TangleD)
 
 
 def _rewrite(phi: Formula, keep, name, build) -> Formula:

@@ -472,6 +472,15 @@ def test_untangle_roots_from_file(capsys, chain_model, tmp_path):
     assert run(capsys, "untangle", chain_model)[0] == 2
 
 
+def test_roots_file_of_blank_lines_is_an_input_error(capsys, chain_model, tmp_path):
+    roots = tmp_path / "blank.txt"
+    roots.write_text("\n  \n\t\n")
+    for command in ("filtrate", "untangle"):
+        code, out, err = run(capsys, command, chain_model, "--formula-file", str(roots))
+        assert code == 2 and not out
+        assert f"no formulas in {roots}" in err
+
+
 # ---------------------------------------------------------------------------
 # sat / validate
 

@@ -3,11 +3,13 @@ characteristic formulas, structure preservation."""
 
 import dataclasses
 import random
+from itertools import product
 
 import pytest
 
 from tangles import (
     Atom,
+    CriticalPointError,
     Dia,
     Frame,
     KripkeModel,
@@ -244,6 +246,56 @@ def test_reduction_conditions_flag_forged_quotients():
     assert untangle(gutted, m, closure).r_t == frozenset()
     gutted_report = preservation_report(gutted, untangle(gutted, m, closure), m)
     assert gutted_report.filtered.path_component_count == len(fr.quotient_worlds) == 3
+
+
+def test_reduction_conditions_name_each_forged_condition():
+    # a sees nothing; b sees itself and carries p, so <t>{p} and <>p hold at b only
+    m = KripkeModel(Frame(("a", "b"), frozenset({("b", "b")})), {"p": {"b"}})
+    closure = closure_of(Tangle((p,)), Dia(p))
+    fr = filtrate(m, closure)
+    assert reduction_conditions(fr, m, closure) == []
+    qa, qb = fr.quotient_map["a"], fr.quotient_map["b"]
+    bound = 2 ** len(closure)
+    seen_across = dataclasses.replace(fr, r_phi=fr.r_phi | {(qa, qb)})
+    cases = {
+        "class of a mixes worlds with different profiles":
+            dataclasses.replace(fr, classes=(("a", "b"),)),
+        "<t>{p} holds at b but not at a across the quotient": seen_across,
+        "<>p fails at a despite its body holding from b": seen_across,
+        f"{2 + bound} quotient worlds exceed the bound {bound}": dataclasses.replace(
+            fr, quotient_worlds=fr.quotient_worlds + tuple(f"x{k}" for k in range(bound))
+        ),
+        f"cluster of {min(qa, qb)} mixes worlds realising different tangle or diamond members":
+            dataclasses.replace(fr, r_phi=fr.r_phi | {(qa, qa), (qa, qb), (qb, qa)}),
+    }
+    for message, forged in cases.items():
+        found = reduction_conditions(forged, m, closure)
+        assert message in found
+        assert found == tree_reduction_conditions(forged, m, closure)
+
+
+def test_untangle_refuses_a_cluster_without_critical_point():
+    # a and b form a cluster and p holds at b; a result that claims <t>{p}
+    # false everywhere leaves no world of the cluster to pick
+    m = KripkeModel(Frame(("a", "b"), frozenset(product("ab", repeat=2))), {"p": {"b"}})
+    closure = closure_of(Tangle((p,)))
+    fr = filtrate(m, closure)
+    forged = dataclasses.replace(
+        fr, source_truth={**fr.source_truth, Tangle((p,)): frozenset()}
+    )
+    with pytest.raises(CriticalPointError, match="no critical point for cluster"):
+        untangle(forged, m, closure)
+    assert _outcome(untangle, forged, m, closure) == _outcome(tree_untangle, forged, m, closure)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_realized_is_the_image_of_the_source_truth(seed):
+    rng = random.Random(8500 + seed)
+    m = random_model(rng, 7, ("p", "q"), kind="transitive")
+    closure = random_closure(rng)
+    fr = filtrate(m, closure, mode="refined" if seed % 2 else "standard")
+    for f in closure:
+        assert fr.realized(f) == {fr.quotient_map[x] for x in fr.source_truth[f]}
 
 
 def _outcome(fn, *args, **kwargs):

@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+import re
 import threading
 
 import pytest
@@ -21,6 +22,7 @@ from tangles import (
     DiaD,
     Evaluator,
     Exists,
+    FiniteSpace,
     Forall,
     Frame,
     Iff,
@@ -36,6 +38,7 @@ from tangles import (
     Tangle,
     TangleD,
     Top,
+    TopoModel,
     closures,
     cluster_decomposition,
     enumerate_frames,
@@ -166,6 +169,16 @@ def test_model_equality_ignores_empty_valuations():
     assert KripkeModel(f, {"p": {"a"}}) != KripkeModel(f, {})
 
 
+def test_models_hash_by_value_and_repr_their_size():
+    frame = Frame(("a", "b"), frozenset({("a", "b")}))
+    m = KripkeModel(frame, {"q": (), "p": ["a"]})
+    same = KripkeModel(Frame(("a", "b"), frozenset({("a", "b")})), {"p": {"a"}})
+    assert hash(m) == hash(same) and len({m, same, KripkeModel(frame, {})}) == 2
+    assert repr(m) == "KripkeModel(worlds=2, atoms=['p', 'q'])"
+    space = FiniteSpace(("x", "y"), [set(), {"y"}, {"x", "y"}])
+    assert repr(TopoModel(space, {"p": {"y"}})) == "TopoModel(points=2, atoms=['p'])"
+
+
 def test_relation_properties():
     f = Frame(("a", "b"), frozenset({("a", "b"), ("a", "a"), ("b", "b")}))
     props = relation_properties(f)
@@ -221,6 +234,13 @@ def test_cluster_decomposition(seed):
     for i in range(len(dec.clusters)):
         succs = [j for (a, j) in dec.order if a == i]
         assert (dec.rank[i] == 1) == (not succs)
+
+
+def test_cluster_of_refuses_unknown_worlds():
+    dec = cluster_decomposition(Frame(("a", "b"), frozenset({("a", "b")})))
+    assert dec.cluster_of("b") == 1
+    with pytest.raises(KeyError):
+        dec.cluster_of("c")
 
 
 def test_cluster_decomposition_needs_transitive():
@@ -377,6 +397,64 @@ def test_to_dot_smoke():
     assert "->" in text or len(m.frame.rel) == 0
     # frames work too
     assert to_dot(m.frame).startswith("digraph")
+
+
+_DOT_SYMBOL = re.compile(r"->|[\w#]+|.")
+
+
+def _dot_tokens(text):
+    """The tokens of DOT ``text``, a quoted string as ``("string", text)``
+    read under DOT's rules: ``\\"`` stands for a quote, a backslash before
+    a newline is dropped, and any other character stands for itself."""
+    tokens, i = [], 0
+    while i < len(text):
+        if text[i].isspace():
+            i += 1
+        elif text[i] == '"':
+            chars, i = [], i + 1
+            while text[i] != '"':
+                if text[i] == "\\" and text[i + 1] in '"\n':
+                    chars.append(text[i + 1].strip("\n"))
+                    i += 2
+                else:
+                    chars.append(text[i])
+                    i += 1
+            tokens.append(("string", "".join(chars)))
+            i += 1
+        else:
+            symbol = _DOT_SYMBOL.match(text, i)
+            tokens.append(symbol[0])
+            i = symbol.end()
+    return tokens
+
+
+def _graphviz_label(label):
+    """The text of a graphviz label: ``\\\\`` is a backslash and ``\\n``
+    a line break; the writer uses no other escape."""
+    assert all(m[1] in "\\n" for m in re.finditer(r"\\(.)", label, re.S))
+    return re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], label, flags=re.S)
+
+
+@pytest.mark.parametrize("transitive", [False, True])
+def test_to_dot_quotes_names_that_read_back(transitive):
+    names = ('a"b', "c\\d", "e\\", '\\"', "f\\\ng", "h")
+    pairs = {(names[0], names[1]), (names[1], names[2]), (names[3], names[4])}
+    if transitive:
+        pairs.add((names[0], names[2]))
+    val = {"p": {"e\\", "h"}, "q\\": {"e\\"}}
+    tokens = _dot_tokens(to_dot(KripkeModel(Frame(names, frozenset(pairs)), val)))
+    labels, edges = {}, set()
+    for k in range(len(tokens) - 4):
+        first, mark = tokens[k], tokens[k + 1]
+        if mark == "[" and tokens[k + 2] == "label":
+            labels[first[1]] = _graphviz_label(tokens[k + 4][1])
+        elif mark == "->":
+            edges.add((first[1], tokens[k + 2][1]))
+    for w in names:
+        atoms = ", ".join(sorted(a for a, ws in val.items() if w in ws))
+        assert labels.pop(w) == (f"{w}\n{atoms}" if atoms else w)
+    assert not labels
+    assert edges == pairs
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,8 @@ from tangles import (
     substitute,
     to_mu,
 )
+from tangles import logics
+from tangles.kripke import compile_formulas
 from tangles.logics import BASE_SCHEMAS, BLOCK
 from gen import random_formula, random_member_set, random_model, random_tangle_formula
 from oracles import (
@@ -367,6 +369,26 @@ def test_frame_validates_refutation_past_the_first_block():
     # a valid formula over the same atoms counts all four blocks
     contradiction = conj(atoms + [Neg(atoms[0])])
     assert frame_validates(frame, Neg(contradiction)) == ValidityReport(True, 2**18)
+
+
+def test_large_programs_sweep_in_smaller_blocks(monkeypatch):
+    # with a limit of 2**12 bits, 3 worlds and programs of 8 to 10 slots,
+    # the 512 valuations of p, q and r go in blocks of 128; every result
+    # stays that of the sweep one valuation at a time
+    monkeypatch.setattr(logics, "_BLOCK_BITS", 1 << 12)
+    checked = set()
+    for text in ("[](p -> q) -> []p -> []q | r", "p & <>q -> <>(r | p)", "(p <-> <>q) | r | []p"):
+        phi = parse(text)
+        program = compile_formulas((phi,))
+        for frame in enumerate_frames(3):
+            blocks = logics._blocks(frame, program, ("p", "q", "r"), 512)
+            assert [(start, full) for start, full, _ in blocks] == [
+                (start, (1 << 128) - 1) for start in range(0, 512, 128)
+            ]
+            report = frame_validates(frame, phi)
+            assert report == tree_frame_validates(frame, phi)
+            checked.add(report.checked)
+    assert max(checked - {512}) > 256
 
 
 def test_bounded_sat_witness_past_the_first_block():

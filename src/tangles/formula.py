@@ -548,9 +548,11 @@ class ClosureSet:
     formulas: frozenset[Formula] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        for f in self.formulas:
+        formulas = frozenset(self.formulas)
+        object.__setattr__(self, "formulas", formulas)
+        for f in formulas:
             for sub in immediate_subformulas(f):
-                if sub not in self.formulas:
+                if sub not in formulas:
                     raise FormulaError(
                         f"closure set misses {pretty(sub)}, a subformula of {pretty(f)}"
                     )

@@ -53,6 +53,7 @@ from .formula import (
     TangleD,
     Top,
     _BINDERS,
+    free_atoms,
     immediate_subformulas,
 )
 
@@ -85,6 +86,8 @@ class Frame:
         _check_worlds(worlds)
         scope = set(worlds)
         for pair in pairs:
+            if isinstance(pair, str) or len(pair) != 2:
+                raise ValueError(f"relation entry {pair!r} is not a pair")
             if pair[0] not in scope or pair[1] not in scope:
                 raise ValueError(f"relation pair {tuple(pair)} outside the world set")
 
@@ -491,15 +494,17 @@ def compile_formulas(roots: Sequence[Formula]) -> Program:
     it occurs: their slots are its ``deps``.  All occurrences of a node with
     the same ``deps`` share one instruction, which goes into the loop of the
     innermost binder among them, or before every loop if there is none.
+    Each node's free names are those :func:`free_atoms` keeps on it.
     """
     roots = tuple(roots)
+    for root in roots:
+        free_atoms(root)
     # The instructions of the top level (key None) and of each loop body
     # (key: the binder's slot), where ``(None, var, body, nu)`` stands for
     # the nested loop of the binder at ``var``.
     blocks: dict[int | None, list[tuple]] = {None: []}
     depth_of: dict[int, int] = {}  # binder slot -> how many loops enclose its body
     table: defaultdict[frozenset, dict[Formula, int]] = defaultdict(dict)  # deps -> node -> slot
-    free: dict[Formula, frozenset[str]] = {}  # node -> free names, once compiled
     done: list[int] = []  # the slot of each node visited, after its children's
     size = 0
 
@@ -513,14 +518,12 @@ def compile_formulas(roots: Sequence[Formula]) -> Program:
         task, f, scope, slot = stack.pop()
         bindings, depth = scope
         if task == _VISIT:
-            if f in free:
-                slot = table[deps_of(free[f], bindings)].get(f)
-                if slot is not None:
-                    done.append(slot)
-                    continue
+            slot = table[deps_of(f._free, bindings)].get(f)
+            if slot is not None:
+                done.append(slot)
+                continue
             kind = type(f)
             if kind is Atom and f.name in bindings:
-                free[f] = frozenset((f.name,))
                 done.append(bindings[f.name])
             elif kind in _BINDERS:
                 # two slots: the bound variable, which ends as the result,
@@ -535,23 +538,15 @@ def compile_formulas(roots: Sequence[Formula]) -> Program:
                 stack += [(_VISIT, g, scope, None) for g in reversed(immediate_subformulas(f))]
             continue
         if task == _EMIT:
-            subs = immediate_subformulas(f)
-            names = frozenset((f.name,)) if type(f) is Atom else _EMPTY
-            for g in subs:
-                # most children mention no name: skip the empty unions
-                if free[g]:
-                    names = names | free[g] if names else free[g]
-            cut = len(done) - len(subs)
+            cut = len(done) - len(immediate_subformulas(f))
             ins = _instruction(f, size, done[cut:])
             del done[cut:]
             slot = size
             size += 1
         else:
-            names = free[f.body] - {f.var}
             ins = (None, slot, done.pop(), type(f) is Nu)
         # f computes into slot, in the loop of its innermost binder
-        free[f] = names
-        deps = deps_of(names, bindings)
+        deps = deps_of(f._free, bindings)
         if ins:
             blocks[max(deps, key=depth_of.get) if deps else None].append(ins)
         table[deps][f] = slot
@@ -598,12 +593,6 @@ class Evaluator:
         self._rows: dict[int, list[tuple[int, set[int]]]] = {}
 
     @cached_property
-    def _pairs(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """(worlds, successor mask) pairs of each relation, as run reads
-        them: one pair per distinct mask, with the worlds that have it."""
-        return _row_groups(self.succ), _row_groups(self.dsucc)
-
-    @cached_property
     def _successors(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
         """Each world's successors through ``succ`` and through ``dsucc``."""
         succ = list(map(_bit_tuple, self.succ))
@@ -611,14 +600,11 @@ class Evaluator:
 
     # -- sets <-> masks ---------------------------------------------------
 
-    def mask(self, worlds: Iterable[str]) -> int:
-        return self.frame.mask(worlds)
-
     def unmask(self, mask: int) -> frozenset[str]:
         return self.frame.unmask(mask)
 
     def valuation_masks(self, val: Mapping[str, Iterable[str]]) -> dict[str, int]:
-        return {atom: self.mask(ws) for atom, ws in val.items()}
+        return {atom: self.frame.mask(ws) for atom, ws in val.items()}
 
     # -- modal operators --------------------------------------------------
 
@@ -648,7 +634,7 @@ class Evaluator:
         if program.tangles and not self.frame.transitive:
             raise NonTransitiveError("tangle formulas require a transitive frame")
         full = self.full
-        rels = self._pairs
+        rels = (self.succ, self.dsucc)
         get = val.get
         slots = [0] * program.size
         code = program.code
@@ -660,14 +646,10 @@ class Evaluator:
                 slots[out] = slots[a] & slots[b]
             elif op == _ATOM:
                 slots[out] = get(a, 0)
-            elif op == _DIA or op == _BOX:
-                # the worlds with a successor in s; a box is the dual
-                s = slots[a] if op == _DIA else full & ~slots[a]
-                seen = 0
-                for group, row in rels[b]:
-                    if row & s:
-                        seen |= group
-                slots[out] = seen if op == _DIA else full & ~seen
+            elif op == _DIA:
+                slots[out] = self.dia(slots[a], rels[b])
+            elif op == _BOX:
+                slots[out] = self.box(slots[a], rels[b])
             elif op == _NOT:
                 slots[out] = full & ~slots[a]
             elif op == _OR:
@@ -825,14 +807,6 @@ class Evaluator:
                     found.append((cluster, rows))
             self._rows[key] = found
         return self._rows[key]
-
-
-def _row_groups(rows: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """Each distinct row with the mask of the positions that hold it."""
-    groups: dict[int, int] = {}
-    for i, row in enumerate(rows):
-        groups[row] = groups.get(row, 0) | 1 << i
-    return tuple((group, row) for row, group in groups.items())
 
 
 @lru_cache(maxsize=1024)

@@ -131,7 +131,7 @@ def _evaluator(space: FiniteSpace) -> Evaluator:
 def operators(space: FiniteSpace, subset: Iterable[str]) -> SetOperators:
     """Interior, closure and derivative of one subset."""
     ev = _evaluator(space)
-    s = ev.mask(subset)
+    s = space.frame.mask(subset)
     return SetOperators(
         ev.unmask(ev.box(s, ev.succ)),
         ev.unmask(ev.dia(s, ev.succ)),

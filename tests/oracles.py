@@ -29,6 +29,10 @@ recursive walks of the formula tree, where ``translate`` walks with an
 explicit stack and returns a subformula that hands out no fresh name as
 it is.
 
+``tree_free_atoms`` finds the free names of a formula by recursion on its
+tree and keeps nothing, where ``formula.free_atoms`` keeps each node's
+names on the node, and the compiler reads them there.
+
 ``tree_parse`` is the recursive-descent parser that ``formula.parse``
 replaced: it tokenizes in a Python loop and descends through six levels of
 calls for every node of the tree the text spells, repeats included.  Its
@@ -150,6 +154,14 @@ def tree_extension(ev: Evaluator, phi: Formula, val: Mapping[str, int]) -> int:
             current = step
         raise RuntimeError("fixpoint iteration failed to stabilize")
     raise TypeError(f"not a formula: {phi!r}")
+
+
+def tree_free_atoms(phi: Formula) -> frozenset[str]:
+    """The names that occur free in ``phi``."""
+    if isinstance(phi, Atom):
+        return frozenset((phi.name,))
+    names = frozenset().union(*map(tree_free_atoms, immediate_subformulas(phi)))
+    return names - {phi.var} if isinstance(phi, (Mu, Nu)) else names
 
 
 def valuation_masks(atoms: Sequence[str], n: int) -> Iterator[dict[str, int]]:

@@ -26,8 +26,10 @@ from tangles import (
     Forall,
     Formula,
     FormulaError,
+    Frame,
     Iff,
     Implies,
+    KripkeModel,
     Mu,
     Neg,
     Nu,
@@ -42,6 +44,7 @@ from tangles import (
     conj,
     dia_star,
     disj,
+    filtrate,
     free_atoms,
     fresh_names,
     immediate_subformulas,
@@ -52,10 +55,11 @@ from tangles import (
     substitute,
     to_d,
     to_mu,
+    untangle,
 )
-from tangles.formula import MAX_DEPTH, parse_members, printed_length, rebuild
-from gen import random_formula
-from oracles import tree_parse
+from tangles.formula import MAX_DEPTH, parse_members, post_order, printed_length, rebuild
+from gen import random_formula, random_shared_formula
+from oracles import tree_free_atoms, tree_parse
 from test_cli import _mutate
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -169,6 +173,41 @@ def test_free_and_all_names():
     assert all_names(phi) == {"p", "x"}
     assert free_atoms(And(phi, Atom("x"))) == {"p", "x"}
     assert free_atoms(Tangle((p, q))) == {"p", "q"}
+
+
+def _assert_free_names_kept(phi):
+    for f in post_order(phi):
+        assert f._free == tree_free_atoms(f), pretty(f)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_free_atoms_leaves_every_node_its_free_names(seed):
+    rng = random.Random(seed)
+    # names that no other formula of the suite uses, so the nodes are new
+    atoms = (f"a{seed}", f"b{seed}")
+    # the first formula with a binder whose variable is free in its body
+    for _ in range(200):
+        phi = random_shared_formula(rng, 6, atoms)
+        nodes = post_order(phi)
+        binders = [f for f in nodes if isinstance(f, (Mu, Nu))]
+        if any(b.var in tree_free_atoms(b.body) for b in binders):
+            break
+    else:
+        pytest.fail("no formula binds a name that is free in its body")
+    # first on a subformula
+    first = rng.choice(nodes)
+    assert free_atoms(first) == tree_free_atoms(first)
+    _assert_free_names_kept(first)
+    # then on a formula that shares the binder bodies of phi, each both
+    # under a binder of its variable and where that variable is free
+    other = conj([first] + [
+        And((Nu if isinstance(b, Mu) else Mu)(b.var, b.body), b.body) for b in binders
+    ])
+    assert free_atoms(other) == tree_free_atoms(other)
+    _assert_free_names_kept(other)
+    # then on the whole formula
+    assert free_atoms(phi) == tree_free_atoms(phi)
+    _assert_free_names_kept(phi)
 
 
 def test_fresh_names():
@@ -467,6 +506,17 @@ def test_closure_set_rejects_gaps():
     with pytest.raises(FormulaError):
         ClosureSet(frozenset({And(p, q), p}))  # q missing
     ClosureSet(frozenset({And(p, q), p, q}))
+
+
+def test_closure_set_keeps_a_frozenset_of_any_collection():
+    closure = subformula_closure([Dia(p)])
+    model = KripkeModel(Frame(("w0", "w1"), {("w0", "w1")}), {"p": ["w1"]})
+    filtration = filtrate(model, closure)
+    for given in ([p, Dia(p)], {p, Dia(p)}, (f for f in (p, Dia(p)))):
+        made = ClosureSet(given)
+        assert type(made.formulas) is frozenset
+        assert made == closure and hash(made) == hash(closure)
+        assert untangle(filtration, model, made) == untangle(filtration, model, closure)
 
 
 @pytest.mark.parametrize("seed", range(100))

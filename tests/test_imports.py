@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every private
+name of the package has a reader."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -26,3 +28,63 @@ def test_module_uses_every_import(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{module}:{line} {name}" for name, line in _imported(tree) if name not in used]
     assert not unused
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__") and name != "_"
+
+
+def _defined(stmt):
+    """The names a function, class or assignment statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _definitions(tree):
+    """Each private module-level function, class or constant, and each
+    private method, property or constant of a module-level class, with the
+    statement that defines it."""
+    for node in tree.body:
+        members = node.body if isinstance(node, ast.ClassDef) else []
+        for stmt in [node, *members]:
+            for name in _defined(stmt):
+                if _private(name):
+                    yield name, stmt
+
+
+def _references(tree):
+    """Each identifier a module reads, with its line: names, attributes,
+    imported names and strings that spell an identifier."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value, node.lineno
+
+
+def test_private_names_have_readers():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    readers = defaultdict(list)  # name -> (module, line) of each reference
+    for module, tree in trees.items():
+        for name, line in _references(tree):
+            readers[name].append((module, line))
+    unread = []
+    for module, tree in trees.items():
+        for name, stmt in _definitions(tree):
+            own = range(stmt.lineno, stmt.end_lineno + 1)
+            if all(where == module and line in own for where, line in readers[name]):
+                unread.append(f"{module}:{stmt.lineno} {name}")
+    assert not unread

@@ -715,6 +715,21 @@ def test_stray_pairs_are_named_in_the_given_order():
         model_from_dict({"worlds": ["a", "a"], "rel": [["a", "x"]]})
 
 
+def test_relation_entries_must_be_pairs():
+    for entry in [("a",), ("a", "a", "a"), "ab"]:
+        with pytest.raises(ValueError, match=re.escape(f"relation entry {entry!r} is not a pair")):
+            Frame(("a", "b"), [entry])
+    # the loaders refuse the same entries
+    for entry in [["a"], ["a", "a", "a"], "ab"]:
+        with pytest.raises(ValueError, match="malformed"):
+            model_from_dict({"worlds": ["a", "b"], "rel": [entry]})
+    # the first bad entry in the given order is named
+    with pytest.raises(ValueError, match="'ab' is not a pair"):
+        Frame(("a", "b"), ["ab", ("a", "x")])
+    with pytest.raises(ValueError, match=r"\('a', 'x'\) outside"):
+        Frame(("a", "b"), [("a", "x"), "ab"])
+
+
 # ---------------------------------------------------------------------------
 # Compiled programs against the tree evaluator
 

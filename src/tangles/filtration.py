@@ -54,8 +54,8 @@ from .kripke import (
     _components,
     _first,
     _maximal_clusters,
+    _Pairs,
     _picked,
-    _row_pairs,
     _transitive_rows,
     _union,
     min_local_connectedness,
@@ -95,7 +95,8 @@ class FiltrationResult:
     """Quotient of a finite transitive model by agreement on a closure set.
 
     ``classes[i]`` lists the source worlds mapped to ``quotient_worlds[i]``;
-    ``r_phi`` is the transitive closure of the induced relation ``r_lambda``.
+    ``r_phi`` is the transitive closure of the induced relation ``r_lambda``;
+    :func:`filtrate` keeps both as rows, spelled out as pairs on first read.
     ``maximal_clusters`` and ``sees_maximal`` describe the source model and
     are recorded in both modes; only refined mode folds them into the
     quotient signature.  The quotient frame and the masks behind
@@ -108,8 +109,8 @@ class FiltrationResult:
     quotient_worlds: tuple[str, ...]
     classes: tuple[tuple[str, ...], ...]
     quotient_map: dict[str, str]
-    r_lambda: frozenset[tuple[str, str]]
-    r_phi: frozenset[tuple[str, str]]
+    r_lambda: frozenset[tuple[str, str]] = _Pairs()
+    r_phi: frozenset[tuple[str, str]] = _Pairs()
     quotient_val: dict[str, tuple[str, ...]]
     source_truth: dict[Formula, frozenset[str]]
     maximal_clusters: tuple[frozenset[str], ...]
@@ -188,8 +189,8 @@ def filtrate(
         quotient_worlds=quotient_worlds,
         classes=tuple(tuple(_picked(frame.worlds, p)) for p in parts),
         quotient_map=dict(zip(frame.worlds, map(quotient_worlds.__getitem__, class_of))),
-        r_lambda=frozenset(_row_pairs(quotient_worlds, r_lambda_rows)),
-        r_phi=quotient.rel,
+        r_lambda=Frame.from_rows(quotient_worlds, r_lambda_rows),
+        r_phi=quotient,
         quotient_val={
             a: tuple(_picked(quotient_worlds, realized[Atom(a)])) for a in sorted(closure.atoms)
         },
@@ -232,8 +233,8 @@ class UntangleResult:
     holds one quotient cluster, the source world chosen for it, and the
     quotient worlds the critical point sees inside it.  Degenerate clusters
     always get an empty nucleus.  In ``reflexive_mode`` the worlds outside
-    each nucleus keep their self-loop instead of becoming degenerate.  The
-    untangled frame is built from ``r_t`` on first use.
+    each nucleus keep their self-loop instead of becoming degenerate.
+    :func:`untangle` keeps ``r_t`` as rows, spelled out as pairs on first read.
     """
 
     reflexive_mode: bool
@@ -241,7 +242,7 @@ class UntangleResult:
     clusters: tuple[frozenset[str], ...]
     critical_points: tuple[str, ...]
     nuclei: tuple[frozenset[str], ...]
-    r_t: frozenset[tuple[str, str]]
+    r_t: frozenset[tuple[str, str]] = _Pairs()
 
     @cached_property
     def _frame(self) -> Frame:
@@ -311,7 +312,7 @@ def untangle(
         clusters=tuple(map(quotient.unmask, clusters)),
         critical_points=tuple(critical),
         nuclei=tuple(nuclei),
-        r_t=untangled.rel,
+        r_t=untangled,
     )
     ut.__dict__["_frame"] = untangled
     return ut

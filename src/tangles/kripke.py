@@ -25,14 +25,13 @@ valuation.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, reduce
-from itertools import chain, compress, repeat
+from itertools import chain, compress, filterfalse, repeat, takewhile
 from operator import or_
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .formula import (
     And,
@@ -62,81 +61,82 @@ class NonTransitiveError(ValueError):
     """An operation that presupposes a transitive relation got something else."""
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Worlds in canonical order plus the relation as a set of pairs.
+class _Pairs:
+    """A relation field that reads as a frozenset of pairs.  It keeps the
+    pairs it was given; a :class:`Frame` given instead, or the frame itself
+    when none was, stands for its rows, spelled out as pairs on first read."""
 
-    The relation index (``index``, ``succ``, ``pred``, ``transitive``) is
-    built from ``rel`` on first use and cached on the instance; it takes no
-    part in equality, hashing or ``repr``.  Every structure analysis reads
-    it, so analyses of the same frame object share one index.
-    :meth:`from_rows` builds a frame from successor rows with the index
-    already filled in; such a frame spells out ``rel`` on first use.
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            # no class default, so a dataclass field of this kind is required
+            raise AttributeError(self.name)
+        cache = obj.__dict__
+        pairs = cache.get(self.name, obj)
+        if isinstance(pairs, Frame):
+            pairs = cache[self.name] = frozenset(_row_pairs(pairs.worlds, pairs.succ))
+        return pairs
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """Worlds in canonical order plus the relation as successor rows:
+    ``succ[i]`` has bit ``j`` set iff world ``i`` sees world ``j``.
+
+    Frames compare and hash on ``worlds`` and ``succ``.  ``rel`` is the
+    relation as a set of pairs, kept when the frame is built from pairs and
+    spelled out on first read when it is built from rows.  The rest of the
+    relation index (``index``, ``pred``, ``transitive``) is cached on the
+    instance, so analyses of the same frame object share it.
     """
 
     worlds: tuple[str, ...]
-    rel: frozenset[tuple[str, str]]
+    rel: frozenset[tuple[str, str]] = _Pairs()
 
     def __post_init__(self):
-        worlds = tuple(self.worlds)
+        worlds, given = tuple(self.worlds), self.__dict__["rel"]
         # a set has no order to report the first stray pair in
-        pairs = self.rel if isinstance(self.rel, (frozenset, set)) else tuple(self.rel)
-        object.__setattr__(self, "worlds", worlds)
-        object.__setattr__(self, "rel", frozenset(pairs))
+        pairs = given if isinstance(given, (frozenset, set)) else tuple(given)
         _check_worlds(worlds)
-        scope = set(worlds)
-        for pair in pairs:
-            if isinstance(pair, str) or len(pair) != 2:
-                raise ValueError(f"relation entry {pair!r} is not a pair")
-            if pair[0] not in scope or pair[1] not in scope:
-                raise ValueError(f"relation pair {tuple(pair)} outside the world set")
+        # rows of the entries before the first one that is not a pair, so
+        # that the first bad entry of either kind is the one named
+        index, succ, pred, stray = _relation_rows(worlds, takewhile(_is_pair, pairs), _itself)
+        if stray:
+            raise ValueError(f"relation pair {stray} outside the world set")
+        for entry in filterfalse(_is_pair, pairs):
+            raise ValueError(f"relation entry {entry!r} is not a pair")
+        self.__dict__.update(worlds=worlds, rel=frozenset(pairs), succ=succ, index=index, pred=pred)
 
     @classmethod
     def from_rows(cls, worlds: Iterable[str], succ: Iterable[int]) -> Frame:
         """The frame where world ``i`` sees world ``j`` iff bit ``j`` of
-        ``succ[i]`` is set, with ``index`` and ``succ`` filled in."""
+        ``succ[i]`` is set."""
         worlds, succ = tuple(worlds), tuple(succ)
         _check_worlds(worlds)
         n = len(worlds)
         if len(succ) != n or any(row >> n for row in succ):
             raise ValueError("successor rows do not fit the world set")
-        return cls._seeded(worlds, succ)
-
-    @classmethod
-    def _seeded(cls, worlds, succ, pred=None, index=None) -> Frame:
-        """A frame of checked worlds and rows, with its index cached from
-        the start and ``rel`` left to :meth:`__getattr__`."""
         frame = object.__new__(cls)
-        cache = frame.__dict__
-        cache.update(worlds=worlds, succ=succ)
-        if pred is not None:
-            cache["pred"] = pred
-        if index is not None:
-            cache["index"] = index
+        frame.__dict__.update(worlds=worlds, succ=succ)
         return frame
 
-    def __getattr__(self, name):
-        # only reached when normal lookup fails: the pairs of a row-built
-        # frame, which are made once they are asked for
-        cache = self.__dict__
-        if name != "rel" or "succ" not in cache:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rel = cache["rel"] = frozenset(_row_pairs(self.worlds, self.succ))
-        return rel
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.worlds == other.worlds and self.succ == other.succ
+
+    def __hash__(self):
+        return hash((self.worlds, self.succ))
 
     @cached_property
     def index(self) -> dict[str, int]:
         """Position of each world in ``worlds``."""
         return {w: i for i, w in enumerate(self.worlds)}
-
-    @cached_property
-    def succ(self) -> tuple[int, ...]:
-        """``succ[i]`` has bit ``j`` set iff world ``i`` sees world ``j``."""
-        index = self.index
-        succ = [0] * len(self.worlds)
-        for (u, v) in self.rel:
-            succ[index[u]] |= 1 << index[v]
-        return tuple(succ)
 
     @cached_property
     def pred(self) -> tuple[int, ...]:
@@ -168,6 +168,33 @@ def _check_worlds(worlds: tuple[str, ...]) -> None:
         raise ValueError("a frame needs at least one world")
     if len(set(worlds)) != len(worlds):
         raise ValueError("duplicate world ids")
+
+
+def _is_pair(entry) -> bool:
+    return isinstance(entry, tuple) and len(entry) == 2
+
+
+def _itself(x):
+    return x
+
+
+def _relation_rows(worlds: tuple[str, ...], pairs: Iterable, name: Callable) -> tuple:
+    """The index of ``worlds``, the successor and predecessor rows of the
+    ``pairs`` between them, each member read as ``name(member)``, and the
+    first pair so read, in the given order, that names another world (None
+    if there is none)."""
+    index = {w: i for i, w in enumerate(worlds)}
+    bits = [1 << i for i in range(len(worlds))]
+    succ, pred = [0] * len(worlds), [0] * len(worlds)
+    stray = None
+    for (u, v) in pairs:
+        i, j = index.get(name(u)), index.get(name(v))
+        if i is None or j is None:
+            stray = stray or (name(u), name(v))
+            continue
+        succ[i] |= bits[j]
+        pred[j] |= bits[i]
+    return index, tuple(succ), tuple(pred), stray
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -890,10 +917,12 @@ def generated_submodel(model: KripkeModel, root: str) -> KripkeModel:
         reach |= frontier
     worlds = tuple(_picked(frame.worlds, reach))
     keep = frozenset(worlds)
-    # keep is closed under successors: a pair starting in it ends in it
-    rel = frozenset(p for p in frame.rel if p[0] in keep)
+    # reach is closed under successors, so each kept row's bits only move
+    # to the positions of the kept worlds
+    bit = {j: 1 << k for k, j in enumerate(_bits(reach))}
+    rows = [sum(map(bit.__getitem__, _bits(row))) for row in _picked(frame.succ, reach)]
     val = {a: ws & keep for a, ws in model.val.items()}
-    return KripkeModel(Frame(worlds, rel), val)
+    return KripkeModel(Frame.from_rows(worlds, rows), val)
 
 
 # ---------------------------------------------------------------------------
@@ -934,36 +963,18 @@ def _valuation_data(data: Mapping) -> dict[str, list[str]]:
 
 def model_from_dict(data: Mapping) -> KripkeModel:
     """The model ``data`` describes; its frame's ``succ``, ``pred`` and
-    ``index`` are built in the same pass over ``data["rel"]``."""
+    ``index`` come from the pass over the pairs that :class:`Frame` makes."""
     try:
         worlds = tuple(str(w) for w in _listed(data["worlds"]))
-        index = {w: i for i, w in enumerate(worlds)}
-        bits = [1 << i for i in range(len(worlds))]
-        succ = [0] * len(worlds)
-        pred = [0] * len(worlds)
-        stray = None  # the first pair outside the world set, in file order
-        for (u, v) in _listed(data["rel"], nested=True):
-            i, j = index.get(str(u)), index.get(str(v))
-            if i is None or j is None:
-                stray = stray or (str(u), str(v))
-                continue
-            succ[i] |= bits[j]
-            pred[j] |= bits[i]
+        index, succ, pred, stray = _relation_rows(worlds, _listed(data["rel"], nested=True), str)
         val = _valuation_data(data)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model data: {exc}") from exc
-    _check_worlds(worlds)
+    frame = Frame.from_rows(worlds, succ)
     if stray:
         raise ValueError(f"relation pair {stray} outside the world set")
-    return KripkeModel(Frame._seeded(worlds, tuple(succ), tuple(pred), index), val)
-
-
-def model_to_json(model: KripkeModel) -> str:
-    return json.dumps(model_to_dict(model), indent=2, sort_keys=False)
-
-
-def model_from_json(text: str) -> KripkeModel:
-    return model_from_dict(json.loads(text))
+    frame.__dict__.update(index=index, pred=pred)
+    return KripkeModel(frame, val)
 
 
 _RANK_COLORS = [

@@ -162,21 +162,6 @@ def instantiate(schema: str, *args) -> Formula:
     return build(*head, *args)
 
 
-@dataclass(frozen=True)
-class SchemaInstance:
-    """A schema id, the arguments it was applied to, and the result."""
-
-    schema: str
-    args: tuple
-    formula: Formula
-
-
-def schema_instance(schema: str, *args) -> SchemaInstance:
-    formula = instantiate(schema, *args)
-    recorded = tuple(tuple(a) if not isinstance(a, Formula) else a for a in args)
-    return SchemaInstance(schema, recorded, formula)
-
-
 # ---------------------------------------------------------------------------
 # Logic profiles
 

@@ -19,7 +19,6 @@ over the preorder and over the punctured neighbourhoods respectively.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -214,11 +213,3 @@ def topo_model_from_dict(data: Mapping) -> TopoModel:
     except (AttributeError, TypeError) as exc:
         raise ValueError(f"malformed space data: {exc}") from exc
     return TopoModel(space, val)
-
-
-def space_to_json(space: FiniteSpace, val: Mapping[str, Iterable[str]] | None = None) -> str:
-    return json.dumps(space_to_dict(space, val), indent=2)
-
-
-def topo_model_from_json(text: str) -> TopoModel:
-    return topo_model_from_dict(json.loads(text))

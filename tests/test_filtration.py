@@ -348,6 +348,28 @@ def test_filtration_matches_pair_set_oracles(seed):
             )
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_relation_fields_are_spelled_out_when_read(seed):
+    rng = random.Random(8200 + seed)
+    if seed % 6 == 5:
+        m = random_cluster_model(rng, rng.randint(60, 120), reflexive=seed % 12 == 11)
+    else:
+        m = random_model(rng, 12, ("p", "q"), kind=("transitive", "serial", "reflexive")[seed % 3])
+    closure = random_closure(rng)
+    mode = ("standard", "refined")[seed % 2]
+    fr = filtrate(m, closure, mode=mode)
+    ut = untangle(fr, m, closure, reflexive_mode=seed % 4 > 1)
+    # no pair set is built until a field is read
+    fields = [(fr, "r_lambda"), (fr, "r_phi"), (ut, "r_t")]
+    assert not any(isinstance(vars(result)[name], frozenset) for result, name in fields)
+    want = tree_filtrate(m, closure, mode=mode)
+    assert fr.r_lambda == want.r_lambda and fr.r_phi == want.r_phi
+    assert ut.r_t == tree_untangle(want, m, closure, reflexive_mode=ut.reflexive_mode).r_t
+    assert all(isinstance(vars(result)[name], frozenset) for result, name in fields)
+    assert fr.filtered_frame() == Frame(fr.quotient_worlds, fr.r_phi)
+    assert ut.untangled_frame() == Frame(ut.quotient_worlds, ut.r_t)
+
+
 # ---------------------------------------------------------------------------
 # Characteristic formulas
 

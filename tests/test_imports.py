@@ -1,13 +1,16 @@
-"""Every module of the package uses each name it imports, and every private
-name of the package has a reader."""
+"""Every module of the package uses each name it imports, every private
+name of the package has a reader, and so has every name the package
+exports."""
 
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tangles"
+ROOT = PACKAGE.parent.parent
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
@@ -88,3 +91,24 @@ def test_private_names_have_readers():
             if all(where == module and line in own for where, line in readers[name]):
                 unread.append(f"{module}:{stmt.lineno} {name}")
     assert not unread
+
+
+def test_exported_names_have_readers():
+    """Each name ``tangles/__init__.py`` exports is read in ``src/`` outside
+    its own definition and the module's ``__all__``, in ``bench/``, or in
+    README."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = [alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    readers = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        readers.update(name for name, _ in _references(ast.parse(path.read_text(encoding="utf-8"))))
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        own = defaultdict(set)  # the lines of each module-level definition
+        for stmt in tree.body:
+            for name in _defined(stmt):
+                own[name].update(range(stmt.lineno, stmt.end_lineno + 1))
+        readers.update(name for name, line in _references(tree)
+                       if line not in own[name] and line not in own["__all__"])
+    assert [name for name in exported if name not in readers] == []

@@ -4,6 +4,7 @@ serialization."""
 import copy
 import dataclasses
 import itertools
+import json
 import pickle
 import random
 import re
@@ -47,9 +48,7 @@ from tangles import (
     min_local_connectedness,
     model_check,
     model_from_dict,
-    model_from_json,
     model_to_dict,
-    model_to_json,
     parse,
     path_components,
     pretty,
@@ -378,7 +377,7 @@ def test_generated_submodel_requires_known_root():
 @pytest.mark.parametrize("seed", range(30))
 def test_json_round_trip(seed):
     model = random_model(random.Random(6000 + seed), 6, kind="general")
-    assert model_from_json(model_to_json(model)) == model
+    assert model_from_dict(json.loads(json.dumps(model_to_dict(model)))) == model
     data = model_to_dict(model)
     assert model_from_dict(data) == model
 
@@ -638,11 +637,13 @@ def test_structure_matches_pair_oracles_on_large_frames(seed):
 
 def test_frame_index_is_lazy_and_not_part_of_the_value():
     f = Frame(("a", "b"), frozenset({("a", "b")}))
-    assert "succ" not in vars(f)
     assert f.succ == (0b10, 0)
     g = Frame(("a", "b"), frozenset({("a", "b")}))
     assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
-    assert "succ" in vars(f) and "succ" not in vars(g)
+    # a row-built frame spells its pairs out only when they are read
+    h = Frame.from_rows(("a", "b"), (0b10, 0))
+    assert h == f and hash(h) == hash(f) and "rel" not in vars(h)
+    assert repr(h) == repr(f) and vars(h)["rel"] == f.rel
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -668,6 +669,39 @@ def test_row_built_frames_match_pair_built_ones(seed):
     assert vars(loaded)["succ"] == frame.succ and vars(loaded)["pred"] == frame.pred
     check_against_oracles(loaded)
     assert loaded == frame
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_frames_are_valued_by_their_rows(seed):
+    rng = random.Random(7800 + seed)
+    kind = ("general", "transitive", "serial", "reflexive")[seed % 4]
+    frame = random_model(rng, rng.randint(1, 9), kind=kind).frame
+    built = Frame.from_rows(frame.worlds, frame.succ)
+    loaded = model_from_dict({"worlds": list(frame.worlds), "rel": sorted(map(list, frame.rel))}).frame
+    for twin in (built, loaded):
+        assert twin == frame and frame == twin and hash(twin) == hash(frame)
+        assert len({twin, frame}) == 1
+    # comparing and hashing read the rows, never the pairs
+    assert "rel" not in vars(built) and "rel" not in vars(loaded)
+    # one pair more or less, or the same rows over other worlds, is another frame
+    i, j = rng.randrange(len(frame.worlds)), rng.randrange(len(frame.worlds))
+    rows = list(frame.succ)
+    rows[i] ^= 1 << j
+    other = Frame.from_rows(frame.worlds, rows)
+    assert other != frame and other.rel == frame.rel ^ {(frame.worlds[i], frame.worlds[j])}
+    renamed = Frame.from_rows([w + "'" for w in frame.worlds], frame.succ)
+    assert renamed != built and frame != (frame.worlds, frame.rel)
+
+
+def test_list_entries_are_named_as_non_pairs():
+    with pytest.raises(ValueError, match=re.escape("relation entry ['a', 'b'] is not a pair")):
+        Frame(("a", "b"), [["a", "b"]])
+    with pytest.raises(ValueError, match=re.escape("relation entry ['b', 'a'] is not a pair")):
+        Frame(("a", "b"), [("a", "b"), ["b", "a"], ("a", "x")])
+    # the loader reads JSON lists as pairs
+    assert model_from_dict({"worlds": ["a", "b"], "rel": [["a", "b"]]}).frame == Frame(
+        ("a", "b"), [("a", "b")]
+    )
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -40,7 +40,6 @@ from tangles import (
     parse_profile,
     path_components,
     relation_properties,
-    schema_instance,
     substitute,
     to_mu,
 )
@@ -173,13 +172,6 @@ def test_instantiate_matches_the_schema_ladder(seed):
             assert _instance_or_error(instantiate, schema, args) is want, (schema, args)
             built += want is not SchemaError
     assert built >= 12
-
-
-def test_schema_instance_records_arguments():
-    inst = schema_instance("Fix", [p, q])
-    assert inst.schema == "Fix"
-    assert inst.args == ((p, q),)
-    assert inst.formula == instantiate("Fix", [p, q])
 
 
 # ---------------------------------------------------------------------------

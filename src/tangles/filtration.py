@@ -49,7 +49,6 @@ from .kripke import (
     KripkeModel,
     NonTransitiveError,
     _bits,
-    _cluster_masks,
     _columns,
     _components,
     _first,
@@ -274,7 +273,7 @@ def untangle(
     """
     _check_inputs(fr, m, closure)
     frame, quotient = m.frame, fr.filtered_frame()
-    clusters = _cluster_masks(quotient)
+    clusters = quotient.cluster_masks
     image_bit = [1 << quotient.index[fr.quotient_map[w]] for w in frame.worlds]
     preimages = _preimages(fr, frame, quotient)
     tangles = [
@@ -430,7 +429,7 @@ def reduction_conditions(
         )
 
     watched = [fr._realized[f] for f in (*closure.tangle_members, *closure.diamond_members)]
-    for cluster in _cluster_masks(quotient):
+    for cluster in quotient.cluster_masks:
         if any(r & cluster not in (0, cluster) for r in watched):
             out.append(
                 f"cluster of {min(quotient.unmask(cluster))} mixes worlds realising"
@@ -561,7 +560,7 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
         of_type[t] |= 1 << i
     type_of = dict(zip(worlds, map(types.__getitem__, code)))
     cluster_types = tuple(
-        frozenset(types[code[i]] for i in _bits(c)) for c in _cluster_masks(frame)
+        frozenset(types[code[i]] for i in _bits(c)) for c in frame.cluster_masks
     )
     found, seen = _maximal_clusters(frame)
     maximal = tuple(c for c, _ in found)

@@ -91,8 +91,9 @@ class Frame:
     Frames compare and hash on ``worlds`` and ``succ``.  ``rel`` is the
     relation as a set of pairs, kept when the frame is built from pairs and
     spelled out on first read when it is built from rows.  The rest of the
-    relation index (``index``, ``pred``, ``transitive``) is cached on the
-    instance, so analyses of the same frame object share it.
+    relation index (``index``, ``pred``, ``transitive``, ``cluster_masks``)
+    is cached on the instance, so analyses of the same frame object share
+    it.
     """
 
     worlds: tuple[str, ...]
@@ -148,6 +149,21 @@ class Frame:
         succ = self.succ
         # worlds with the same successors pass or fail together
         return all(_union(succ, row) & ~row == 0 for row in set(succ))
+
+    @cached_property
+    def cluster_masks(self) -> tuple[int, ...]:
+        """World masks of the clusters of a transitive frame, by first world."""
+        if not self.transitive:
+            raise NonTransitiveError("cluster decomposition needs a transitive relation")
+        masks: list[int] = []
+        seen = 0
+        for i, (row, back) in enumerate(zip(self.succ, self.pred)):
+            bit = 1 << i
+            if not seen & bit:
+                mask = row & back | bit
+                seen |= mask
+                masks.append(mask)
+        return tuple(masks)
 
     @cached_property
     def _bit(self) -> dict[str, int]:
@@ -350,22 +366,6 @@ class ClusterDecomposition:
         raise KeyError(w)
 
 
-def _cluster_masks(frame: Frame) -> list[int]:
-    """World masks of the clusters of a transitive frame, by first world."""
-    if not frame.transitive:
-        raise NonTransitiveError("cluster decomposition needs a transitive relation")
-    succ, pred = frame.succ, frame.pred
-    masks: list[int] = []
-    seen = 0
-    for i, row in enumerate(succ):
-        bit = 1 << i
-        if not seen & bit:
-            mask = row & pred[i] | bit
-            seen |= mask
-            masks.append(mask)
-    return masks
-
-
 def _first(mask: int) -> int:
     """Position of the lowest set bit of ``mask``."""
     return (mask & -mask).bit_length() - 1
@@ -377,7 +377,7 @@ def _maximal_clusters(frame: Frame) -> tuple[list[tuple[int, int]], list[list[in
     of the clusters it wholly sees."""
     succ, pred = frame.succ, frame.pred
     maximal = [
-        (c, mask) for c, mask in enumerate(_cluster_masks(frame))
+        (c, mask) for c, mask in enumerate(frame.cluster_masks)
         if not succ[_first(mask)] & ~mask
     ]
     seen: list[list[int]] = [[] for _ in frame.worlds]
@@ -389,7 +389,7 @@ def _maximal_clusters(frame: Frame) -> tuple[list[tuple[int, int]], list[list[in
 
 
 def cluster_decomposition(frame: Frame) -> ClusterDecomposition:
-    masks = _cluster_masks(frame)
+    masks = frame.cluster_masks
     succ = frame.succ
     # under transitivity every member of a cluster sees the same worlds, so
     # the first member speaks for the cluster
@@ -487,7 +487,6 @@ class Program:
     code: tuple[tuple, ...]
     size: int
     roots: tuple[int, ...]
-    tangles: bool
 
 
 def _instruction(f: Formula, out: int, args: list[int]) -> tuple | None:
@@ -596,8 +595,7 @@ def compile_formulas(roots: Sequence[Formula]) -> Program:
             if loop:
                 var, body, start = loop
                 code.append((_LOOP, var, body, (var + 1, start)))
-    tangles = any(ins[0] == _TANGLE for ins in code)
-    return Program(tuple(code), size, tuple(done), tangles)
+    return Program(tuple(code), size, tuple(done))
 
 
 class Evaluator:
@@ -605,30 +603,50 @@ class Evaluator:
 
     Build once per frame, then query :meth:`extension` with different
     valuations; the frame's relation index and clusters are reused, and
-    each call compiles its formulas afresh.  The plain modalities and
-    ``<t>`` read the frame's successor masks; the d-modalities and ``<dt>``
-    read ``dsucc``, which defaults to the same masks.  A topological space
+    each call compiles its formulas afresh.  ``rels`` holds the two
+    relations by operand: the plain modalities and ``<t>`` read the frame's
+    successor masks ``succ`` (0), the d-modalities and ``<dt>`` read
+    ``dsucc`` (1), which defaults to the same masks.  A topological space
     passes its punctured neighbourhoods there.
     """
+
+    succ = property(lambda self: self.rels[0])
+    dsucc = property(lambda self: self.rels[1])
 
     def __init__(self, frame: Frame, dsucc: tuple[int, ...] | None = None):
         self.frame = frame
         self.n = len(frame.worlds)
         self.full = (1 << self.n) - 1
-        self.succ = frame.succ
-        self.dsucc = self.succ if dsucc is None else dsucc
-        self._rows: dict[int, list[tuple[int, set[int]]]] = {}
+        self.rels = (frame.succ, frame.succ if dsucc is None else dsucc)
+
+    def _per_operand(self, build: Callable[[tuple[int, ...]], list]) -> tuple[list, list]:
+        """``build`` of each relation, built once when both are the same."""
+        succ, dsucc = self.rels
+        made = build(succ)
+        return made, made if dsucc is succ else build(dsucc)
 
     @cached_property
     def _successors(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-        """Each world's successors through ``succ`` and through ``dsucc``."""
-        succ = list(map(_bit_tuple, self.succ))
-        return succ, succ if self.dsucc is self.succ else list(map(_bit_tuple, self.dsucc))
+        """Each world's successors, per relation operand."""
+        return self._per_operand(lambda rows: list(map(_bit_tuple, rows)))
+
+    @cached_property
+    def _cluster_rows(self) -> tuple[list[tuple[int, set[int]]], list[tuple[int, set[int]]]]:
+        """Per relation operand, each cluster of the frame with the distinct
+        parts of it that its worlds see through that relation.  Clusters
+        where some world sees nothing inside are left out: they carry no
+        tangle."""
+        if not self.frame.transitive:
+            raise NonTransitiveError("tangle formulas require a transitive frame")
+        clusters = self.frame.cluster_masks
+
+        def found(rows: tuple[int, ...]) -> list[tuple[int, set[int]]]:
+            each = [(c, {rows[i] & c for i in _bits(c)}) for c in clusters]
+            return [(c, parts) for c, parts in each if 0 not in parts]
+
+        return self._per_operand(found)
 
     # -- sets <-> masks ---------------------------------------------------
-
-    def unmask(self, mask: int) -> frozenset[str]:
-        return self.frame.unmask(mask)
 
     def valuation_masks(self, val: Mapping[str, Iterable[str]]) -> dict[str, int]:
         return {atom: self.frame.mask(ws) for atom, ws in val.items()}
@@ -658,10 +676,8 @@ class Evaluator:
 
     def run(self, program: Program, val: Mapping[str, int]) -> list[int]:
         """Run a compiled program under ``val``; the extensions of its roots."""
-        if program.tangles and not self.frame.transitive:
-            raise NonTransitiveError("tangle formulas require a transitive frame")
         full = self.full
-        rels = (self.succ, self.dsucc)
+        rels = self.rels
         get = val.get
         slots = [0] * program.size
         code = program.code
@@ -692,7 +708,7 @@ class Evaluator:
             elif op == _TOP:
                 slots[out] = full
             elif op == _TANGLE:
-                slots[out] = self._tangle([slots[i] for i in a], self.dsucc if b else self.succ)
+                slots[out] = self._tangle([slots[i] for i in a], b)
             elif op == _FIX:
                 slots[out] = full if a else 0
                 slots[b] = 0
@@ -725,8 +741,6 @@ class Evaluator:
         fixpoint loops as often as the block's slowest valuation needs, under
         the same cap.
         """
-        if program.tangles and not self.frame.transitive:
-            raise NonTransitiveError("tangle formulas require a transitive frame")
         n = self.n
         full = (1 << size) - 1
         width = size.bit_length() - 1
@@ -790,7 +804,7 @@ class Evaluator:
         good when each of its rows meets every member, and the result is
         the diamond of the good clusters."""
         good = [0] * self.n
-        for cluster, rows in self._cluster_rows(self.dsucc if rel else self.succ):
+        for cluster, rows in self._cluster_rows[rel]:
             bits = full
             for row in rows:
                 js = _bit_tuple(row)
@@ -813,27 +827,12 @@ class Evaluator:
             out.append(acc)
         return out
 
-    def _tangle(self, masks: list[int], succ: tuple[int, ...]) -> int:
+    def _tangle(self, masks: list[int], rel: int) -> int:
         good = 0
-        for cluster, rows in self._cluster_rows(succ):
+        for cluster, rows in self._cluster_rows[rel]:
             if all(row & mask for row in rows for mask in masks):
                 good |= cluster
-        return self.dia(good, succ)
-
-    def _cluster_rows(self, succ: tuple[int, ...]) -> list[tuple[int, set[int]]]:
-        """Each cluster of the frame with the distinct parts of it that its
-        worlds see through ``succ``.  Clusters where some world sees nothing
-        inside are left out: they carry no tangle."""
-        # succ is self.succ or self.dsucc; both live as long as self
-        key = id(succ)
-        if key not in self._rows:
-            found = []
-            for cluster in _cluster_masks(self.frame):
-                rows = {succ[i] & cluster for i in _bits(cluster)}
-                if 0 not in rows:
-                    found.append((cluster, rows))
-            self._rows[key] = found
-        return self._rows[key]
+        return self.dia(good, self.rels[rel])
 
 
 @lru_cache(maxsize=1024)
@@ -858,7 +857,7 @@ def _valuation_bit(bit: int, width: int) -> int:
 def model_check(model: KripkeModel, phi: Formula) -> frozenset[str]:
     """Worlds of ``model`` satisfying ``phi``."""
     ev = Evaluator(model.frame)
-    return ev.unmask(ev.extension(phi, ev.valuation_masks(model.val)))
+    return model.frame.unmask(ev.extension(phi, ev.valuation_masks(model.val)))
 
 
 def tangle_oracle(model: KripkeModel, world: str, members: Iterable[Formula]) -> bool:

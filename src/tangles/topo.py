@@ -19,8 +19,7 @@ over the preorder and over the punctured neighbourhoods respectively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .formula import Formula
@@ -44,60 +43,55 @@ class SpaceError(ValueError):
 class FiniteSpace:
     """Points plus the full family of open sets.
 
-    ``frame`` is the specialization preorder as a :class:`Frame`, built on
-    first use and cached like the frame's own index; it takes no part in
+    ``frame`` is the specialization preorder as a :class:`Frame`: ``x``
+    sees ``y`` iff ``y`` lies in every open set containing ``x``.  It is
+    built from the open sets while they are validated and takes no part in
     equality, hashing or ``repr``.
     """
 
     points: tuple[str, ...]
     opens: frozenset[frozenset[str]]
+    frame: Frame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+        points = tuple(self.points)
+        object.__setattr__(self, "points", points)
         object.__setattr__(
             self, "opens", frozenset(frozenset(o) for o in self.opens)
         )
-        if not self.points:
+        if not points:
             raise SpaceError("a space needs at least one point")
-        if len(set(self.points)) != len(self.points):
+        if len(set(points)) != len(points):
             raise SpaceError("duplicate point ids")
-        everything = frozenset(self.points)
+        bit = {p: 1 << i for i, p in enumerate(points)}
+        opens = set()
         for o in self.opens:
-            if not o <= everything:
+            if not o <= bit.keys():
                 raise SpaceError(f"open set {sorted(o)} not within the point set")
-        if frozenset() not in self.opens:
+            opens.add(sum(map(bit.__getitem__, o)))
+        full = (1 << len(points)) - 1
+        if 0 not in opens:
             raise SpaceError("the empty set must be open")
-        if everything not in self.opens:
+        if full not in opens:
             raise SpaceError("the whole point set must be open")
+        nbhd = [full] * len(points)
+        for o in opens:
+            for i in _bits(o):
+                nbhd[i] &= o
+        object.__setattr__(self, "frame", Frame.from_rows(points, nbhd))
         # Each open set is the union of the U_x of its points, and so is the
         # intersection of two opens.  Adding the U_x one at a time, starting
         # from the empty set, shows the family closed under union and
         # intersection iff every O | U_x is open.
-        frame = self.frame
-        opens = {frame.mask(o) for o in self.opens}
         for o in sorted(opens):
-            for x, u in zip(self.points, frame.succ):
+            for x, u in zip(points, nbhd):
                 if o | u not in opens:
                     raise SpaceError(
                         "opens not closed under union and intersection: "
-                        f"{sorted(frame.unmask(o | u))}, the union of {sorted(frame.unmask(o))} "
+                        f"{sorted(self.frame.unmask(o | u))}, the union of "
+                        f"{sorted(self.frame.unmask(o))} "
                         f"and the least open set around {x!r}, is missing"
                     )
-
-    @cached_property
-    def frame(self) -> Frame:
-        """The specialization preorder: ``x`` sees ``y`` iff ``y`` lies in
-        every open set containing ``x``."""
-        points = self.points
-        index = {p: i for i, p in enumerate(points)}
-        nbhd = [(1 << len(points)) - 1] * len(points)
-        for o in self.opens:
-            mask = 0
-            for p in o:
-                mask |= 1 << index[p]
-            for i in _bits(mask):
-                nbhd[i] &= mask
-        return Frame.from_rows(points, nbhd)
 
 
 class TopoModel(_Valued):
@@ -129,12 +123,12 @@ def _evaluator(space: FiniteSpace) -> Evaluator:
 
 def operators(space: FiniteSpace, subset: Iterable[str]) -> SetOperators:
     """Interior, closure and derivative of one subset."""
-    ev = _evaluator(space)
-    s = space.frame.mask(subset)
+    ev, frame = _evaluator(space), space.frame
+    s = frame.mask(subset)
     return SetOperators(
-        ev.unmask(ev.box(s, ev.succ)),
-        ev.unmask(ev.dia(s, ev.succ)),
-        ev.unmask(ev.dia(s, ev.dsucc)),
+        frame.unmask(ev.box(s, ev.succ)),
+        frame.unmask(ev.dia(s, ev.succ)),
+        frame.unmask(ev.dia(s, ev.dsucc)),
     )
 
 
@@ -158,7 +152,7 @@ def space_predicates(space: FiniteSpace) -> SpacePredicates:
 def topo_model_check(model: TopoModel, phi: Formula) -> frozenset[str]:
     """Points of ``model`` satisfying ``phi``."""
     ev = _evaluator(model.space)
-    return ev.unmask(ev.extension(phi, ev.valuation_masks(model.val)))
+    return ev.frame.unmask(ev.extension(phi, ev.valuation_masks(model.val)))
 
 
 def alexandrov(frame: Frame) -> FiniteSpace:

@@ -214,9 +214,11 @@ def random_shared_formula(
     a subformula that sits both under a binder of a name and where the name
     is free or bound by another binder.  Each built subformula is kept and
     handed out again a third of the time where the same names are bound
-    with the same parities, which keeps every binder positive.  Negations,
-    derived forms, d-modalities, ``A``/``E`` and (unless ``tangles`` is
-    false) both tangles occur.
+    with the same parities, which keeps every binder positive.  A leaf where
+    some name is bound with even parity is mostly such a name, so that most
+    binders bind a name their body uses.  Negations, derived forms,
+    d-modalities, ``A``/``E`` and (unless ``tangles`` is false) both
+    tangles occur.
     """
     made: dict[tuple, list[Formula]] = {}
 
@@ -230,8 +232,12 @@ def random_shared_formula(
         ops += ["tangle", "tangled"] if tangles else []
         op = "leaf" if d <= 0 else rng.choice(ops)
         if op == "leaf":
-            usable = atoms + tuple(v for v in names if v in pos or v not in bound)
-            out = rng.choice([Atom(a) for a in usable] + [Top(), Bot()])
+            live = sorted(bound & pos)
+            if live and rng.random() < 0.75:
+                out = Atom(rng.choice(live))
+            else:
+                usable = atoms + tuple(v for v in names if v in pos or v not in bound)
+                out = rng.choice([Atom(a) for a in usable] + [Top(), Bot()])
         elif op == "neg":
             out = Neg(go(d - 1, neg, pos, bound))
         elif op in ("and", "or"):

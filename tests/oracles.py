@@ -136,15 +136,15 @@ def tree_extension(ev: Evaluator, phi: Formula, val: Mapping[str, int]) -> int:
     if isinstance(phi, Exists):
         return ev.full if tree_extension(ev, phi.sub, val) else 0
     if isinstance(phi, (Tangle, TangleD)):
-        succ = ev.succ if isinstance(phi, Tangle) else ev.dsucc
+        rel = int(isinstance(phi, TangleD))
         if not ev.frame.transitive:
             raise NonTransitiveError("tangle formulas require a transitive frame")
         masks = [tree_extension(ev, m, val) for m in phi.members]
         good = 0
-        for cluster, rows in ev._cluster_rows(succ):
+        for cluster, rows in ev._cluster_rows[rel]:
             if all(row & mask for row in rows for mask in masks):
                 good |= cluster
-        return ev.dia(good, succ)
+        return ev.dia(good, ev.rels[rel])
     if isinstance(phi, (Mu, Nu)):
         current = 0 if isinstance(phi, Mu) else ev.full
         for _ in range(ev.n + 2):
@@ -496,7 +496,7 @@ def tree_filtrate(m: KripkeModel, closure: ClosureSet, mode: str = "standard") -
     ev = Evaluator(m.frame)
     masks = ev.valuation_masks(m.val)
     ordered = closure.sorted()
-    source_truth = {f: ev.unmask(tree_extension(ev, f, masks)) for f in ordered}
+    source_truth = {f: ev.frame.unmask(tree_extension(ev, f, masks)) for f in ordered}
     maximal, sees = _maximal_cluster_data(m.frame)
 
     def signature(w: str):
@@ -608,7 +608,7 @@ def tree_verify_reduction(
     ordered = closure.sorted()
     # every extension first, so a tangle on a forged intransitive relation
     # raises before any mismatch is reported
-    exts = [ev.unmask(tree_extension(ev, f, masks)) for f in ordered]
+    exts = [ev.frame.unmask(tree_extension(ev, f, masks)) for f in ordered]
     for f, ext in zip(ordered, exts):
         for x in m.frame.worlds:
             checked += 1
@@ -722,7 +722,7 @@ def tree_characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicT
 
     ev = Evaluator(frame)
     masks = ev.valuation_masks(m.val)
-    ext = {a: ev.unmask(ev.extension(a, masks)) for a in alphabet}
+    ext = {a: ev.frame.unmask(ev.extension(a, masks)) for a in alphabet}
     type_of = {w: frozenset(a for a in alphabet if w in ext[a]) for w in frame.worlds}
 
     dec = cluster_decomposition(frame)
@@ -747,7 +747,7 @@ def tree_characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicT
     sees_cluster_formula = {i: Dia(box_star(cluster_formula[i])) for i in maximal}
 
     ordered = closure.sorted()
-    closure_truth = {f: ev.unmask(ev.extension(f, masks)) for f in ordered}
+    closure_truth = {f: ev.frame.unmask(ev.extension(f, masks)) for f in ordered}
     profile_formula = {
         w: conj(f if w in closure_truth[f] else Neg(f) for f in ordered)
         for w in frame.worlds
@@ -800,7 +800,7 @@ def _verify_characteristics(
     """The report on ``data``, every field but ``report`` filled in, each
     formula evaluated on its own."""
     def holds(f: Formula) -> frozenset[str]:
-        return ev.unmask(ev.extension(f, masks))
+        return ev.frame.unmask(ev.extension(f, masks))
 
     worlds = m.frame.worlds
     maximal, cluster_types = data.maximal_clusters, data.cluster_types

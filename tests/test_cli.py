@@ -1,7 +1,10 @@
 """Command line behaviour: output formats, exit codes, error routing."""
 
+import copy
+import functools
 import hashlib
 import json
+import operator
 import os
 import random
 import subprocess
@@ -637,6 +640,106 @@ def test_fuzzed_formula_arguments_keep_the_exit_code_contract(capsys, tmp_path, 
         code, _, err = _exit_code(capsys, argv)
         assert code in (0, 1, 2, 3), (argv, err)
         assert "Traceback" not in err
+
+
+_INTRANSITIVE_CHAIN = {
+    "worlds": ["a", "b", "c"],
+    "rel": [["a", "b"], ["b", "c"], ["c", "c"]],
+    "val": {"p": ["c"]},
+}
+
+
+@pytest.mark.parametrize("command", [["mc"], ["validate", "--frame"]])
+def test_tangles_on_an_intransitive_frame_exit_2(capsys, tmp_path, command):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(_INTRANSITIVE_CHAIN))
+    for text in ("<t>{p}", "<dt>{p}"):
+        code, out, err = run(capsys, *command, str(path), text)
+        assert (code, out, err) == (2, "", "error: tangle formulas require a transitive frame\n")
+    # a formula without tangles still gets its answer on the same frame
+    code, out, err = run(capsys, *command, str(path), "<>p")
+    assert (code, err) == (1, "")
+    assert out
+
+
+# A transitive model: a sees the cluster {b, c}, which sees the reflexive
+# endpoint d; and a space whose specialization order is the chain x, y, z.
+_FUZZ_MODEL = {
+    "worlds": ["a", "b", "c", "d"],
+    "rel": [["a", "b"], ["a", "c"], ["a", "d"], ["b", "b"], ["b", "c"], ["b", "d"],
+            ["c", "b"], ["c", "c"], ["c", "d"], ["d", "d"]],
+    "val": {"p": ["b", "d"], "q": ["c"]},
+}
+_FUZZ_SPACE = {
+    "points": ["x", "y", "z"],
+    "opens": [[], ["x"], ["x", "y"], ["x", "y", "z"]],
+    "val": {"p": ["x", "y"]},
+}
+# Per command: the arguments around the input file, the input, and the exit
+# code on the unmutated input.  <t>{p, q} fails only at d, which sees no
+# cluster with both.  <t>{p} holds at every point of the space, since each
+# sees x, a p-point that is a cluster of its own, while <dt>{p} holds
+# nowhere, since a finite T0 space has no dense-in-itself part.  A tangle
+# implies the diamond of each member, and the reduction holds.
+_FUZZ_JOBS = {
+    "mc": (["mc"], ["<t>{p, q}"], _FUZZ_MODEL, 1),
+    "tmc": (["tmc"], ["<t>{p} & ~<dt>{p}"], _FUZZ_SPACE, 0),
+    "analyze": (["analyze"], [], _FUZZ_MODEL, 0),
+    "filtrate": (["filtrate"], ["<t>{p, q}", "<>true"], _FUZZ_MODEL, 0),
+    "untangle": (["untangle"], ["<t>{p, q}", "<>true"], _FUZZ_MODEL, 0),
+    "validate": (["validate", "--frame"], ["<t>{p} -> <>p"], _FUZZ_MODEL, 0),
+}
+
+
+def _json_positions(data, path=()):
+    """The paths to every value below the top of ``data``."""
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _json_positions(value, path + (key,))
+
+
+def _mutate_json(rng: random.Random, data):
+    """A copy of ``data`` with one position changed: an entry or key
+    dropped, a world swapped for an unknown one, or a list or object turned
+    into a string or the other container."""
+    data = copy.deepcopy(data)
+    *parents, last = rng.choice(list(_json_positions(data)))
+    parent = functools.reduce(operator.getitem, parents, data)
+    value = parent[last]
+    if rng.random() < 0.4:
+        del parent[last]
+    elif isinstance(value, str):
+        parent[last] = "nowhere"
+    elif isinstance(value, list):
+        parent[last] = rng.choice(["x", {"x": ["x"]}])
+    else:
+        parent[last] = rng.choice(["x", ["x"]])
+    return data
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ_JOBS))
+def test_fuzzed_inputs_keep_the_exit_code_contract(capsys, tmp_path, command):
+    # 0/1 are answers, 2 is bad input and 3 a budget used up; an exit of 2
+    # or 3 prints one error line, and no input may end in a traceback
+    before, after, data, oracle = _FUZZ_JOBS[command]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, *before, str(path), *after)[0] == oracle
+    rng = random.Random(7700 + sorted(_FUZZ_JOBS).index(command))
+    for _ in range(60):
+        mutated = _mutate_json(rng, data)
+        path.write_text(json.dumps(mutated))
+        code, _, err = run(capsys, *before, str(path), *after)
+        assert code in (0, 1, 2, 3), (mutated, err)
+        assert "Traceback" not in err
+        if code in (2, 3):
+            assert err.startswith("error: ") and err.count("\n") == 1, (mutated, err)
 
 
 def _env() -> dict:

@@ -19,8 +19,11 @@ from tangles import (
     characteristic_formulas,
     cluster_decomposition,
     defining_formula,
+    enumerate_frames,
     filtrate,
     model_check,
+    model_to_dict,
+    parse,
     path_components,
     preservation_report,
     reduction_conditions,
@@ -201,6 +204,28 @@ def test_untangled_quotient_passes_reduction(seed):
         assert fr.quotient_map[crit] in cluster
     if reflexive_mode:
         assert relation_properties(ut.untangled_frame()).reflexive
+
+
+def test_reduction_lemma_on_every_small_model():
+    # every transitive frame of 1-3 worlds up to isomorphism under every
+    # valuation of p and q, 2,632 models, with one closure per mode: the
+    # untangled filtration keeps the truth of each closure member
+    closures = {
+        "standard": closure_of(parse("<t>{p, q}"), Dia(Top())),
+        "refined": closure_of(parse("<t>{p, ~p} | []q"), Dia(Top())),
+    }
+    models = 0
+    for n in (1, 2, 3):
+        for frame in enumerate_frames(n):
+            for ps, qs in product(range(1 << n), repeat=2):
+                m = KripkeModel(frame, {"p": frame.unmask(ps), "q": frame.unmask(qs)})
+                models += 1
+                for mode, closure in closures.items():
+                    fr = filtrate(m, closure, mode)
+                    report = verify_reduction(fr, untangle(fr, m, closure), m, closure)
+                    assert report.ok, (mode, model_to_dict(m), report.failure)
+                    assert reduction_conditions(fr, m, closure) == [], (mode, model_to_dict(m))
+    assert models == 2632
 
 
 def test_degenerate_clusters_get_empty_nuclei():

@@ -43,6 +43,7 @@ from tangles import (
     closures,
     cluster_decomposition,
     enumerate_frames,
+    frame_validates,
     generated_submodel,
     locally_n_connected,
     min_local_connectedness,
@@ -294,6 +295,23 @@ def test_tangle_needs_transitivity():
         model_check(model, Tangle((p,)))
     with pytest.raises(NonTransitiveError):
         model_check(model, TangleD((p,)))
+
+
+def test_tangle_guard_message_on_both_evaluation_paths():
+    # model_check runs the program once (Evaluator.run), frame_validates runs
+    # it bitsliced (Evaluator.run_block); both name the same guard, also for
+    # a tangle under a diamond and a fixpoint
+    chain = Frame(("a", "b", "c"), frozenset({("a", "b"), ("b", "c"), ("c", "c")}))
+    model = KripkeModel(chain, {"p": {"c"}})
+    message = "^tangle formulas require a transitive frame$"
+    for phi in (Tangle((p,)), TangleD((p,)), parse("mu x. p | <><dt>{x, p}")):
+        with pytest.raises(NonTransitiveError, match=message):
+            model_check(model, phi)
+        with pytest.raises(NonTransitiveError, match=message):
+            frame_validates(chain, phi)
+    # the guard is about tangles: the plain diamond still answers
+    assert model_check(model, Dia(p)) == {"b", "c"}
+    assert not frame_validates(chain, Dia(p)).valid
 
 
 def test_tangle_concrete():
@@ -861,7 +879,7 @@ def test_fixpoint_iteration_is_capped():
     ev = Evaluator(Frame(("a",), frozenset()))
     program = kmod.Program(
         code=((kmod._FIX, 0, False, 1), (kmod._NOT, 2, 0, 0), (kmod._LOOP, 0, 2, (1, 1))),
-        size=3, roots=(0,), tangles=False,
+        size=3, roots=(0,),
     )
     with pytest.raises(RuntimeError, match="failed to stabilize"):
         ev.run(program, {})
@@ -916,7 +934,7 @@ def test_run_block_iteration_is_capped():
     ev = Evaluator(Frame(("a", "b"), frozenset()))
     program = kmod.Program(
         code=((kmod._FIX, 0, False, 1), (kmod._NOT, 2, 0, 0), (kmod._LOOP, 0, 2, (1, 1))),
-        size=3, roots=(0,), tangles=False,
+        size=3, roots=(0,),
     )
     raised = []
 

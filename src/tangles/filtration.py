@@ -62,24 +62,6 @@ from .kripke import (
     relation_properties,
 )
 
-__all__ = [
-    "FiltrationResult",
-    "UntangleResult",
-    "CriticalPointError",
-    "ReductionReport",
-    "AtomicTypeData",
-    "CharacteristicReport",
-    "FrameProfile",
-    "PreservationReport",
-    "filtrate",
-    "untangle",
-    "verify_reduction",
-    "reduction_conditions",
-    "characteristic_formulas",
-    "defining_formula",
-    "preservation_report",
-]
-
 
 class CriticalPointError(ValueError):
     """No world of a quotient cluster satisfied the avoidance condition."""
@@ -510,14 +492,6 @@ class AtomicTypeData:
     class_formula: dict[str, Formula]
     component_formulas: dict[str, tuple[tuple[frozenset[str], Formula], ...]]
     report: CharacteristicReport
-
-    def type_formula(self, s: Iterable[Formula]) -> Formula:
-        """Conjunction asserting exactly the alphabet members in ``s``."""
-        chosen = frozenset(s)
-        stray = chosen - frozenset(self.alphabet)
-        if stray:
-            raise ValueError(f"not in the alphabet: {pretty(next(iter(stray)))}")
-        return conj(a if a in chosen else Neg(a) for a in self.alphabet)
 
 
 def _subsets(alphabet: tuple[Formula, ...]) -> Iterable[frozenset[Formula]]:

@@ -100,10 +100,10 @@ class Frame:
     rel: frozenset[tuple[str, str]] = _Pairs()
 
     def __post_init__(self):
-        worlds, given = tuple(self.worlds), self.__dict__["rel"]
+        given = self.__dict__["rel"]
         # a set has no order to report the first stray pair in
         pairs = given if isinstance(given, (frozenset, set)) else tuple(given)
-        _check_worlds(worlds)
+        worlds = _checked_worlds(self.worlds)
         # rows of the entries before the first one that is not a pair, so
         # that the first bad entry of either kind is the one named
         index, succ, pred, stray = _relation_rows(worlds, takewhile(_is_pair, pairs), _itself)
@@ -117,8 +117,7 @@ class Frame:
     def from_rows(cls, worlds: Iterable[str], succ: Iterable[int]) -> Frame:
         """The frame where world ``i`` sees world ``j`` iff bit ``j`` of
         ``succ[i]`` is set."""
-        worlds, succ = tuple(worlds), tuple(succ)
-        _check_worlds(worlds)
+        worlds, succ = _checked_worlds(worlds), tuple(succ)
         n = len(worlds)
         if len(succ) != n or any(row >> n for row in succ):
             raise ValueError("successor rows do not fit the world set")
@@ -179,11 +178,21 @@ class Frame:
         return self.unmask(self.succ[self.index[w]])
 
 
-def _check_worlds(worlds: tuple[str, ...]) -> None:
+def _collection(value: Iterable, what: str) -> Iterable:
+    """``value``, refused if it is a string, which would read as a
+    collection of its characters."""
+    if isinstance(value, str):
+        raise ValueError(f"{what} must be a collection, not the string {value!r}")
+    return value
+
+
+def _checked_worlds(worlds: Iterable[str]) -> tuple[str, ...]:
+    worlds = tuple(_collection(worlds, "worlds"))
     if not worlds:
         raise ValueError("a frame needs at least one world")
     if len(set(worlds)) != len(worlds):
         raise ValueError("duplicate world ids")
+    return worlds
 
 
 def _is_pair(entry) -> bool:
@@ -282,7 +291,7 @@ class _Valued:
         scope = set(self._elements)
         self.val = {}
         for atom, elements in val.items():
-            found = self.val[atom] = frozenset(elements)
+            found = self.val[atom] = frozenset(_collection(elements, f"valuation of '{atom}'"))
             if not found <= scope:
                 raise ValueError(f"valuation of '{atom}' mentions unknown {self._NOUN}")
 
@@ -358,12 +367,6 @@ class ClusterDecomposition:
     degenerate: tuple[bool, ...]
     order: frozenset[tuple[int, int]]
     rank: tuple[int, ...]
-
-    def cluster_of(self, w: str) -> int:
-        for i, c in enumerate(self.clusters):
-            if w in c:
-                return i
-        raise KeyError(w)
 
 
 def _first(mask: int) -> int:

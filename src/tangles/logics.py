@@ -14,7 +14,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .formula import (
     And,
@@ -392,15 +392,11 @@ def _blocks(
         yield start, (1 << size) - 1, ev.run_block(program, atoms, start, size)[0]
 
 
-def _valuation(atoms: Sequence[str], n: int, v: int) -> dict[str, int]:
-    """The world masks of valuation ``v``, atom-major: the first atom's
-    mask sits in the highest bits of ``v``, so it varies slowest."""
-    last, worlds = len(atoms) - 1, (1 << n) - 1
-    return {a: v >> (last - k) * n & worlds for k, a in enumerate(atoms)}
-
-
-def _masks_to_val(masks: Mapping[str, int], worlds: Sequence[str]) -> dict[str, tuple[str, ...]]:
-    return {a: tuple(_picked(worlds, m)) for a, m in masks.items()}
+def _valuation(atoms: Sequence[str], worlds: Sequence[str], v: int) -> dict[str, tuple[str, ...]]:
+    """Valuation ``v`` as world tuples, atom-major: the first atom's mask
+    sits in the highest bits of ``v``, so it varies slowest."""
+    last, n = len(atoms) - 1, len(worlds)
+    return {a: tuple(_picked(worlds, v >> (last - k) * n)) for k, a in enumerate(atoms)}
 
 
 def frame_validates(frame: Frame, phi: Formula, budget: int = VALUATION_BUDGET) -> ValidityReport:
@@ -431,7 +427,7 @@ def frame_validates(frame: Frame, phi: Formula, budget: int = VALUATION_BUDGET) 
             return ValidityReport(
                 valid=False,
                 checked=start + v + 1,
-                witness_valuation=_masks_to_val(_valuation(atoms, n, start + v), frame.worlds),
+                witness_valuation=_valuation(atoms, frame.worlds, start + v),
                 witness_world=frame.worlds[bad],
             )
     return ValidityReport(valid=True, checked=space)
@@ -478,8 +474,7 @@ def bounded_sat(
                 somewhere = functools.reduce(operator.or_, ext)
                 if somewhere:
                     v = (somewhere & -somewhere).bit_length() - 1  # the lowest set bit
-                    val = _valuation(atoms, n, start + v)
-                    return KripkeModel(frame, _masks_to_val(val, frame.worlds))
+                    return KripkeModel(frame, _valuation(atoms, frame.worlds, start + v))
     return None
 
 

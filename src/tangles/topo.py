@@ -28,6 +28,7 @@ from .kripke import (
     Frame,
     NonTransitiveError,
     _bits,
+    _collection,
     _listed,
     _Valued,
     _valuation_data,
@@ -54,11 +55,11 @@ class FiniteSpace:
     frame: Frame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        points = tuple(self.points)
+        points = tuple(_collection(self.points, "points"))
         object.__setattr__(self, "points", points)
-        object.__setattr__(
-            self, "opens", frozenset(frozenset(o) for o in self.opens)
-        )
+        object.__setattr__(self, "opens", frozenset(
+            frozenset(_collection(o, "an open set")) for o in _collection(self.opens, "opens")
+        ))
         if not points:
             raise SpaceError("a space needs at least one point")
         if len(set(points)) != len(points):

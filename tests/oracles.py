@@ -98,7 +98,7 @@ from tangles import (
     pretty,
 )
 from tangles.formula import rebuild
-from tangles.logics import SEARCH_BUDGET, VALUATION_BUDGET, _masks_to_val
+from tangles.logics import SEARCH_BUDGET, VALUATION_BUDGET
 
 
 def tree_extension(ev: Evaluator, phi: Formula, val: Mapping[str, int]) -> int:
@@ -170,6 +170,11 @@ def valuation_masks(atoms: Sequence[str], n: int) -> Iterator[dict[str, int]]:
         yield dict(zip(atoms, combo))
 
 
+def _world_tuples(masks: Mapping[str, int], worlds: Sequence[str]) -> dict[str, tuple[str, ...]]:
+    """Each atom's mask as the worlds at its set bits, in world order."""
+    return {a: tuple(w for i, w in enumerate(worlds) if m >> i & 1) for a, m in masks.items()}
+
+
 def tree_frame_validates(frame, phi: Formula, budget: int = VALUATION_BUDGET) -> ValidityReport:
     atoms = sorted(free_atoms(phi))
     n = len(frame.worlds)
@@ -186,7 +191,7 @@ def tree_frame_validates(frame, phi: Formula, budget: int = VALUATION_BUDGET) ->
             return ValidityReport(
                 valid=False,
                 checked=checked,
-                witness_valuation=_masks_to_val(masks, frame.worlds),
+                witness_valuation=_world_tuples(masks, frame.worlds),
                 witness_world=frame.worlds[bad],
             )
     return ValidityReport(valid=True, checked=checked)
@@ -210,7 +215,7 @@ def tree_bounded_sat(phi: Formula, profile, max_worlds: int, budget: int = SEARC
             ev = Evaluator(frame)
             for masks in valuation_masks(atoms, n):
                 if tree_extension(ev, phi, masks):
-                    return KripkeModel(frame, _masks_to_val(masks, frame.worlds))
+                    return KripkeModel(frame, _world_tuples(masks, frame.worlds))
     return None
 
 
@@ -811,7 +816,8 @@ def _verify_characteristics(
     reachable_serial = all(m.frame.successors(w) <= serial for w in worlds)
 
     type_description_ok = all(
-        holds(data.type_formula(s)) == frozenset(w for w in worlds if data.type_of[w] == s)
+        holds(conj(a if a in s else Neg(a) for a in data.alphabet))
+        == frozenset(w for w in worlds if data.type_of[w] == s)
         for s in _subsets(data.alphabet)
     )
 

@@ -572,6 +572,16 @@ def test_axioms_over_the_print_limit_exit_3(capsys, monkeypatch):
     assert run(capsys, "axioms", "--schema", "4", "-f", "p")[:2] == (0, "<><>p -> <>p\n")
 
 
+def test_recursion_error_exits_2(capsys, monkeypatch):
+    # the parser refuses deep nesting itself; this is the last line of
+    # defence should a walker still run out of stack
+    def too_deep(text):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "parse", too_deep)
+    assert run(capsys, "fmt", "p") == (2, "", "error: formula nested too deeply\n")
+
+
 def test_fixture_figure3(capsys):
     code, out, _ = run(capsys, "fixture", "figure3", "--m", "0")
     assert code == 0
@@ -675,19 +685,22 @@ _FUZZ_SPACE = {
     "opens": [[], ["x"], ["x", "y"], ["x", "y", "z"]],
     "val": {"p": ["x", "y"]},
 }
-# Per command: the arguments around the input file, the input, and the exit
-# code on the unmutated input.  <t>{p, q} fails only at d, which sees no
-# cluster with both.  <t>{p} holds at every point of the space, since each
-# sees x, a p-point that is a cluster of its own, while <dt>{p} holds
-# nowhere, since a finite T0 space has no dense-in-itself part.  A tangle
-# implies the diamond of each member, and the reduction holds.
+# Per command: the arguments around the input file, the input, the exit code
+# on the unmutated input and the output formats the command accepts.
+# <t>{p, q} fails only at d, which sees no cluster with both.  <t>{p} holds
+# at every point of the space, since each sees x, a p-point that is a
+# cluster of its own, while <dt>{p} holds nowhere, since a finite T0 space
+# has no dense-in-itself part.  A tangle implies the diamond of each member,
+# and the reduction holds.
+_FORMATS = ("text", "structured")
+_FORMATS_DOT = (*_FORMATS, "dot")
 _FUZZ_JOBS = {
-    "mc": (["mc"], ["<t>{p, q}"], _FUZZ_MODEL, 1),
-    "tmc": (["tmc"], ["<t>{p} & ~<dt>{p}"], _FUZZ_SPACE, 0),
-    "analyze": (["analyze"], [], _FUZZ_MODEL, 0),
-    "filtrate": (["filtrate"], ["<t>{p, q}", "<>true"], _FUZZ_MODEL, 0),
-    "untangle": (["untangle"], ["<t>{p, q}", "<>true"], _FUZZ_MODEL, 0),
-    "validate": (["validate", "--frame"], ["<t>{p} -> <>p"], _FUZZ_MODEL, 0),
+    "mc": (["mc"], ["<t>{p, q}"], _FUZZ_MODEL, 1, _FORMATS_DOT),
+    "tmc": (["tmc"], ["<t>{p} & ~<dt>{p}"], _FUZZ_SPACE, 0, _FORMATS),
+    "analyze": (["analyze"], [], _FUZZ_MODEL, 0, _FORMATS_DOT),
+    "filtrate": (["filtrate"], ["<t>{p, q}", "<>true"], _FUZZ_MODEL, 0, _FORMATS_DOT),
+    "untangle": (["untangle"], ["<t>{p, q}", "<>true"], _FUZZ_MODEL, 0, _FORMATS_DOT),
+    "validate": (["validate", "--frame"], ["<t>{p} -> <>p"], _FUZZ_MODEL, 0, _FORMATS),
 }
 
 
@@ -725,21 +738,32 @@ def _mutate_json(rng: random.Random, data):
 
 @pytest.mark.parametrize("command", sorted(_FUZZ_JOBS))
 def test_fuzzed_inputs_keep_the_exit_code_contract(capsys, tmp_path, command):
-    # 0/1 are answers, 2 is bad input and 3 a budget used up; an exit of 2
-    # or 3 prints one error line, and no input may end in a traceback
-    before, after, data, oracle = _FUZZ_JOBS[command]
+    # 0/1 are answers, 2 is bad input and 3 a budget used up, whatever the
+    # output format; an exit of 2 or 3 prints one error line, and no input
+    # may end in a traceback
+    before, after, data, oracle, formats = _FUZZ_JOBS[command]
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(data))
-    assert run(capsys, *before, str(path), *after)[0] == oracle
+
+    def codes(given):
+        """The exit codes on the input ``given`` under every format, each
+        checked against the contract."""
+        path.write_text(json.dumps(given))
+        found = set()
+        for fmt in formats:
+            code, _, err = run(capsys, *before, str(path), *after, "--format", fmt)
+            assert code in (0, 1, 2, 3), (fmt, given, err)
+            assert "Traceback" not in err
+            if code in (2, 3):
+                assert err.startswith("error: ") and err.count("\n") == 1, (fmt, given, err)
+            found.add(code)
+        return found
+
+    assert codes(data) == {oracle}
     rng = random.Random(7700 + sorted(_FUZZ_JOBS).index(command))
     for _ in range(60):
         mutated = _mutate_json(rng, data)
-        path.write_text(json.dumps(mutated))
-        code, _, err = run(capsys, *before, str(path), *after)
-        assert code in (0, 1, 2, 3), (mutated, err)
-        assert "Traceback" not in err
-        if code in (2, 3):
-            assert err.startswith("error: ") and err.count("\n") == 1, (mutated, err)
+        # the format changes what is printed, not the answer
+        assert len(codes(mutated)) == 1, mutated
 
 
 def _env() -> dict:

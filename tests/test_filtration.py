@@ -407,20 +407,6 @@ def test_characteristic_alphabet_and_cap():
     wide = closure_of(*(Atom(f"a{i}") for i in range(10)))
     with pytest.raises(ValueError):
         characteristic_formulas(m, wide)
-    with pytest.raises(ValueError):
-        data.type_formula({Atom("zz")})
-
-
-def test_type_formulas_carve_out_types():
-    rng = random.Random(9)
-    m = random_model(rng, 6, ("p", "q"), kind="transitive")
-    data = characteristic_formulas(m, closure_of(Dia(p), q))
-    assert data.report.type_description_ok
-    for w in m.frame.worlds:
-        ext = model_check(m, data.type_formula(data.type_of[w]))
-        assert ext == frozenset(
-            v for v in m.frame.worlds if data.type_of[v] == data.type_of[w]
-        )
 
 
 @pytest.mark.parametrize("seed", range(60))

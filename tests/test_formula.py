@@ -240,6 +240,13 @@ def _constructors(cls=Formula):
         yield from _constructors(sub)
 
 
+def test_immediate_subformulas_refuses_non_formulas():
+    # a name is not an atom: the walkers built on this map stop at it
+    with pytest.raises(TypeError) as info:
+        immediate_subformulas("p")
+    assert str(info.value) == "not a formula: 'p'"
+
+
 def test_immediate_subformulas():
     assert immediate_subformulas(p) == ()
     assert immediate_subformulas(And(p, q)) == (p, q)

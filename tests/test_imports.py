@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every private
 name of the package has a reader, and so has every name the package
-exports."""
+exports and every public method and property of a class it exports.  No
+module keeps an export list of its own."""
 
 import ast
 import re
@@ -12,6 +13,10 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tangles"
 ROOT = PACKAGE.parent.parent
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def _imported(tree):
@@ -27,7 +32,7 @@ def _imported(tree):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
-    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    tree = _tree(PACKAGE / module)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [f"{module}:{line} {name}" for name, line in _imported(tree) if name not in used]
     assert not unused
@@ -78,8 +83,7 @@ def _references(tree):
 
 
 def test_private_names_have_readers():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = {path.name: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
     readers = defaultdict(list)  # name -> (module, line) of each reference
     for module, tree in trees.items():
         for name, line in _references(tree):
@@ -93,22 +97,58 @@ def test_private_names_have_readers():
     assert not unread
 
 
-def test_exported_names_have_readers():
-    """Each name ``tangles/__init__.py`` exports is read in ``src/`` outside
-    its own definition and the module's ``__all__``, in ``bench/``, or in
-    README."""
-    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    exported = [alias.asname or alias.name for node in init.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
+def _exports():
+    """Each ``from .module import name`` of ``tangles/__init__.py``, as
+    (module file, name) pairs."""
+    return [(f"{node.module}.py", alias.asname or alias.name)
+            for node in _tree(PACKAGE / "__init__.py").body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def _unread(definitions):
+    """The names among ``definitions``, (name, module, lines) triples, that
+    are read nowhere: not in README, not in ``bench/``, and not in ``src/``
+    outside their own lines of their own module."""
     readers = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
     for path in sorted((ROOT / "bench").glob("*.py")):
-        readers.update(name for name, _ in _references(ast.parse(path.read_text(encoding="utf-8"))))
+        readers.update(name for name, _ in _references(_tree(path)))
+    places = defaultdict(list)  # name -> (module, line) of each reference in src/
     for module in MODULES:
-        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
-        own = defaultdict(set)  # the lines of each module-level definition
-        for stmt in tree.body:
-            for name in _defined(stmt):
-                own[name].update(range(stmt.lineno, stmt.end_lineno + 1))
-        readers.update(name for name, line in _references(tree)
-                       if line not in own[name] and line not in own["__all__"])
-    assert [name for name in exported if name not in readers] == []
+        for name, line in _references(_tree(PACKAGE / module)):
+            places[name].append((module, line))
+    return [name for name, module, lines in definitions if name not in readers
+            and all(where == module and line in lines for where, line in places[name])]
+
+
+def test_exported_names_have_readers():
+    """Each name ``tangles/__init__.py`` exports is read in ``src/`` outside
+    its own definition, in ``bench/``, or in README."""
+    definitions = []
+    for module, name in _exports():
+        lines = {line for stmt in _tree(PACKAGE / module).body if name in _defined(stmt)
+                 for line in range(stmt.lineno, stmt.end_lineno + 1)}
+        definitions.append((name, module, lines))
+    assert _unread(definitions) == []
+
+
+def test_public_methods_of_exported_classes_have_readers():
+    """Each public method and property of a class ``tangles/__init__.py``
+    exports is read by the rule exported names follow."""
+    definitions = []
+    for module, name in _exports():
+        for cls in _tree(PACKAGE / module).body:
+            if isinstance(cls, ast.ClassDef) and cls.name == name:
+                definitions += [(stmt.name, module, range(stmt.lineno, stmt.end_lineno + 1))
+                                for stmt in cls.body if isinstance(stmt, ast.FunctionDef)
+                                and not stmt.name.startswith("_")]
+    assert _unread(definitions) == []
+
+
+def test_no_module_assigns_all():
+    """The imports of ``tangles/__init__.py`` are the package's one export
+    list."""
+    assigned = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(_tree(path))
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                and node.id == "__all__"]
+    assert assigned == []

@@ -215,7 +215,6 @@ def test_cluster_decomposition(seed):
         for w in cluster:
             assert w not in seen
             seen.add(w)
-            assert dec.cluster_of(w) == i
             # mutual reachability defines the cluster
             mates = {
                 v
@@ -234,13 +233,6 @@ def test_cluster_decomposition(seed):
     for i in range(len(dec.clusters)):
         succs = [j for (a, j) in dec.order if a == i]
         assert (dec.rank[i] == 1) == (not succs)
-
-
-def test_cluster_of_refuses_unknown_worlds():
-    dec = cluster_decomposition(Frame(("a", "b"), frozenset({("a", "b")})))
-    assert dec.cluster_of("b") == 1
-    with pytest.raises(KeyError):
-        dec.cluster_of("c")
 
 
 def test_cluster_decomposition_needs_transitive():
@@ -720,6 +712,42 @@ def test_list_entries_are_named_as_non_pairs():
     assert model_from_dict({"worlds": ["a", "b"], "rel": [["a", "b"]]}).frame == Frame(
         ("a", "b"), [("a", "b")]
     )
+
+
+STRING_COLLECTIONS = {
+    "worlds": (lambda: Frame("ab", set()), "worlds must be a collection, not the string 'ab'"),
+    "row-built worlds": (
+        lambda: Frame.from_rows("ab", (0, 0)), "worlds must be a collection, not the string 'ab'"
+    ),
+    "valuation": (
+        lambda: KripkeModel(Frame(("a", "b"), set()), {"p": "ab"}),
+        "valuation of 'p' must be a collection, not the string 'ab'",
+    ),
+    "points": (
+        lambda: FiniteSpace("ab", ["", "b", "ab"]),
+        "points must be a collection, not the string 'ab'",
+    ),
+    "opens": (
+        lambda: FiniteSpace(("a", "b"), "ab"), "opens must be a collection, not the string 'ab'"
+    ),
+    "open set": (
+        lambda: FiniteSpace(("a", "b"), [(), "b", ("a", "b")]),
+        "an open set must be a collection, not the string 'b'",
+    ),
+    "space valuation": (
+        lambda: TopoModel(FiniteSpace(("a", "b"), [(), ("b",), ("a", "b")]), {"p": "b"}),
+        "valuation of 'p' must be a collection, not the string 'b'",
+    ),
+}
+
+
+@pytest.mark.parametrize("position", sorted(STRING_COLLECTIONS))
+def test_strings_are_refused_as_collections_of_names(position):
+    # iterating "ab" would read it as the worlds or points a and b
+    build, message = STRING_COLLECTIONS[position]
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("seed", range(20))

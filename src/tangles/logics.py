@@ -173,8 +173,7 @@ class LogicProfile:
     """A logic name resolved to frame conditions and a language fragment.
 
     Transitivity is common to every profile.  The fragment records which
-    connectives the logic's language is meant to carry; nothing downstream
-    enforces it, but reports quote it.
+    connectives the logic's language is meant to carry; nothing enforces it.
     """
 
     name: str
@@ -183,24 +182,6 @@ class LogicProfile:
     reflexive: bool = False
     connected: bool = False
     local_connectedness: int | None = None
-
-    @property
-    def schemas(self) -> tuple[str, ...]:
-        """The schema ids this profile's Hilbert system adds on top of K."""
-        out = ["K", "4"]
-        if self.serial:
-            out.append("D")
-        if self.reflexive:
-            out.append("T")
-        if self.local_connectedness is not None:
-            out.append(f"G{self.local_connectedness}")
-        if "tangle" in self.fragment:
-            out += ["Fix", "Ind"]
-        if "universal" in self.fragment:
-            out.append("U")
-        if self.connected:
-            out.append("C")
-        return tuple(out)
 
     def frame_violations(self, frame: Frame) -> tuple[str, ...]:
         props = relation_properties(frame)
@@ -377,19 +358,25 @@ BLOCK = 1 << 16
 _BLOCK_BITS = 1 << 28
 
 
-def _blocks(
+def _least_model(
     frame: Frame, program: Program, atoms: Sequence[str], space: int
-) -> Iterator[tuple[int, int, list[int]]]:
-    """Sweep the valuations ``0 .. space - 1`` over ``atoms`` block by
-    block.  Per block: its first valuation, its all-ones mask and the
-    compiled formula's extension, one int per world, with bit ``v`` for
-    valuation ``start + v``."""
+) -> tuple[int, str] | None:
+    """The least of the valuations ``0 .. space - 1`` over ``atoms`` under
+    which the compiled formula holds at some world, with the lowest such
+    world, or None.  The valuations are swept in blocks of up to
+    :data:`BLOCK` (``Evaluator.run_block``), and the least is the lowest bit
+    of the first block that is set at some world."""
     ev = Evaluator(frame)
     size = min(space, BLOCK)
     while size > 64 and size * ev.n * program.size > _BLOCK_BITS:
         size >>= 1
     for start in range(0, space, size):
-        yield start, (1 << size) - 1, ev.run_block(program, atoms, start, size)[0]
+        ext = ev.run_block(program, atoms, start, size)[0]
+        somewhere = functools.reduce(operator.or_, ext)
+        if somewhere:
+            bit = (somewhere & -somewhere).bit_length() - 1  # the lowest set bit
+            return start + bit, next(w for w, m in zip(frame.worlds, ext) if m >> bit & 1)
+    return None
 
 
 def _valuation(atoms: Sequence[str], worlds: Sequence[str], v: int) -> dict[str, tuple[str, ...]]:
@@ -404,11 +391,12 @@ def frame_validates(frame: Frame, phi: Formula, budget: int = VALUATION_BUDGET) 
 
     Only the atoms occurring free in phi are varied; others cannot affect
     its truth.  Valuations go atom-major ascending, in blocks of up to
-    :data:`BLOCK` evaluated at once.  The first refuting valuation is the
-    lowest bit of its block that is false at some world, the witness world
-    is the lowest such world, and ``checked`` counts the valuations up to
-    the refutation.  Raises BudgetExceededError when the valuation space is
-    larger than the budget, and ValueError when the budget is negative.
+    :data:`BLOCK` evaluated at once.  Phi is valid exactly when ~phi has no
+    model on the frame: the first refuting valuation is the least model of
+    ~phi, the witness world the lowest world where phi fails under it, and
+    ``checked`` counts the valuations up to the refutation.  Raises
+    BudgetExceededError when the valuation space is larger than the budget,
+    and ValueError when the budget is negative.
     """
     if budget < 0:
         raise ValueError(f"the budget must not be negative, got {budget}")
@@ -419,18 +407,11 @@ def frame_validates(frame: Frame, phi: Formula, budget: int = VALUATION_BUDGET) 
         raise BudgetExceededError(
             f"{space} valuations exceed the budget of {budget}"
         )
-    for start, full, ext in _blocks(frame, compile_formulas((phi,)), atoms, space):
-        everywhere = functools.reduce(operator.and_, ext)
-        if everywhere != full:
-            v = (~everywhere & everywhere + 1).bit_length() - 1  # the lowest zero bit
-            bad = next(i for i, world in enumerate(ext) if not world >> v & 1)
-            return ValidityReport(
-                valid=False,
-                checked=start + v + 1,
-                witness_valuation=_valuation(atoms, frame.worlds, start + v),
-                witness_world=frame.worlds[bad],
-            )
-    return ValidityReport(valid=True, checked=space)
+    found = _least_model(frame, compile_formulas((Neg(phi),)), atoms, space)
+    if found is None:
+        return ValidityReport(valid=True, checked=space)
+    v, world = found
+    return ValidityReport(False, v + 1, _valuation(atoms, frame.worlds, v), world)
 
 
 def bounded_sat(
@@ -444,10 +425,10 @@ def bounded_sat(
     Frames are enumerated by size, then adjacency order, then valuations
     atom-major ascending; the first hit is therefore the least witness, and
     the same one on every run.  Each frame's valuations are evaluated at
-    once, in blocks of up to :data:`BLOCK`, and the witness is the lowest
-    bit true at some world.  None means no model within max_worlds;
-    BudgetExceededError means the search was cut short, which is a weaker
-    statement.  A negative budget is a ValueError.
+    once, in blocks of up to :data:`BLOCK`, and the witness valuation is
+    the least model on the first frame that has one.  None means no model
+    within max_worlds; BudgetExceededError means the search was cut short,
+    which is a weaker statement.  A negative budget is a ValueError.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
@@ -470,11 +451,9 @@ def bounded_sat(
                 raise BudgetExceededError(
                     f"search budget {budget} exhausted on {n}-world frames"
                 )
-            for start, _, ext in _blocks(frame, program, atoms, per_frame):
-                somewhere = functools.reduce(operator.or_, ext)
-                if somewhere:
-                    v = (somewhere & -somewhere).bit_length() - 1  # the lowest set bit
-                    return KripkeModel(frame, _valuation(atoms, frame.worlds, start + v))
+            found = _least_model(frame, program, atoms, per_frame)
+            if found is not None:
+                return KripkeModel(frame, _valuation(atoms, frame.worlds, found[0]))
     return None
 
 

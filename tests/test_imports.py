@@ -4,6 +4,7 @@ exports and every public method and property of a class it exports.  No
 module keeps an export list of its own."""
 
 import ast
+import functools
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -15,7 +16,9 @@ ROOT = PACKAGE.parent.parent
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
 
+@functools.cache
 def _tree(path):
+    """The syntax tree of a file, parsed once per session."""
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
@@ -105,16 +108,42 @@ def _exports():
             if isinstance(node, ast.ImportFrom) for alias in node.names]
 
 
-def _unread(definitions):
+def _loads(tree, attributes_only=False):
+    """Each name a module reads as code, with its line: attribute loads
+    (``x.name``) and, unless ``attributes_only``, name loads and imported
+    names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif attributes_only:
+            continue
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+@functools.cache
+def _readme_code():
+    """The words of README's code spans and fenced blocks; its prose names
+    nothing."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.findall(r"^```.*?^```|`[^`]+`", text, re.M | re.S)
+    return frozenset(re.findall(r"\w+", " ".join(code)))
+
+
+def _unread(definitions, attributes_only=False):
     """The names among ``definitions``, (name, module, lines) triples, that
-    are read nowhere: not in README, not in ``bench/``, and not in ``src/``
-    outside their own lines of their own module."""
-    readers = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    are read nowhere: not in README's code, not in ``bench/``, and not in
+    ``src/`` outside their own lines of their own module.  Code reads a
+    name through ``_loads``."""
+    readers = set(_readme_code())
     for path in sorted((ROOT / "bench").glob("*.py")):
-        readers.update(name for name, _ in _references(_tree(path)))
-    places = defaultdict(list)  # name -> (module, line) of each reference in src/
+        readers.update(name for name, _ in _loads(_tree(path), attributes_only))
+    places = defaultdict(list)  # name -> (module, line) of each read in src/
     for module in MODULES:
-        for name, line in _references(_tree(PACKAGE / module)):
+        for name, line in _loads(_tree(PACKAGE / module), attributes_only):
             places[name].append((module, line))
     return [name for name, module, lines in definitions if name not in readers
             and all(where == module and line in lines for where, line in places[name])]
@@ -122,7 +151,8 @@ def _unread(definitions):
 
 def test_exported_names_have_readers():
     """Each name ``tangles/__init__.py`` exports is read in ``src/`` outside
-    its own definition, in ``bench/``, or in README."""
+    its own definition or in ``bench/``, by a name load, an import or an
+    attribute load, or is named in README's code."""
     definitions = []
     for module, name in _exports():
         lines = {line for stmt in _tree(PACKAGE / module).body if name in _defined(stmt)
@@ -133,7 +163,9 @@ def test_exported_names_have_readers():
 
 def test_public_methods_of_exported_classes_have_readers():
     """Each public method and property of a class ``tangles/__init__.py``
-    exports is read by the rule exported names follow."""
+    exports is read in ``src/`` outside its own definition or in ``bench/``
+    by an attribute load (``x.name``; a bare identifier of the same
+    spelling is not a read), or is named in README's code."""
     definitions = []
     for module, name in _exports():
         for cls in _tree(PACKAGE / module).body:
@@ -141,7 +173,7 @@ def test_public_methods_of_exported_classes_have_readers():
                 definitions += [(stmt.name, module, range(stmt.lineno, stmt.end_lineno + 1))
                                 for stmt in cls.body if isinstance(stmt, ast.FunctionDef)
                                 and not stmt.name.startswith("_")]
-    assert _unread(definitions) == []
+    assert _unread(definitions, attributes_only=True) == []
 
 
 def test_no_module_assigns_all():

@@ -44,7 +44,7 @@ from tangles import (
     to_mu,
 )
 from tangles import logics
-from tangles.kripke import compile_formulas
+from tangles.kripke import Evaluator
 from tangles.logics import BASE_SCHEMAS, BLOCK
 from gen import random_formula, random_member_set, random_model, random_tangle_formula
 from oracles import (
@@ -204,13 +204,6 @@ def test_parse_profile_rejects(name):
         parse_profile(name)
 
 
-def test_profile_schemas():
-    assert parse_profile("K4").schemas == ("K", "4")
-    assert parse_profile("KD4G2").schemas == ("K", "4", "D", "G2")
-    assert parse_profile("S4t.UC").schemas == ("K", "4", "T", "Fix", "Ind", "U", "C")
-    assert parse_profile("S4mu").schemas == ("K", "4", "T")
-
-
 def test_profile_frame_checks():
     frames = named_frames()
     assert parse_profile("S4").frame_violations(frames["fork"]) == ("reflexive",)
@@ -364,23 +357,47 @@ def test_frame_validates_refutation_past_the_first_block():
 
 
 def test_large_programs_sweep_in_smaller_blocks(monkeypatch):
-    # with a limit of 2**12 bits, 3 worlds and programs of 8 to 10 slots,
-    # the 512 valuations of p, q and r go in blocks of 128; every result
-    # stays that of the sweep one valuation at a time
+    # with a limit of 2**12 bits and 3 worlds, the 512 valuations of p, q
+    # and r go in blocks of 128 for programs of 8 to 10 slots and of 64 for
+    # 11 slots; frame_validates runs the negation, one slot more than phi.
+    # Every result stays that of the search one valuation at a time.
     monkeypatch.setattr(logics, "_BLOCK_BITS", 1 << 12)
+    calls = []
+    run_block = Evaluator.run_block
+
+    def recording(self, program, atoms, start, size):
+        calls.append((self.n, start, size))
+        return run_block(self, program, atoms, start, size)
+
+    monkeypatch.setattr(Evaluator, "run_block", recording)
     checked = set()
-    for text in ("[](p -> q) -> []p -> []q | r", "p & <>q -> <>(r | p)", "(p <-> <>q) | r | []p"):
-        phi = parse(text)
-        program = compile_formulas((phi,))
+    k_instance = parse("[](p -> q) -> []p -> []q | r")
+    for phi, size in (
+        (k_instance, 64),
+        (parse("p & <>q -> <>(r | p)"), 128),
+        (parse("(p <-> <>q) | r | []p"), 128),
+    ):
         for frame in enumerate_frames(3):
-            blocks = logics._blocks(frame, program, ("p", "q", "r"), 512)
-            assert [(start, full) for start, full, _ in blocks] == [
-                (start, (1 << 128) - 1) for start in range(0, 512, 128)
-            ]
+            calls.clear()
             report = frame_validates(frame, phi)
             assert report == tree_frame_validates(frame, phi)
+            assert calls == [(3, start, size) for start in range(0, report.checked, size)]
             checked.add(report.checked)
     assert max(checked - {512}) > 256
+    # no frame of 1-3 worlds has a model of the negated K instance, so
+    # bounded_sat sweeps each frame's 8, 64 or 512 valuations, the 512 in
+    # blocks of 64; the K instance itself holds on the first point
+    k4 = parse_profile("K4")
+    frames = [len(list(enumerate_frames(n))) for n in (1, 2, 3)]
+    calls.clear()
+    assert bounded_sat(Neg(k_instance), k4, 3) is None
+    assert tree_bounded_sat(Neg(k_instance), k4, 3) is None
+    assert calls == [(1, 0, 8)] * frames[0] + [(2, 0, 64)] * frames[1] + [
+        (3, start, 64) for _ in range(frames[2]) for start in range(0, 512, 64)
+    ]
+    calls.clear()
+    assert bounded_sat(k_instance, k4, 3) == tree_bounded_sat(k_instance, k4, 3)
+    assert calls == [(1, 0, 8)]
 
 
 def test_bounded_sat_witness_past_the_first_block():

@@ -1,13 +1,16 @@
 """The python examples of README.md run, in order and in one namespace,
-and each result they state in a comment is the one they give."""
+and each result they state in a comment is the one they give; the
+command-line tour runs on the examples' own model and space."""
 
 import ast
 import io
+import json
 import re
+import shlex
 import tokenize
 from pathlib import Path
 
-from tangles import parse
+from tangles import cli, model_to_dict, parse, space_to_dict
 from tangles.formula import FormulaError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -58,3 +61,27 @@ def test_readme_examples_give_the_results_they_state():
             checked.append(ast.unparse(stmt))
     # str(phi), model_check, topo_model_check, to_mu and to_d
     assert len(checked) == 5, checked
+
+
+def test_readme_command_line_tour_runs(tmp_path, monkeypatch, capsys):
+    # model.json is the Kripke example (worlds w0, w1), space.json the
+    # Sierpinski space of the topological one; every line of the tour
+    # answers (exit 0 or 1) without a traceback
+    namespace: dict = {}
+    for stmt, _ in _examples():
+        exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    model, tm = namespace["model"], namespace["tm"]
+    assert model.frame.worlds == ("w0", "w1")
+    for name, data in (("model.json", model_to_dict(model)),
+                       ("space.json", space_to_dict(tm.space, tm.val))):
+        (tmp_path / name).write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```", section, re.M | re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) == 12 and all(argv[0] == "tangles" for argv in commands)
+    for argv in commands:
+        code = cli.main(argv[1:])
+        out, err = capsys.readouterr()
+        assert code in (0, 1), (argv, err)
+        assert "Traceback" not in out + err, argv

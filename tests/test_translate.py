@@ -290,27 +290,36 @@ def _all_frames(n):
 
 def test_star_agrees_on_every_small_frame():
     # star(phi) on a frame against phi on its reflexive-transitive closure,
-    # on every frame of 1-3 worlds up to isomorphism, under every valuation
-    # of p and q at once: the formulas of size at most 4 in star's fragment,
-    # and fixpoints around those of size at most 2
+    # on every frame of 1-4 worlds up to isomorphism, under every valuation
+    # of p and q at once.  On 1-3 worlds: the formulas of size at most 4 in
+    # star's fragment, and fixpoints around those of size at most 2.  On 4
+    # worlds, to keep to about 2 s: the formulas of size at most 3, and the
+    # fixpoints around those of size at most 2 over p alone (swapping p and
+    # q maps the sweep onto itself, so those over q check nothing new).
     x = Atom("x")
     phis = [f for f in _formulas_up_to(4) if not any(type(g) is Tangle for g in post_order(f))]
     small = [f for f in phis if len(post_order(f)) <= 2]
-    phis += [Mu("x", Or(f, Dia(x))) for f in small] + [Nu("x", And(f, Box(x))) for f in small]
-    assert len(phis) == 160 + 2 * 12
-    starred = compile_formulas([star(phi) for phi in phis])
-    plain = compile_formulas(phis)
+    fixpoints = [Mu("x", Or(f, Dia(x))) for f in small] + [Nu("x", And(f, Box(x))) for f in small]
+    short = set(_formulas_up_to(3))
+    four = [f for f in phis if f in short] + [
+        fix for fix, f in zip(fixpoints, small * 2) if free_atoms(f) == {"p"}
+    ]
+    phis += fixpoints
+    assert (len(phis), len(four)) == (160 + 2 * 12, 34 + 2 * 6)
     counts = []
-    for n in range(1, 4):
+    for n in range(1, 5):
         frames = list(_all_frames(n))
         counts.append(len(frames))
+        checked = phis if n < 4 else four
+        starred = compile_formulas([star(phi) for phi in checked])
+        plain = compile_formulas(checked)
         for frame in frames:
             closed = closures(frame).reflexive_transitive
             got = Evaluator(frame).run_block(starred, ("p", "q"), 0, 1 << 2 * n)
             want = Evaluator(closed).run_block(plain, ("p", "q"), 0, 1 << 2 * n)
-            for phi, g, w in zip(phis, got, want):
+            for phi, g, w in zip(checked, got, want):
                 assert g == w, (pretty(phi), frame.succ)
-    assert counts == [2, 10, 104]
+    assert counts == [2, 10, 104, 3044]
 
 
 @pytest.mark.parametrize(

@@ -97,12 +97,52 @@ def _load_model(path: str) -> KripkeModel:
 # Output
 
 
+_ENCODE = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, with each newline
+    followed by ``indent``'s spaces: a nested value's lines start at its
+    parent's indent.  Strings, ints, bools, None, and non-empty lists and
+    string-keyed dicts are written here, with type checks and joins run in
+    C, so a relation's pairs cost no bytecode each; anything else goes to
+    ``json.dumps``."""
+    kind = type(value)
+    if kind is str:
+        return _ENCODE(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _CONSTANTS[value]
+    inner = indent + "  "
+    if kind is dict and value and set(map(type, value)) == {str}:
+        items = [_ENCODE(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list and value:
+        kinds = set(map(type, value))
+        if kinds == {list} and set(map(len, value)) == {2}:
+            firsts, seconds = zip(*value)
+            if set(map(type, firsts)) | set(map(type, seconds)) == {str}:
+                # a pair of strings spans four lines: "[", first, second, "]"
+                pair = inner + "  "
+                cells = map(("," + pair).join, zip(map(_ENCODE, firsts), map(_ENCODE, seconds)))
+                rows = (inner + "]," + inner + "[" + pair).join(cells)
+                return "[" + inner + "[" + pair + rows + inner + "]" + indent + "]"
+        items = map(_ENCODE, value) if kinds == {str} else [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    # empty containers, tuples, floats, subclasses and non-string keys; the
+    # encoder escapes every newline inside a string, so each newline left
+    # starts a line
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
+
+
 def _emit(args, structured, text, dot=None) -> None:
     """Print a result in the form ``--format`` asks for: the JSON of
-    ``structured()``, the lines of ``text()``, or the model or frame ``dot``
-    in DOT.  Only the asked-for form is built."""
+    ``structured()`` through ``_json_text``, the lines of ``text()``, or the
+    model or frame ``dot`` in DOT.  Only the asked-for form is built."""
     if args.format == "structured":
-        print(json.dumps(structured(), indent=2, sort_keys=True))
+        print(_json_text(structured()))
     elif args.format == "dot":
         print(to_dot(dot))
     else:

@@ -1,6 +1,7 @@
 """Command line behaviour: output formats, exit codes, error routing."""
 
 import copy
+import enum
 import functools
 import hashlib
 import json
@@ -836,3 +837,119 @@ def test_stray_pair_is_named_in_file_order(tmp_path):
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", "error: relation pair ('a', 'x1') outside the world set\n"
         ), seed
+
+
+# ---------------------------------------------------------------------------
+# Structured output: cli._json_text against json.dumps
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Name(str):
+    pass
+
+
+# quote, backslash, newline, control characters, DEL, non-ASCII, an astral
+# character and both halves of a surrogate pair on their own
+_AWKWARD = ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "𝔭", "\ud835", "\udd2d", "a", " ", "/"]
+
+
+def _random_string(rng: random.Random) -> str:
+    return "".join(rng.choice(_AWKWARD) for _ in range(rng.randrange(5)))
+
+
+def _random_leaf(rng: random.Random):
+    return rng.choice([
+        lambda: _random_string(rng),
+        lambda: rng.randrange(-5, 5),
+        lambda: rng.randrange(-10 ** 300, 10 ** 300),
+        lambda: rng.choice([True, False, None]),
+        # written by json.dumps
+        lambda: rng.choice([0.5, -1e300, float("nan"), _Level.LOW, _Name(_random_string(rng))]),
+    ])()
+
+
+def _random_pairs(rng: random.Random) -> list:
+    pairs = [[_random_string(rng), _random_string(rng)] for _ in range(rng.randrange(1, 5))]
+    spoil = rng.randrange(4)
+    if spoil == 1:  # ragged
+        pairs.append(rng.choice([[], ["x"], ["x", "y", "z"]]))
+    elif spoil == 2:  # a member that is not a string
+        pairs[rng.randrange(len(pairs))][rng.randrange(2)] = rng.choice([3, None, ["x"]])
+    rng.shuffle(pairs)
+    return pairs
+
+
+def _random_json(rng: random.Random, depth: int):
+    """A value of depth at most ``depth`` made of the CLI's output types and
+    of the ones that the writer hands to ``json.dumps``."""
+    if depth == 0 or rng.random() < 0.25:
+        return _random_leaf(rng)
+    size = rng.randrange(4)
+    return rng.choice([
+        lambda: [_random_json(rng, depth - 1) for _ in range(size)],
+        lambda: {_random_string(rng): _random_json(rng, depth - 1) for _ in range(size)},
+        lambda: tuple(_random_json(rng, depth - 1) for _ in range(size)),
+        lambda: {rng.randrange(-9, 9): _random_json(rng, depth - 1) for _ in range(size)},
+        lambda: {_Name(_random_string(rng)): _random_json(rng, depth - 1) for _ in range(size)},
+        lambda: [rng.choice([[], {}, [[]], {"": {}}]) for _ in range(size)],
+        lambda: _random_pairs(rng),
+        lambda: [_random_string(rng) for _ in range(size)],
+    ])()
+
+
+def test_json_text_matches_json_dumps():
+    fixed = [
+        {}, [], (), "", 0, -0, True, None, [[]], {"a": {}}, [{}, []],
+        [["u", "v"]], [["u", "v"], ["w"]], [["u", 1], ["v", "w"]], [["u", None]],
+        [("u", "v")], {"rel": [["a\"b", "new\nline"], ["é", "𝔭"]]},
+        {2: "b", -1: "a"}, _Level.LOW, _Name("x"), [float("nan")],
+    ]
+    rng = random.Random(20261019)
+    for value in fixed + [_random_json(rng, 4) for _ in range(3000)]:
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True), value
+
+
+_AWKWARD_NAMES = ['a"b', "back\\slash", "new\nline", "é", "𝔭"]
+# a"b sees everything; back\slash, new\nline and é form a cluster above the
+# reflexive endpoint 𝔭; every name also names an atom
+_AWKWARD_MODEL = {
+    "worlds": _AWKWARD_NAMES,
+    "rel": [[_AWKWARD_NAMES[0], w] for w in _AWKWARD_NAMES[1:]]
+    + [[u, v] for u in _AWKWARD_NAMES[1:4] for v in _AWKWARD_NAMES[1:]]
+    + [[_AWKWARD_NAMES[4], _AWKWARD_NAMES[4]]],
+    "val": {"p": _AWKWARD_NAMES[1:3], "q": _AWKWARD_NAMES[3:]}
+    | {name: [name] for name in _AWKWARD_NAMES},
+}
+_AWKWARD_SPACE = {
+    "points": _AWKWARD_NAMES,
+    "opens": [[], _AWKWARD_NAMES[:1], _AWKWARD_NAMES[:3], _AWKWARD_NAMES],
+    "val": {"p": _AWKWARD_NAMES[:2]} | {name: [name] for name in _AWKWARD_NAMES},
+}
+_STRUCTURED_ARGV = {
+    "mc": ["mc", "model.json", "<>p"],
+    "analyze": ["analyze", "model.json"],
+    "filtrate": ["filtrate", "model.json", "<t>{p, q}", "<>true"],
+    "untangle": ["untangle", "model.json", "<t>{p, q}", "<>true"],
+    "validate": ["validate", "--frame", "model.json", "<t>{p} -> <>p"],
+    "sat": ["sat", "--profile", "K4t", "--max", "2", "<t>{p, ~p}"],
+    "tmc": ["tmc", "space.json", "<d>p"],
+    "fmt": ["fmt", "[]p -> <t>{q, p}"],
+    "translate": ["translate", "--mode", "mu", "<t>{p, q}"],
+    "axioms": ["axioms", "--schema", "Tt", "-s", "q, p"],
+    "fixture": ["fixture", "figure3", "--m", "4", "--constraints"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_STRUCTURED_ARGV))
+def test_structured_output_round_trips_through_json(capsys, tmp_path, monkeypatch, command):
+    # what every subcommand prints is what json.dumps prints for the same
+    # data, also for world names that need escaping
+    (tmp_path / "model.json").write_text(json.dumps(_AWKWARD_MODEL))
+    (tmp_path / "space.json").write_text(json.dumps(_AWKWARD_SPACE))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *_STRUCTURED_ARGV[command], "--format", "structured")
+    assert code in (0, 1) and not err.startswith("error:"), err
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"

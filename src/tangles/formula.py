@@ -701,10 +701,12 @@ _SYMBOLS = (
 # An atom, a symbol, or any other visible character, which is a bad one;
 # whitespace only separates tokens.  The symbols are those of _SYMBOLS,
 # grouped by their first character, which scans faster than one
-# alternative each.
+# alternative each.  No token holds a parenthesis but one alone.
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[~&|(){},.]|<(?:->|dt>|d>|t>|>)|\[d?\]|->|\S")
+# each byte's step in parenthesis depth, read as a signed byte
+_STEP = bytes(1 if c == ord("(") else 255 if c == ord(")") else 0 for c in range(256))
 _ATOM_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
-# every token that is not an atom; "" ends the token list
+# every token that is not an atom; "" ends the text
 _RESERVED = frozenset((*_SYMBOLS, *_KEYWORDS, ""))
 
 _PREFIX = {text.strip(): kind for kind, text in _PREFIX_TOKEN.items()}
@@ -716,24 +718,27 @@ _PAREN_TAG = -1
 _TANGLE_TAG = -2
 
 
-def _position(text: str, i: int) -> int:
-    """Where the ``i``-th token of ``text`` starts, or its end past the last."""
-    m = next(itertools.islice(_TOKEN.finditer(text), i, None), None)
+def _position(text: str, start: int, i: int) -> int:
+    """Where the ``i``-th token from ``start`` in ``text`` starts, or the
+    end of ``text`` past the last."""
+    m = next(itertools.islice(_TOKEN.finditer(text, start), i, None), None)
     return len(text) if m is None else m.start()
 
 
-def _expected(what: str, text: str, toks: list[str], i: int) -> ParseError:
-    return ParseError(f"expected {what}, found {toks[i] or 'end of input'!r}", _position(text, i))
+def _expected(what: str, text: str, start: int, toks: list[str], i: int) -> ParseError:
+    return ParseError(f"expected {what}, found {toks[i] or 'end of input'!r}", _position(text, start, i))
 
 
 def parse(text: str) -> Formula:
     """The formula ``text`` spells, by the grammar in the module docstring.
 
-    One regex scan splits the text into tokens, and one loop builds the
-    formula over an explicit stack of open frames.  A parenthesized group
-    parses the same way wherever it stands, so each distinct group is
-    parsed once and its repeats are looked up by a key of their tokens.  A bad
-    character is reported before any grammar error; input nested deeper
+    One loop builds the formula over an explicit stack of open frames.  It
+    tokenizes the text one stretch at a time, up to the next parenthesis.
+    A parenthesized group parses the same way wherever it stands, so each
+    distinct group is parsed once: at a "(", the group's end is looked up
+    in a depth profile of the text, and a repeat of a group already parsed
+    is looked up by its text and skipped, with no tokens made for it.  A
+    bad character is reported before any grammar error; input nested deeper
     than :data:`MAX_DEPTH` raises ``FormulaError("formula nested too
     deeply")``.
     """
@@ -749,153 +754,168 @@ def parse_members(text: str) -> tuple[Formula, ...]:
 
 
 def _parse(text: str, members: bool):
-    toks = _TOKEN.findall(text)
-    bad = [t for t in set(toks).difference(_RESERVED) if t[0] not in _ATOM_START]
-    if bad:
-        i = min(map(toks.index, bad))
-        raise ParseError(f"unexpected character {toks[i]!r}", _position(text, i))
-    toks.append("")
-    root, start = None, 0
-    if members:
-        # one open tangle frame from the start: it closes at the brace that
-        # matches a leading one, or else at the end of the text
-        if toks[0] == "{":
-            if toks[1] == "}":
-                raise ParseError("empty tangle braces", _position(text, 1))
-            root, start = (_TANGLE_TAG, Tangle, []), 1
-        else:
-            root = (_TANGLE_TAG, None, [])
-    return _parse_tokens(text, toks, root, start)
+    try:
+        return _parse_text(text, members)
+    except FormulaError as exc:
+        error = exc
+    # the parse read only part of the text, so look for a bad character in all of it
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok not in _RESERVED and tok[0] not in _ATOM_START:
+            raise ParseError(f"unexpected character {tok!r}", m.start())
+    raise error
 
 
-def _group_keys(toks: list[str]) -> list[int | None]:
-    """For the index of each closed "(" in ``toks``, a key of the tokens up
-    to its ")": two groups get the same key iff they hold the same tokens.
-    A key numbers the group's tokens with each inner group replaced by its
-    key, so all keys together take time linear in the tokens."""
-    numbers: dict[tuple, int] = {}
-    keys: list[int | None] = [None] * len(toks)
-    opened: list[int] = []
-    inside: list[list] = [[]]
-    for i, tok in enumerate(toks):
-        if tok == "(":
-            opened.append(i)
-            inside.append([])
-        elif tok == ")" and opened:
-            key = keys[opened.pop()] = numbers.setdefault(tuple(inside.pop()), len(numbers))
-            inside[-1].append(key)
-        else:
-            inside[-1].append(tok)
-    return keys
-
-
-def _parse_tokens(text: str, toks: list[str], root: tuple | None, i: int):
+def _parse_text(text: str, members: bool):
     # Open frames are (tag, kind, arg).  An operator waiting for its operand
     # is tagged with its level, so a prefix (at _LEVEL_PREFIX, arg None)
     # binds tighter than any binary operator (arg its left operand) and a
     # binder (arg its variable), whose body reaches as far right as it can,
-    # looser.  A parenthesis frame holds where its tokens start and the
-    # outer value of ``high``; a tangle frame its kind and members so far.
-    # A member set's ``root`` frame has kind None when it ends with the text.
-    stack: list[tuple] = [] if root is None else [root]
-    # the key of each parenthesized group parsed so far -> its node, the
-    # deepest stack it reached, counted from below its "(", and its length
-    # in tokens
-    groups: dict[int, tuple[Formula, int, int]] = {}
-    keys = None  # _group_keys(toks), found at the first "("
+    # looser.  A parenthesis frame holds its group's text, if its end was
+    # found, and the outer values of ``high`` and ``room``; a tangle frame
+    # its kind and members so far.  A member set's root frame has kind None
+    # when it ends with the text.
+    stack: list[tuple] = []
+    # the text of each parenthesized group parsed so far -> its node and the
+    # deepest stack it reached, counted from below its "("
+    groups: dict[str, tuple[Formula, int]] = {}
+    names: dict[str, Atom] = {}  # each atom parsed so far, by name
+    depth = None  # the parenthesis depth after each character, made at the first "("
+    # The longest stretch a "(" searches for its group's end: half the
+    # length of the innermost open group, or half its own room if its end
+    # was not found.  A group longer than half of the one around it cannot
+    # repeat within it, and along any chain of open groups the rooms halve,
+    # so each character is searched O(log n) times.
+    room = len(text) // 2
     high = 0  # the deepest stack since the innermost open "(" was pushed
     node = None  # the operand just completed, if any
-    while True:
-        tok = toks[i]
-        i += 1
-        if node is None:  # an operand starts at tok
-            if tok not in _RESERVED:
-                node = Atom(tok)
-                continue
-            if tok in _PREFIX:
-                stack.append((_LEVEL_PREFIX, _PREFIX[tok], None))
-            elif tok == "(":
-                if keys is None:
-                    keys = _group_keys(toks)
-                # a group never closed has no key, and parsing fails before the end
-                hit = groups.get(keys[i - 1])
-                if hit is not None:
-                    node, height, length = hit
-                    height += len(stack)
-                    if height > MAX_DEPTH:
-                        raise FormulaError("formula nested too deeply")
-                    if height > high:
-                        high = height
-                    i += length + 1
-                    continue
-                stack.append((_PAREN_TAG, i, high))
-                high = 0
-            elif tok == "<t>" or tok == "<dt>":
-                if toks[i] != "{":
-                    raise _expected("LBRACE", text, toks, i)
-                if toks[i + 1] == "}":
-                    raise ParseError("empty tangle braces", _position(text, i + 1))
-                stack.append((_TANGLE_TAG, Tangle if tok == "<t>" else TangleD, []))
-                i += 1
-            elif tok == "mu" or tok == "nu":
-                if toks[i] in _RESERVED:
-                    raise _expected("ATOM", text, toks, i)
-                if toks[i + 1] != ".":
-                    raise _expected("DOT", text, toks, i + 1)
-                stack.append((_BINDER_TAG, Mu if tok == "mu" else Nu, toks[i]))
-                i += 2
-            elif tok == "true":
-                node = Top()
-                continue
-            elif tok == "false":
-                node = Bot()
-                continue
-            else:
-                raise ParseError(f"unexpected {tok or 'end of input'!r}", _position(text, i - 1))
-        elif tok in _INFIX:
-            # close the operators that bind tighter, then wait for the right operand
-            kind, level = _INFIX[tok]
-            while stack:
-                tag, op, arg = stack[-1]
-                if not (tag > level or tag == level >= _LEVEL_OR):
-                    break
-                stack.pop()
-                node = op(node) if arg is None else op(arg, node)
-            stack.append((level, kind, node))
-            node = None
+    pos = 0  # where the next stretch starts
+    if members:
+        # one open tangle frame from the start: it closes at the brace that
+        # matches a leading one, or else at the end of the text
+        first = _TOKEN.search(text)
+        if first is not None and first.group() == "{":
+            second = _TOKEN.search(text, first.end())
+            if second is not None and second.group() == "}":
+                raise ParseError("empty tangle braces", second.start())
+            stack.append((_TANGLE_TAG, Tangle, []))
+            pos = first.end()
         else:
-            # tok ends a formula: close every operator and binder still open in it
-            while stack and stack[-1][0] >= _BINDER_TAG:
-                _, op, arg = stack.pop()
-                node = op(node) if arg is None else op(arg, node)
-            if not stack:
-                if tok:
-                    raise ParseError(f"trailing input {tok!r}", _position(text, i - 1))
-                return node
-            if stack[-1][0] == _PAREN_TAG:
-                if tok != ")":
-                    raise _expected("RPAREN", text, toks, i - 1)
-                _, start, outer_high = stack.pop()
-                groups[keys[start - 1]] = (node, high - len(stack), i - 1 - start)
-                high = max(high, outer_high)
-                continue
-            _, kind, members = stack[-1]
-            if tok == ",":
-                members.append(node)
-                node = None
-            elif tok == ("}" if kind else ""):
-                stack.pop()
-                members.append(node)
-                if stack or root is None:
-                    node = kind(tuple(members))
-                elif kind is not None and toks[i]:  # a braced set, then more
-                    raise ParseError(f"trailing input {toks[i]!r}", _position(text, i))
+            stack.append((_TANGLE_TAG, None, []))
+    while True:
+        if high > MAX_DEPTH:
+            raise FormulaError("formula nested too deeply")
+        # a stretch: the tokens from pos through the next "(", at ``at``, or
+        # through the end of the text, which "" stands for
+        at = text.find("(", pos)
+        if at < 0:
+            toks = _TOKEN.findall(text, pos)
+            toks.append("")
+        else:
+            toks = _TOKEN.findall(text, pos, at + 1)
+        start, i = pos, 0
+        while True:
+            tok = toks[i]
+            i += 1
+            if node is None:  # an operand starts at tok
+                if tok not in _RESERVED:
+                    node = names.get(tok)
+                    if node is None:
+                        if tok[0] not in _ATOM_START:
+                            raise ParseError(f"unexpected character {tok!r}", _position(text, start, i - 1))
+                        node = names[tok] = Atom(tok)
+                    continue
+                if tok in _PREFIX:
+                    stack.append((_LEVEL_PREFIX, _PREFIX[tok], None))
+                elif tok == "(":
+                    if depth is None:
+                        depth = list(itertools.accumulate(
+                            memoryview(text.encode("ascii", "replace").translate(_STEP)).cast("b")
+                        ))
+                    try:
+                        end = depth.index(depth[at] - 1, at + 1, at + 1 + room)
+                    except ValueError:  # longer than room, or never closed
+                        key, inner = None, room // 2
+                    else:
+                        key, inner = text[at:end + 1], (end - at) // 2
+                        hit = groups.get(key)
+                        if hit is not None:
+                            node, height = hit
+                            high = max(high, height + len(stack))
+                            pos = end + 1
+                            break
+                    stack.append((_PAREN_TAG, key, (high, room)))
+                    high, room, pos = len(stack), inner, at + 1
+                    break
+                elif tok == "<t>" or tok == "<dt>":
+                    if toks[i] != "{":
+                        raise _expected("LBRACE", text, start, toks, i)
+                    if toks[i + 1] == "}":
+                        raise ParseError("empty tangle braces", _position(text, start, i + 1))
+                    stack.append((_TANGLE_TAG, Tangle if tok == "<t>" else TangleD, []))
+                    i += 1
+                elif tok == "mu" or tok == "nu":
+                    var = toks[i]
+                    if var in _RESERVED or var[0] not in _ATOM_START:
+                        raise _expected("ATOM", text, start, toks, i)
+                    if toks[i + 1] != ".":
+                        raise _expected("DOT", text, start, toks, i + 1)
+                    stack.append((_BINDER_TAG, Mu if tok == "mu" else Nu, var))
+                    i += 2
+                elif tok == "true":
+                    node = Top()
+                    continue
+                elif tok == "false":
+                    node = Bot()
+                    continue
                 else:
-                    return Tangle(members).members
+                    raise ParseError(f"unexpected {tok or 'end of input'!r}", _position(text, start, i - 1))
+            elif tok in _INFIX:
+                # close the operators that bind tighter, then wait for the right operand
+                kind, level = _INFIX[tok]
+                while stack:
+                    tag, op, arg = stack[-1]
+                    if not (tag > level or tag == level >= _LEVEL_OR):
+                        break
+                    stack.pop()
+                    node = op(node) if arg is None else op(arg, node)
+                stack.append((level, kind, node))
+                node = None
             else:
-                raise _expected("RBRACE" if kind else "COMMA", text, toks, i - 1)
-            continue
-        if len(stack) > high:
-            high = len(stack)
-            if high > MAX_DEPTH:
-                raise FormulaError("formula nested too deeply")
+                # tok ends a formula: close every operator and binder still open in it
+                while stack and stack[-1][0] >= _BINDER_TAG:
+                    _, op, arg = stack.pop()
+                    node = op(node) if arg is None else op(arg, node)
+                if not stack:
+                    if tok:
+                        raise ParseError(f"trailing input {tok!r}", _position(text, start, i - 1))
+                    return node
+                if stack[-1][0] == _PAREN_TAG:
+                    if tok != ")":
+                        raise _expected("RPAREN", text, start, toks, i - 1)
+                    # the ")" that closes a group is the one its end was found at
+                    _, key, (outer_high, room) = stack.pop()
+                    if key is not None:
+                        groups[key] = (node, high - len(stack))
+                    high = max(high, outer_high)
+                    continue
+                _, kind, members_so_far = stack[-1]
+                if tok == ",":
+                    members_so_far.append(node)
+                    node = None
+                elif tok == ("}" if kind else ""):
+                    stack.pop()
+                    members_so_far.append(node)
+                    if stack or not members:
+                        node = kind(tuple(members_so_far))
+                    elif kind is not None and toks[i]:  # a braced set, then more
+                        raise ParseError(f"trailing input {toks[i]!r}", _position(text, start, i))
+                    else:
+                        return Tangle(members_so_far).members
+                else:
+                    raise _expected("RBRACE" if kind else "COMMA", text, start, toks, i - 1)
+                continue
+            if len(stack) > high:
+                high = len(stack)
+                if high > MAX_DEPTH:
+                    raise FormulaError("formula nested too deeply")

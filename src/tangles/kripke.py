@@ -11,8 +11,6 @@ member of ``D``.  With the frame's own relation that means the cluster is
 non-degenerate and meets every member.  ``<dt>{D}`` applies the same
 criterion to the relation of the d-modalities, which a topological space
 sets to its punctured neighbourhoods.
-A brute-force lasso oracle (:func:`tangle_oracle`) is kept alongside purely
-for cross-validation; it never feeds the checker.
 
 :class:`Evaluator` compiles formulas into a flat program over their
 distinct subformulas (:func:`compile_formulas`) and runs that program per
@@ -861,50 +859,6 @@ def model_check(model: KripkeModel, phi: Formula) -> frozenset[str]:
     """Worlds of ``model`` satisfying ``phi``."""
     ev = Evaluator(model.frame)
     return model.frame.unmask(ev.extension(phi, ev.valuation_masks(model.val)))
-
-
-def tangle_oracle(model: KripkeModel, world: str, members: Iterable[Formula]) -> bool:
-    """Independent lasso check for the tangle clause at one world.
-
-    Enumerates the simple cycles reachable from ``world`` and asks whether
-    some cycle carries every member formula.  Exact on transitive frames;
-    member formulas should themselves be tangle-free.
-    """
-    members = list(members)
-    ev = Evaluator(model.frame)
-    val = ev.valuation_masks(model.val)
-    member_masks = [ev.extension(m, val) for m in members]
-    n = ev.n
-    start = model.frame.index[world]
-
-    reach = 1 << start
-    frontier = [start]
-    while frontier:
-        i = frontier.pop()
-        new = ev.succ[i] & ~reach
-        for j in range(n):
-            if new & (1 << j):
-                reach |= 1 << j
-                frontier.append(j)
-
-    # depth-first enumeration of simple cycles inside the reachable part;
-    # each cycle is anchored at its least node to avoid rotations
-    def cycle_masks(first: int, current: int, on_path: int):
-        succ = ev.succ[current]
-        if succ & (1 << first):
-            yield on_path
-        for j in range(first + 1, n):
-            bit = 1 << j
-            if succ & bit and not on_path & bit and reach & bit:
-                yield from cycle_masks(first, j, on_path | bit)
-
-    for first in range(n):
-        if not reach & (1 << first):
-            continue
-        for cmask in cycle_masks(first, first, 1 << first):
-            if all(mask & cmask for mask in member_masks):
-                return True
-    return False
 
 
 def generated_submodel(model: KripkeModel, root: str) -> KripkeModel:

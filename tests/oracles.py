@@ -33,6 +33,10 @@ it is.
 tree and keeps nothing, where ``formula.free_atoms`` keeps each node's
 names on the node, and the compiler reads them there.
 
+``tangle_oracle`` checks the tangle clause at one world by another route:
+it enumerates the simple cycles the world reaches and asks whether one
+meets every member, where ``kripke`` applies the cluster criterion.
+
 ``tree_parse`` is the recursive-descent parser that ``formula.parse``
 replaced: it tokenizes in a Python loop and descends through six levels of
 calls for every node of the tree the text spells, repeats included.  Its
@@ -44,7 +48,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import re
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from tangles import (
     And,
@@ -154,6 +158,50 @@ def tree_extension(ev: Evaluator, phi: Formula, val: Mapping[str, int]) -> int:
             current = step
         raise RuntimeError("fixpoint iteration failed to stabilize")
     raise TypeError(f"not a formula: {phi!r}")
+
+
+def tangle_oracle(model: KripkeModel, world: str, members: Iterable[Formula]) -> bool:
+    """Independent lasso check for the tangle clause at one world.
+
+    Enumerates the simple cycles reachable from ``world`` and asks whether
+    some cycle carries every member formula.  Exact on transitive frames;
+    member formulas should themselves be tangle-free.
+    """
+    members = list(members)
+    ev = Evaluator(model.frame)
+    val = ev.valuation_masks(model.val)
+    member_masks = [ev.extension(m, val) for m in members]
+    n = ev.n
+    start = model.frame.index[world]
+
+    reach = 1 << start
+    frontier = [start]
+    while frontier:
+        i = frontier.pop()
+        new = ev.succ[i] & ~reach
+        for j in range(n):
+            if new & (1 << j):
+                reach |= 1 << j
+                frontier.append(j)
+
+    # depth-first enumeration of simple cycles inside the reachable part;
+    # each cycle is anchored at its least node to avoid rotations
+    def cycle_masks(first: int, current: int, on_path: int):
+        succ = ev.succ[current]
+        if succ & (1 << first):
+            yield on_path
+        for j in range(first + 1, n):
+            bit = 1 << j
+            if succ & bit and not on_path & bit and reach & bit:
+                yield from cycle_masks(first, j, on_path | bit)
+
+    for first in range(n):
+        if not reach & (1 << first):
+            continue
+        for cmask in cycle_masks(first, first, 1 << first):
+            if all(mask & cmask for mask in member_masks):
+                return True
+    return False
 
 
 def tree_free_atoms(phi: Formula) -> frozenset[str]:

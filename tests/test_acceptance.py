@@ -48,13 +48,13 @@ from tangles import (
     relation_properties,
     space_predicates,
     subformula_closure,
-    tangle_oracle,
     to_d,
     to_mu,
     topo_model_check,
     untangle,
     verify_reduction,
 )
+from oracles import tangle_oracle
 
 p, q = Atom("p"), Atom("q")
 

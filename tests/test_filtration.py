@@ -21,6 +21,7 @@ from tangles import (
     defining_formula,
     enumerate_frames,
     filtrate,
+    locally_n_connected,
     model_check,
     model_to_dict,
     parse,
@@ -226,6 +227,74 @@ def test_reduction_lemma_on_every_small_model():
                     assert report.ok, (mode, model_to_dict(m), report.failure)
                     assert reduction_conditions(fr, m, closure) == [], (mode, model_to_dict(m))
     assert models == 2632
+
+
+# closures of the local connectedness sweeps, each with <>true, p and q
+_SWEEP_CLOSURES = {
+    root: closure_of(parse(root), Dia(Top()), p, q)
+    for root in ("<t>{p, q}", "<t>{p, ~p} | []q", "[]<t>{p, ~q}")
+}
+
+
+def _connectedness_lost(frames, degree, every_closure=True):
+    """The runs and their failures: each model on ``frames`` under every
+    valuation of p and q is filtered in refined mode by each sweep closure,
+    or by one in turn without ``every_closure``, and fails where its
+    filtered or untangled frame is not locally ``degree``-connected."""
+    runs, lost = 0, []
+    for frame in frames:
+        for ps, qs in product(range(1 << len(frame.worlds)), repeat=2):
+            m = KripkeModel(frame, {"p": frame.unmask(ps), "q": frame.unmask(qs)})
+            picked = list(_SWEEP_CLOSURES.items())
+            for root, closure in picked if every_closure else [picked[runs % 3]]:
+                runs += 1
+                fr = filtrate(m, closure, "refined")
+                quotients = {
+                    "filtered": fr.filtered_frame(),
+                    "untangled": untangle(fr, m, closure).untangled_frame(),
+                }
+                lost += [
+                    (which, model_to_dict(m), root)
+                    for which, quotient in quotients.items()
+                    if not locally_n_connected(quotient, degree)
+                ]
+    return runs, lost
+
+
+def test_refined_filtration_keeps_local_1_connectedness_on_every_small_frame():
+    # every locally 1-connected transitive frame of 1-3 worlds up to
+    # isomorphism (2, 8 and 36 of them): 2,440 models, three closures each
+    frames = [f for n in (1, 2, 3) for f in enumerate_frames(n) if locally_n_connected(f, 1)]
+    assert len(frames) == 46
+    assert _connectedness_lost(frames, 1) == (7320, [])
+
+
+def test_refined_filtration_keeps_local_2_connectedness_on_small_frames():
+    # the frames locally 2- but not 1-connected: none of 1-2 worlds, 3 of 3
+    # worlds with every closure, and 36 of 4 worlds with one closure per
+    # model in turn
+    frames = {
+        n: [f for f in enumerate_frames(n) if locally_n_connected(f, 2) and not locally_n_connected(f, 1)]
+        for n in (1, 2, 3, 4)
+    }
+    assert [len(fs) for fs in frames.values()] == [0, 0, 3, 36]
+    assert _connectedness_lost(frames[3], 2) == (576, [])
+    assert _connectedness_lost(frames[4], 2, every_closure=False) == (9216, [])
+
+
+def test_standard_filtration_can_lose_local_connectedness():
+    # w2 and w3 agree on the closure but see w1 and w0, which q tells apart:
+    # standard mode merges them into one world whose successors split in
+    # two, where refined mode keeps them apart.  No model of 1-3 worlds
+    # shows this, so the sweeps above pass in either mode.
+    frame = Frame(("w0", "w1", "w2", "w3"), {("w2", "w1"), ("w3", "w0")})
+    m = KripkeModel(frame, {"q": ("w0",)})
+    assert locally_n_connected(frame, 1)
+    closure = _SWEEP_CLOSURES["<t>{p, q}"]
+    for mode, kept in (("standard", False), ("refined", True)):
+        fr = filtrate(m, closure, mode)
+        assert locally_n_connected(fr.filtered_frame(), 1) is kept
+        assert locally_n_connected(untangle(fr, m, closure).untangled_frame(), 1) is kept
 
 
 def test_degenerate_clusters_get_empty_nuclei():

@@ -57,6 +57,7 @@ from tangles import (
     to_mu,
     untangle,
 )
+from tangles import formula
 from tangles.formula import MAX_DEPTH, parse_members, post_order, printed_length, rebuild
 from gen import random_formula, random_shared_formula
 from oracles import tree_free_atoms, tree_parse
@@ -398,6 +399,54 @@ def test_parse_cost_is_linear_in_nesting():
         parse("(" + nested + ")")
 
 
+def _parse_time(text):
+    """The best of three timed parses of ``text``."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        parse(text)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_parse_cost_is_linear_in_nested_groups():
+    # 400 groups nested one in the next, each with 50 atoms of its own, cost
+    # about what the same atoms do bare.  A "(" looks for its group's end
+    # only within half of the group around it; a search that ran to the end
+    # of each group would read the text once per level.  The names are long
+    # so that such a search costs more than the tokens do.
+    levels = [" & ".join(f"p{k}_{i}".ljust(16, "_") for i in range(50)) for k in range(400)]
+    nested = "".join(f"({level} & " for level in levels[:-1]) + f"({levels[-1]}" + ")" * 400
+    bare = " & ".join(levels)
+    assert len(nested) == 380_797
+    assert _parse_time(nested) < 3 * _parse_time(bare) + 0.05
+
+
+def test_parse_tokenizes_each_distinct_group_once(monkeypatch):
+    # the to_d text of []^12 psi spells 200,696 characters; a repeated group
+    # is skipped without a token made for it, so the parse reads 610 of them
+    phi = Or(p, Box(And(q, Dia(r))))
+    for _ in range(12):
+        phi = Box(phi)
+    text = pretty(to_d(phi))
+    token = formula._TOKEN
+    read = []
+
+    class Counting:
+        """The token pattern, counting the characters ``findall`` reads."""
+
+        def __getattr__(self, name):
+            return getattr(token, name)
+
+        def findall(self, text, pos=0, endpos=sys.maxsize):
+            read.append(min(endpos, len(text)) - pos)
+            return token.findall(text, pos, endpos)
+
+    monkeypatch.setattr(formula, "_TOKEN", Counting())
+    assert parse(text) is to_d(phi)
+    assert (len(text), sum(read)) == (200_696, 610)
+
+
 _ORACLE_DEPTH = 20_000
 
 
@@ -442,6 +491,44 @@ def test_parse_matches_tree_parse(seed):
         assert got is want or got == want, text
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a group equal to an earlier one but for its last token
+        "(p & q) & (p & x)",
+        "((p & q) | x) & ((p & q) | q)",
+        "(p & q) & (p & q & x)",
+        # the same group with other whitespace
+        "(p & q) | (p&q) | ( p  &\tq )",
+        "(p & q) | (p\xa0&\xa0q) | (p & q)",
+        "(p\u2003& q) -> (p & q) $",
+        # a bad character inside the later of two otherwise equal groups
+        "(p & q) & (p & q$)",
+        "(p & q) & (p \xe9 q)",
+        "((p)) & ((p) @)",
+        # a grammar error right after a skipped group
+        "(p & q) & (p & q) $",
+        "(p & q) & (p & q) x",
+        "(p & q) & (p & q))",
+        "(p & q) & (p & q) &",
+        "(p) (p)",
+        "<t>{(p), (p) (p)}",
+        # an unclosed final repeat
+        "((p)) & ((p)",
+        "((p)) & ((p)) & (",
+        # repeats under prefixes, in tangles and binders
+        "<t>{(p), (p)} & ~~(p)",
+        "mu x. (x | p) & (x | p)",
+        "(mu x. x) & (mu x. x) | (nu x. x)",
+        "(mu $. x) & (mu x. x)",
+    ],
+)
+def test_parse_skips_repeated_groups_as_tree_parse_reads_them(text):
+    got = _outcome(parse, text)
+    want = _outcome(tree_parse, text)
+    assert got is want or got == want
+
+
 def test_parse_members():
     p_q = (Atom("p"), Atom("q"))
     assert parse_members("q, p, q") == p_q
@@ -459,6 +546,12 @@ def test_parse_members():
         with pytest.raises(ParseError) as exc:
             parse_members(text)
         assert str(exc.value) == message, text
+
+
+def test_parse_members_skips_repeated_groups():
+    assert parse_members("(p), (p)") == tree_parse("<t>{(p), (p)}").members == (p,)
+    assert parse_members("{(p), (q)}") == tree_parse("<t>{(p), (q)}").members == (p, q)
+    assert parse_members("((p) & q), ((p) & q), (p)") == (p, And(p, q))
 
 
 def test_walkers_visit_each_distinct_node_once(monkeypatch):

@@ -55,7 +55,6 @@ from tangles import (
     pretty,
     subformula_closure,
     relation_properties,
-    tangle_oracle,
     to_dot,
 )
 import tangles.kripke as kmod
@@ -63,7 +62,7 @@ from tangles.cli import _model_lines
 from tangles.kripke import compile_formulas
 from tangles.topo import _evaluator as _space_evaluator
 from gen import random_formula, random_model, random_shared_formula, random_space
-from oracles import valuation_masks, tree_extension
+from oracles import tangle_oracle, tree_extension, valuation_masks
 
 p, q = Atom("p"), Atom("q")
 

@@ -55,8 +55,7 @@ from .translate import star, to_d, to_mu
 
 
 def _one_formula(args) -> Formula:
-    inline = getattr(args, "formula", None)
-    path = getattr(args, "formula_file", None)
+    inline, path = args.formula, args.formula_file
     if (inline is None) == (path is None):
         raise ValueError("give a formula inline or via --formula-file, not both")
     if inline is not None:
@@ -67,8 +66,7 @@ def _one_formula(args) -> Formula:
 
 def _root_formulas(args) -> list[Formula]:
     """Closure roots: inline arguments, or one formula per nonblank line."""
-    inline = getattr(args, "formulas", None)
-    path = getattr(args, "formula_file", None)
+    inline, path = args.formulas, args.formula_file
     if bool(inline) == bool(path):
         raise ValueError("give formulas inline or via --formula-file, not both")
     if inline:

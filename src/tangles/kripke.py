@@ -4,13 +4,13 @@ Worlds are opaque strings; their order in ``Frame.worlds`` is the canonical
 order used by every deterministic construction in the package.  Extensions
 are computed internally as integer bitmasks over that order.
 
-On transitive frames the tangle modality is evaluated through the cluster
-criterion: ``x`` satisfies ``<t>{D}`` iff some successor ``y`` of ``x`` lies
-in a cluster each of whose worlds sees, inside the cluster, a world of every
-member of ``D``.  With the frame's own relation that means the cluster is
-non-degenerate and meets every member.  ``<dt>{D}`` applies the same
-criterion to the relation of the d-modalities, which a topological space
-sets to its punctured neighbourhoods.
+A tangle is its greatest fixpoint: ``<t>{D}`` is ``nu q.`` the
+conjunction of ``<>(d & q)`` over the members ``d`` of ``D``, and
+``<dt>{D}`` is the same with ``<d>``, whose relation a topological space
+sets to its punctured neighbourhoods.  The compiler emits each tangle as
+that loop, which takes about one round per level of the cluster order.
+Tangles are defined on transitive frames only; elsewhere a program with
+one raises :class:`NonTransitiveError` before it runs.
 
 :class:`Evaluator` compiles formulas into a flat program over their
 distinct subformulas (:func:`compile_formulas`) and runs that program per
@@ -464,8 +464,8 @@ def min_local_connectedness(frame: Frame) -> int:
 # Opcodes of a compiled program.  An instruction is ``(op, out, a, b)``: it
 # writes slot ``out`` from the slots or constants ``a`` and ``b``.  A
 # relation operand selects ``succ`` (0) or ``dsucc`` (1).
-(_ATOM, _TOP, _NOT, _AND, _OR, _IMP, _IFF, _BOX, _DIA, _ALL, _EX, _TANGLE,
- _FIX, _LOOP) = range(14)
+(_ATOM, _TOP, _NOT, _AND, _OR, _IMP, _IFF, _BOX, _DIA, _ALL, _EX, _FIX,
+ _LOOP) = range(13)
 
 _BINARY_OPS = {And: _AND, Or: _OR, Implies: _IMP, Iff: _IFF}
 _UNARY_OPS = {Neg: (_NOT, 0), Box: (_BOX, 0), BoxD: (_BOX, 1), Dia: (_DIA, 0),
@@ -482,12 +482,14 @@ class Program:
     bound variable's slot at nothing or everything, and a ``_LOOP``
     instruction, which jumps back until the body's slot equals it.  Only
     the subformulas that mention the bound variable sit inside the loop;
-    the others come before it and run once.
+    the others come before it and run once.  A tangle is such a loop too,
+    a greatest one, and ``tangled`` says whether the program has one.
     """
 
     code: tuple[tuple, ...]
     size: int
     roots: tuple[int, ...]
+    tangled: bool = False
 
 
 def _instruction(f: Formula, out: int, args: list[int]) -> tuple | None:
@@ -503,9 +505,23 @@ def _instruction(f: Formula, out: int, args: list[int]) -> tuple | None:
     if kind in _UNARY_OPS:
         op, rel = _UNARY_OPS[kind]
         return (op, out, args[0], rel)
-    if kind is Tangle or kind is TangleD:
-        return (_TANGLE, out, tuple(args), int(kind is TangleD))
     return None
+
+
+def _tangle_body(members: list[int], q: int, rel: int) -> list[tuple]:
+    """The loop body of ``nu q.`` the conjunction of ``<>(m & q)`` over the
+    member slots ``members``, through relation operand ``rel``, where the
+    loop holds ``q`` at slot ``q`` and its round count after it.  The last
+    instruction computes the body."""
+    code, out = [], q + 2
+    for m in members:
+        code += [(_AND, out, m, q), (_DIA, out + 1, out, rel)]
+        out += 2
+    body = q + 3
+    for step in range(q + 5, out, 2):
+        code.append((_AND, out, body, step))
+        body, out = out, out + 1
+    return code
 
 
 # tasks of the compiler's work stack
@@ -522,6 +538,8 @@ def compile_formulas(roots: Sequence[Formula]) -> Program:
     the same ``deps`` share one instruction, which goes into the loop of the
     innermost binder among them, or before every loop if there is none.
     Each node's free names are those :func:`free_atoms` keeps on it.
+    A tangle compiles as the greatest fixpoint loop of :func:`_tangle_body`;
+    its members mention no name the loop binds, so they run before it.
     """
     roots = tuple(roots)
     for root in roots:
@@ -534,6 +552,7 @@ def compile_formulas(roots: Sequence[Formula]) -> Program:
     table: defaultdict[frozenset, dict[Formula, int]] = defaultdict(dict)  # deps -> node -> slot
     done: list[int] = []  # the slot of each node visited, after its children's
     size = 0
+    tangled = False
 
     def deps_of(names: frozenset[str], bindings: dict[str, int]) -> frozenset:
         return frozenset([bindings[n] for n in names if n in bindings]) if bindings else _EMPTY
@@ -566,10 +585,17 @@ def compile_formulas(roots: Sequence[Formula]) -> Program:
             continue
         if task == _EMIT:
             cut = len(done) - len(immediate_subformulas(f))
-            ins = _instruction(f, size, done[cut:])
+            args = done[cut:]
             del done[cut:]
             slot = size
-            size += 1
+            if type(f) is Tangle or type(f) is TangleD:
+                tangled = True
+                blocks[slot] = body = _tangle_body(args, slot, int(type(f) is TangleD))
+                ins = (None, slot, body[-1][1], True)
+                size = body[-1][1] + 1
+            else:
+                ins = _instruction(f, slot, args)
+                size += 1
         else:
             ins = (None, slot, done.pop(), type(f) is Nu)
         # f computes into slot, in the loop of its innermost binder
@@ -596,15 +622,15 @@ def compile_formulas(roots: Sequence[Formula]) -> Program:
             if loop:
                 var, body, start = loop
                 code.append((_LOOP, var, body, (var + 1, start)))
-    return Program(tuple(code), size, tuple(done))
+    return Program(tuple(code), size, tuple(done), tangled)
 
 
 class Evaluator:
     """Bitmask evaluator over a fixed frame.
 
     Build once per frame, then query :meth:`extension` with different
-    valuations; the frame's relation index and clusters are reused, and
-    each call compiles its formulas afresh.  ``rels`` holds the two
+    valuations; the frame's relation index is reused, and each call
+    compiles its formulas afresh.  ``rels`` holds the two
     relations by operand: the plain modalities and ``<t>`` read the frame's
     successor masks ``succ`` (0), the d-modalities and ``<dt>`` read
     ``dsucc`` (1), which defaults to the same masks.  A topological space
@@ -620,32 +646,13 @@ class Evaluator:
         self.full = (1 << self.n) - 1
         self.rels = (frame.succ, frame.succ if dsucc is None else dsucc)
 
-    def _per_operand(self, build: Callable[[tuple[int, ...]], list]) -> tuple[list, list]:
-        """``build`` of each relation, built once when both are the same."""
-        succ, dsucc = self.rels
-        made = build(succ)
-        return made, made if dsucc is succ else build(dsucc)
-
     @cached_property
     def _successors(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-        """Each world's successors, per relation operand."""
-        return self._per_operand(lambda rows: list(map(_bit_tuple, rows)))
-
-    @cached_property
-    def _cluster_rows(self) -> tuple[list[tuple[int, set[int]]], list[tuple[int, set[int]]]]:
-        """Per relation operand, each cluster of the frame with the distinct
-        parts of it that its worlds see through that relation.  Clusters
-        where some world sees nothing inside are left out: they carry no
-        tangle."""
-        if not self.frame.transitive:
-            raise NonTransitiveError("tangle formulas require a transitive frame")
-        clusters = self.frame.cluster_masks
-
-        def found(rows: tuple[int, ...]) -> list[tuple[int, set[int]]]:
-            each = [(c, {rows[i] & c for i in _bits(c)}) for c in clusters]
-            return [(c, parts) for c, parts in each if 0 not in parts]
-
-        return self._per_operand(found)
+        """Each world's successors, per relation operand, built once when
+        both relations are the same."""
+        succ, dsucc = self.rels
+        made = list(map(_bit_tuple, succ))
+        return made, made if dsucc is succ else list(map(_bit_tuple, dsucc))
 
     # -- sets <-> masks ---------------------------------------------------
 
@@ -675,8 +682,14 @@ class Evaluator:
         """The extension of each of ``phis``, sharing their subformulas."""
         return self.run(compile_formulas(phis), val)
 
+    def _guard(self, program: Program) -> None:
+        """Refuse a program with a tangle on a frame that is not transitive."""
+        if program.tangled and not self.frame.transitive:
+            raise NonTransitiveError("tangle formulas require a transitive frame")
+
     def run(self, program: Program, val: Mapping[str, int]) -> list[int]:
         """Run a compiled program under ``val``; the extensions of its roots."""
+        self._guard(program)
         full = self.full
         rels = self.rels
         get = val.get
@@ -708,8 +721,6 @@ class Evaluator:
                 slots[out] = full if slots[a] else 0
             elif op == _TOP:
                 slots[out] = full
-            elif op == _TANGLE:
-                slots[out] = self._tangle([slots[i] for i in a], b)
             elif op == _FIX:
                 slots[out] = full if a else 0
                 slots[b] = 0
@@ -742,6 +753,7 @@ class Evaluator:
         fixpoint loops as often as the block's slowest valuation needs, under
         the same cap.
         """
+        self._guard(program)
         n = self.n
         full = (1 << size) - 1
         width = size.bit_length() - 1
@@ -784,8 +796,6 @@ class Evaluator:
                 slots[out] = [acc] * n
             elif op == _TOP:
                 slots[out] = ones
-            elif op == _TANGLE:
-                slots[out] = self._tangle_block([slots[i] for i in a], b, full)
             elif op == _FIX:
                 slots[out] = ones if a else zeros
                 slots[b] = 0
@@ -800,24 +810,6 @@ class Evaluator:
                     slots[out] = step
         return [slots[r] for r in program.roots]
 
-    def _tangle_block(self, members: list[list[int]], rel: int, full: int) -> list[int]:
-        """The tangle of ``members`` on a block: per valuation, a cluster is
-        good when each of its rows meets every member, and the result is
-        the diamond of the good clusters."""
-        good = [0] * self.n
-        for cluster, rows in self._cluster_rows[rel]:
-            bits = full
-            for row in rows:
-                js = _bit_tuple(row)
-                for m in members:
-                    meets = 0
-                    for j in js:
-                        meets |= m[j]
-                    bits &= meets
-            for i in _bits(cluster):
-                good[i] = bits
-        return self._dia_block(good, rel)
-
     def _dia_block(self, s: list[int], rel: int) -> list[int]:
         """Per world, the OR of ``s`` over its successors through ``rel``."""
         out = []
@@ -827,13 +819,6 @@ class Evaluator:
                 acc |= s[j]
             out.append(acc)
         return out
-
-    def _tangle(self, masks: list[int], rel: int) -> int:
-        good = 0
-        for cluster, rows in self._cluster_rows[rel]:
-            if all(row & mask for row in rows for mask in masks):
-                good |= cluster
-        return self.dia(good, self.rels[rel])
 
 
 @lru_cache(maxsize=1024)

@@ -13,8 +13,9 @@ satisfies ``phi`` everywhere except possibly at ``x`` itself.
 Both tangle modalities denote greatest fixpoints: ``<t>{D}`` is the largest
 ``S`` with ``S`` contained in the closure of every ``member-and-S``
 intersection, and ``<dt>{D}`` is the same with the derivative in place of
-closure.  The Kripke evaluator computes them with its cluster criterion,
-over the preorder and over the punctured neighbourhoods respectively.
+closure.  The Kripke evaluator compiles each into that greatest fixpoint
+loop, over the preorder and over the punctured neighbourhoods
+respectively.
 """
 
 from __future__ import annotations

@@ -3,11 +3,13 @@
 ``tree_extension`` is the recursive evaluator the compiled programs of
 ``kripke.Evaluator`` replaced: it walks the formula as a tree, evaluating a
 shared subformula once per occurrence and a fixpoint body in full on every
-round.  ``tree_frame_validates`` and ``tree_bounded_sat`` are the validity
-sweep and the bounded search written on it, one valuation at a time, where
-``logics`` sweeps blocks of valuations bitsliced.  ``tree_enumerate_frames``
-is the frame enumeration with the canonicity test that builds each
-relabeled matrix bit by bit, where ``logics`` relabels rows by table.
+round.  It decides a tangle by the cluster criterion, where the compiled
+programs iterate the tangle's greatest fixpoint.  ``tree_frame_validates``
+and ``tree_bounded_sat`` are the validity sweep and the bounded search
+written on it, one valuation at a time, where ``logics`` sweeps blocks of
+valuations bitsliced.  ``tree_enumerate_frames`` is the frame enumeration
+with the canonicity test that builds each relabeled matrix bit by bit,
+where ``logics`` relabels rows by table.
 
 ``tree_filtrate``, ``tree_untangle``, ``tree_verify_reduction`` and
 ``tree_reduction_conditions`` are the filtration constructions and checks
@@ -35,7 +37,8 @@ names on the node, and the compiler reads them there.
 
 ``tangle_oracle`` checks the tangle clause at one world by another route:
 it enumerates the simple cycles the world reaches and asks whether one
-meets every member, where ``kripke`` applies the cluster criterion.
+meets every member, where ``tree_extension`` applies the cluster criterion
+and ``kripke`` iterates the greatest fixpoint.
 
 ``tree_parse`` is the recursive-descent parser that ``formula.parse``
 replaced: it tokenizes in a Python loop and descends through six levels of
@@ -140,15 +143,18 @@ def tree_extension(ev: Evaluator, phi: Formula, val: Mapping[str, int]) -> int:
     if isinstance(phi, Exists):
         return ev.full if tree_extension(ev, phi.sub, val) else 0
     if isinstance(phi, (Tangle, TangleD)):
-        rel = int(isinstance(phi, TangleD))
+        # the worlds that see a cluster each of whose worlds sees, inside
+        # it and through the tangle's relation, a world of every member
+        rows = ev.rels[int(isinstance(phi, TangleD))]
         if not ev.frame.transitive:
             raise NonTransitiveError("tangle formulas require a transitive frame")
         masks = [tree_extension(ev, m, val) for m in phi.members]
         good = 0
-        for cluster, rows in ev._cluster_rows[rel]:
-            if all(row & mask for row in rows for mask in masks):
+        for cluster in ev.frame.cluster_masks:
+            inside = [rows[i] & cluster for i in range(ev.n) if cluster >> i & 1]
+            if all(row & mask for row in inside for mask in masks):
                 good |= cluster
-        return ev.dia(good, ev.rels[rel])
+        return ev.dia(good, rows)
     if isinstance(phi, (Mu, Nu)):
         current = 0 if isinstance(phi, Mu) else ev.full
         for _ in range(ev.n + 2):

@@ -83,7 +83,7 @@ def _connected_undirected(frame):
 
 
 def test_tangle_triple_agreement():
-    # cluster criterion == greatest-fixpoint encoding == lasso search
+    # compiled tangle loop == to_mu encoding == lasso search
     t0 = time.time()
     rng = random.Random(101)
     ok = True

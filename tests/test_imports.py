@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, every private
 name of the package has a reader, and so has every name the package
 exports and every public method and property of a class it exports.  No
-module keeps an export list of its own."""
+module keeps an export list of its own, and the test oracles read no
+private name of the package."""
 
 import ast
 import functools
@@ -184,3 +185,19 @@ def test_no_module_assigns_all():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
                 and node.id == "__all__"]
     assert assigned == []
+
+
+def test_oracles_read_no_private_name_of_the_package():
+    """The slow references in ``tests/oracles.py`` share no code with the
+    fast paths they check: they read no private name, by an attribute load
+    (``x._name``) or a ``from tangles... import``, that ``oracles.py`` does
+    not define itself."""
+    tree = _tree(ROOT / "tests" / "oracles.py")
+    own = {name for node in ast.walk(tree) for name in _defined(node)}
+    reads = list(_loads(tree, attributes_only=True))
+    reads += [(alias.name, node.lineno) for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "tangles"
+              for alias in node.names]
+    shared = [f"oracles.py:{line} {name}" for name, line in reads
+              if _private(name) and name not in own]
+    assert shared == []

@@ -324,6 +324,27 @@ def test_tangle_concrete():
     assert model_check(gm2, Tangle((p, q))) == frozenset()
 
 
+@pytest.mark.parametrize("top", ["strict", "reflexive"])
+def test_tangle_loops_settle_on_a_deep_cluster_order(top):
+    # a strict transitive chain of 400 worlds has 400 levels of clusters,
+    # and a tangle's loop drops about one level a round: both runners must
+    # settle within the n + 2 rounds a fixpoint loop is allowed.  With both
+    # members everywhere the loops take n rounds to empty the strict chain;
+    # every world tangles once the last world sees itself
+    n = 400
+    rows = [((1 << n) - 1) & ~((2 << i) - 1) for i in range(n)]
+    if top == "reflexive":
+        rows[-1] = 1 << n - 1
+    ev = Evaluator(Frame.from_rows([f"w{i}" for i in range(n)], rows))
+    val = {"p": ev.full, "q": ev.full}
+    want = 0 if top == "strict" else ev.full
+    phis = [Tangle((p,)), Tangle((p, q))]
+    program = compile_formulas(phis)
+    assert ev.run(program, val) == [tree_extension(ev, phi, val) for phi in phis] == [want] * 2
+    block = ev.run_block(program, ("p", "q"), val["p"] << n | val["q"], 1)
+    assert block == [[want >> w & 1 for w in range(n)]] * 2
+
+
 @pytest.mark.parametrize("seed", range(80))
 def test_tangle_matches_lasso_oracle(seed):
     rng = random.Random(4000 + seed)
@@ -340,7 +361,7 @@ def test_tangle_matches_lasso_oracle(seed):
 def test_tangle_oracle_agrees_on_every_small_transitive_frame():
     # one- and two-member tangles of literals over p and q, at every world
     # of every transitive frame of 1-3 worlds up to isomorphism, under every
-    # valuation: the evaluator's cluster criterion against the lasso search
+    # valuation: the evaluator's greatest fixpoint against the lasso search
     literals = [p, Neg(p), q, Neg(q)]
     members = [(m,) for m in literals] + list(itertools.combinations(literals, 2))
     program = compile_formulas([Tangle(ms) for ms in members])
@@ -887,6 +908,26 @@ def test_fixpoint_loop_repeats_only_what_mentions_its_variable():
     ops = [ins[0] for ins in code]
     assert ops == [kmod._ATOM, kmod._FIX, kmod._FIX, kmod._AND, kmod._DIA, kmod._OR,
                    kmod._LOOP, kmod._LOOP]
+
+
+def test_a_tangle_compiles_to_one_greatest_fixpoint_loop():
+    # <dt>{p, q} is nu z. <d>(p & z) & <d>(q & z): the members run before
+    # the loop, which starts at everything and reads the d-relation
+    program = compile_formulas([parse("<dt>{p, q}")])
+    code = program.code
+    assert [ins[0] for ins in code] == [kmod._ATOM, kmod._ATOM, kmod._FIX, kmod._AND,
+                                        kmod._DIA, kmod._AND, kmod._DIA, kmod._AND, kmod._LOOP]
+    assert code[2][2] is True and [ins[3] for ins in code if ins[0] == kmod._DIA] == [1, 1]
+    assert (program.size, program.roots, program.tangled) == (9, (code[2][1],), True)
+    assert not compile_formulas([parse("nu x. <>x & p")]).tangled
+    # a repeat under the same binders shares the loop, and a tangle that
+    # does not mention a binder's variable runs once, before its loop
+    code = compile_formulas([parse("<t>{p} & <><t>{p}")]).code
+    assert [ins[0] for ins in code].count(kmod._FIX) == 1
+    code = compile_formulas([parse("mu x. <t>{p} | <>x")]).code
+    assert [ins[0] for ins in code] == [kmod._ATOM, kmod._FIX, kmod._AND, kmod._DIA,
+                                        kmod._LOOP, kmod._FIX, kmod._DIA, kmod._OR, kmod._LOOP]
+    assert (code[1][2], code[5][2]) == (True, False)
 
 
 def test_a_fixpoint_compiled_inside_a_loop_is_shared_at_top_level():

@@ -48,7 +48,7 @@ from gen import (
     random_space,
     random_tangle_formula,
 )
-from oracles import tree_star, tree_to_mu
+from oracles import tree_extension, tree_star, tree_to_mu
 
 p, q = Atom("p"), Atom("q")
 g0, g1 = Atom("_g0"), Atom("_g1")
@@ -129,7 +129,7 @@ def test_to_mu_agrees_on_every_small_transitive_frame():
     # valuation of p and q at once
     phis = _formulas_up_to(4)
     program = compile_formulas(phis + [to_mu(phi) for phi in phis])
-    assert (len(phis), program.size) == (295, 746)
+    assert (len(phis), program.size) == (295, 1001)
     counts = []
     for n in range(1, 5):
         frames = list(enumerate_frames(n))
@@ -153,6 +153,24 @@ def _small_spaces():
             # a partial order: no two points see each other
             partial = not any(punctured[i] >> j & succ[j] >> i & 1 for i in range(n) for j in range(n))
             yield n, Evaluator(frame, punctured), partial
+
+
+def test_tangles_match_the_cluster_criterion_on_every_small_space():
+    # the compiled greatest-fixpoint loops of <t> over the preorder and <dt>
+    # over the punctured neighbourhoods, against the cluster criterion of
+    # tree_extension, for one- and two-member tangles of literals, on all
+    # 46 spaces of 1-4 points under every valuation of p and q
+    literals = [p, q, Neg(p), Neg(q)]
+    sets = [(a,) for a in literals] + list(itertools.combinations(literals, 2))
+    phis = [kind(members) for kind in (Tangle, TangleD) for members in sets]
+    program = compile_formulas(phis)
+    for n, ev, _ in _small_spaces():
+        roots = ev.run_block(program, ("p", "q"), 0, 1 << 2 * n)
+        for v in range(1 << 2 * n):
+            val = {"p": v >> n, "q": v & ev.full}
+            for phi, root in zip(phis, roots):
+                got = sum((bits >> v & 1) << w for w, bits in enumerate(root))
+                assert got == tree_extension(ev, phi, val), (pretty(phi), ev.succ, v)
 
 
 def _disagreements(translate):

@@ -13,8 +13,8 @@ code expands them.
 children.  Folds (``free_atoms``, ``all_names``, polarity) and rewrites
 (``substitute`` and the translations) name only the constructors they treat
 specially and pass every other node through these two.  None of them
-recurses, nor do the printer and ``repr``; the folds walk
-:func:`post_order`, which lists each distinct node once.
+recurses, nor do the printer and ``repr``; the folds and ``substitute``
+walk :func:`post_order`, which lists each distinct node once.
 
 Nodes are hash-consed: every way of making a node (the class call,
 ``rebuild``, the parser, ``dataclasses.replace``, ``copy`` and ``pickle``)
@@ -463,32 +463,31 @@ def substitute(phi: Formula, psi: Formula, name: str) -> Formula:
     """Replace every free occurrence of the atom ``name`` in ``phi`` by ``psi``.
 
     Raises :class:`CaptureError` when a free atom of ``psi`` would be caught
-    by a binder of ``phi``, and :class:`PositivityError` when the result
-    would put a bound fixpoint variable under an odd number of negations.
-    Each distinct subformula is rewritten once, depth first and left to
-    right, so the first of these errors is raised.
+    by a binder of ``phi`` over a free occurrence of ``name``: the first
+    such binder depth first and left to right, outer before inner.  Only
+    the subformulas where ``name`` is free are visited, each distinct one
+    once.  No other error can arise: the occurrences of a bound variable
+    change only where ``psi`` mentions it free, and that is a capture.
     """
     if name not in free_atoms(phi):
         return phi
     psi_free = free_atoms(psi)
+
+    def enter(f: Formula) -> bool:
+        # free_atoms(phi) gave every node below phi its free names
+        if name not in f._free:
+            return False
+        if type(f) in _BINDERS and f.var in psi_free:
+            raise CaptureError(f.var)
+        return True
+
+    # the walk passes every node but phi through enter; a node it does not
+    # enter is kept as it is
+    enter(phi)
     done: dict[Formula, Formula] = {}
-    stack: list[tuple[Formula, bool]] = [(phi, False)]
-    while stack:
-        f, leaving = stack.pop()
-        if leaving:
-            # rebuilding a binder re-checks its positivity
-            done[f] = rebuild(f, [done[sub] for sub in immediate_subformulas(f)])
-        elif f not in done:
-            # free_atoms(phi) gave every node below phi its free names
-            if name not in f._free:
-                done[f] = f
-            elif type(f) is Atom:
-                done[f] = psi
-            else:
-                if type(f) in _BINDERS and f.var in psi_free:
-                    raise CaptureError(f.var)
-                stack.append((f, True))
-                stack.extend((sub, False) for sub in reversed(immediate_subformulas(f)))
+    for f in _post_order_within(phi, enter):
+        subs = [done.get(sub, sub) for sub in immediate_subformulas(f)]
+        done[f] = psi if type(f) is Atom else rebuild(f, subs)
     return done[phi]
 
 

@@ -24,7 +24,6 @@ valuation.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, reduce
 from itertools import chain, compress, filterfalse, repeat, takewhile
@@ -525,21 +524,22 @@ def _tangle_body(members: list[int], q: int, rel: int) -> list[tuple]:
 
 
 # tasks of the compiler's work stack
-_VISIT, _EMIT, _CLOSE = range(3)
-_EMPTY: frozenset = frozenset()
+_VISIT, _EMIT = range(2)
 
 
 def compile_formulas(roots: Sequence[Formula]) -> Program:
     """Compile ``roots`` into one program, without recursion, so formulas
     of any depth compile.
 
-    A compiled node depends on the binders that bind its free names where
-    it occurs: their slots are its ``deps``.  All occurrences of a node with
-    the same ``deps`` share one instruction, which goes into the loop of the
-    innermost binder among them, or before every loop if there is none.
-    Each node's free names are those :func:`free_atoms` keeps on it.
-    A tangle compiles as the greatest fixpoint loop of :func:`_tangle_body`;
-    its members mention no name the loop binds, so they run before it.
+    A compiled node's context is the innermost binder that binds one of
+    its free names where it occurs, or none.  Binders take their slots in
+    the order they are visited, so the innermost is the one with the
+    largest slot.  All occurrences of a node in the same context share one
+    instruction, which goes into that binder's loop, or before every loop
+    if there is none.  Each node's free names are those :func:`free_atoms`
+    keeps on it.  A tangle compiles as the greatest fixpoint loop of
+    :func:`_tangle_body`; its members mention no name the loop binds, so
+    they run before it.
     """
     roots = tuple(roots)
     for root in roots:
@@ -548,42 +548,40 @@ def compile_formulas(roots: Sequence[Formula]) -> Program:
     # (key: the binder's slot), where ``(None, var, body, nu)`` stands for
     # the nested loop of the binder at ``var``.
     blocks: dict[int | None, list[tuple]] = {None: []}
-    depth_of: dict[int, int] = {}  # binder slot -> how many loops enclose its body
-    table: defaultdict[frozenset, dict[Formula, int]] = defaultdict(dict)  # deps -> node -> slot
+    table: dict[tuple, int] = {}  # (context, node) -> slot
     done: list[int] = []  # the slot of each node visited, after its children's
     size = 0
     tangled = False
 
-    def deps_of(names: frozenset[str], bindings: dict[str, int]) -> frozenset:
-        return frozenset([bindings[n] for n in names if n in bindings]) if bindings else _EMPTY
-
-    # A scope binds names to binder slots and has a loop depth.
-    top: tuple[dict, int] = ({}, 0)
-    stack: list[tuple] = [(_VISIT, f, top, None) for f in reversed(roots)]
+    # A task's ``where`` is, for a visit, its scope, which binds names to
+    # binder slots, and for an emit, its node's context.  A binder takes
+    # its slots at its visit, and its emit task carries them.
+    stack: list[tuple] = [(_VISIT, f, {}, None) for f in reversed(roots)]
     while stack:
-        task, f, scope, slot = stack.pop()
-        bindings, depth = scope
+        task, f, where, slot = stack.pop()
         if task == _VISIT:
-            slot = table[deps_of(f._free, bindings)].get(f)
+            # the innermost binder of f's free names: the largest slot
+            dep = max([where[n] for n in f._free if n in where], default=None) if where else None
+            slot = table.get((dep, f))
             if slot is not None:
                 done.append(slot)
                 continue
             kind = type(f)
-            if kind is Atom and f.name in bindings:
-                done.append(bindings[f.name])
+            if kind is Atom and f.name in where:
+                done.append(where[f.name])
             elif kind in _BINDERS:
                 # two slots: the bound variable, which ends as the result,
                 # and the loop's round count
-                depth_of[size] = depth + 1
                 blocks[size] = []
-                inner = ({**bindings, f.var: size}, depth + 1)
-                stack += [(_CLOSE, f, scope, size), (_VISIT, f.body, inner, None)]
+                stack += [(_EMIT, f, dep, size), (_VISIT, f.body, {**where, f.var: size}, None)]
                 size += 2
             else:
-                stack.append((_EMIT, f, scope, None))
-                stack += [(_VISIT, g, scope, None) for g in reversed(immediate_subformulas(f))]
+                stack.append((_EMIT, f, dep, None))
+                stack += [(_VISIT, g, where, None) for g in reversed(immediate_subformulas(f))]
             continue
-        if task == _EMIT:
+        if slot is not None:
+            ins = (None, slot, done.pop(), type(f) is Nu)
+        else:
             cut = len(done) - len(immediate_subformulas(f))
             args = done[cut:]
             del done[cut:]
@@ -596,13 +594,10 @@ def compile_formulas(roots: Sequence[Formula]) -> Program:
             else:
                 ins = _instruction(f, slot, args)
                 size += 1
-        else:
-            ins = (None, slot, done.pop(), type(f) is Nu)
-        # f computes into slot, in the loop of its innermost binder
-        deps = deps_of(f._free, bindings)
+        # f computes into slot, in the loop of its context
         if ins:
-            blocks[max(deps, key=depth_of.get) if deps else None].append(ins)
-        table[deps][f] = slot
+            blocks[where].append(ins)
+        table[where, f] = slot
         done.append(slot)
 
     # Lay the blocks out, each loop between its _FIX and its _LOOP.

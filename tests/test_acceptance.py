@@ -25,6 +25,7 @@ from tangles import (
     Box,
     Dia,
     DiaD,
+    Evaluator,
     Frame,
     KripkeModel,
     Neg,
@@ -54,7 +55,7 @@ from tangles import (
     untangle,
     verify_reduction,
 )
-from oracles import tangle_oracle
+from oracles import tangle_oracle, tree_extension
 
 p, q = Atom("p"), Atom("q")
 
@@ -83,7 +84,9 @@ def _connected_undirected(frame):
 
 
 def test_tangle_triple_agreement():
-    # compiled tangle loop == to_mu encoding == lasso search
+    # three methods agree: the compiled greatest-fixpoint loop (also reached
+    # through the to_mu encoding, which compiles to the same loop), the
+    # cluster criterion of tree_extension, and a lasso search per world
     t0 = time.time()
     rng = random.Random(101)
     ok = True
@@ -93,7 +96,9 @@ def test_tangle_triple_agreement():
         tangle = Tangle(members)
         direct = model_check(model, tangle)
         encoded = model_check(model, to_mu(tangle))
-        ok = ok and direct == encoded
+        ev = Evaluator(model.frame)
+        clusters = model.frame.unmask(tree_extension(ev, tangle, ev.valuation_masks(model.val)))
+        ok = ok and direct == encoded == clusters
         for w in model.frame.worlds:
             ok = ok and (w in direct) == tangle_oracle(model, w, members)
         if not ok:

@@ -232,6 +232,24 @@ def test_substitute_capture():
         substitute(mu, Atom("x"), "p")
     with pytest.raises(CaptureError):
         substitute(Nu("v", And(p, Box(Atom("v")))), Dia(Atom("v")), "p")
+    # the first capturing binder depth first and left to right is named:
+    # the left of two siblings, the outer of two nested binders, and the
+    # first occurrence of a subformula that occurs twice
+    x, y = Atom("x"), Atom("y")
+    both = And(x, y)
+    left, right = Mu("x", Or(p, Dia(x))), Nu("y", And(p, Box(y)))
+    shared = Mu("y", Or(p, Dia(y)))
+    for phi, binder in [
+        (And(left, right), "x"),
+        (Or(right, left), "y"),
+        (Mu("x", Or(p, Dia(Nu("y", And(p, Box(And(x, y))))))), "x"),
+        (Nu("y", Or(q, Mu("x", And(p, Box(Or(x, y)))))), "y"),
+        (And(shared, Nu("x", And(shared, Box(x)))), "y"),
+        (And(Nu("x", And(shared, Box(x))), shared), "x"),
+    ]:
+        with pytest.raises(CaptureError) as info:
+            substitute(phi, both, "p")
+        assert info.value.binder == binder
 
 
 def _constructors(cls=Formula):

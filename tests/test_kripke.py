@@ -3,6 +3,7 @@ serialization."""
 
 import copy
 import dataclasses
+import hashlib
 import itertools
 import json
 import pickle
@@ -56,6 +57,7 @@ from tangles import (
     subformula_closure,
     relation_properties,
     to_dot,
+    to_mu,
 )
 import tangles.kripke as kmod
 from tangles.cli import _model_lines
@@ -871,17 +873,17 @@ def test_compiled_evaluator_matches_tree_oracle_on_spaces(seed):
     _evaluators_agree(ev, phis, ev.valuation_masks(model.val))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "x & (mu x. x | <>x)",  # x free outside the binder, bound inside
-        "(mu x. <>x | p) & (nu x. <>x & q) & <>x",  # one <>x, three meanings
-        "nu y. mu x. <>x | p & []y",  # alternation
-        "mu x. nu y. [](y & <>x) | <t>{x, y & q}",  # a tangle under two binders
-        "nu x. <t>{<>x, mu y. p | <>(y & x)}",  # a binder inside a tangle member
-        "mu x. p | <>(nu x. <>x & q) | <>x",  # shadowing
-    ],
-)
+_BINDING_CONTEXTS = [
+    "x & (mu x. x | <>x)",  # x free outside the binder, bound inside
+    "(mu x. <>x | p) & (nu x. <>x & q) & <>x",  # one <>x, three meanings
+    "nu y. mu x. <>x | p & []y",  # alternation
+    "mu x. nu y. [](y & <>x) | <t>{x, y & q}",  # a tangle under two binders
+    "nu x. <t>{<>x, mu y. p | <>(y & x)}",  # a binder inside a tangle member
+    "mu x. p | <>(nu x. <>x & q) | <>x",  # shadowing
+]
+
+
+@pytest.mark.parametrize("text", _BINDING_CONTEXTS)
 def test_compiled_evaluator_keeps_binding_contexts_apart(text):
     # every subformula on its own, with its free names read from the
     # valuation, and all of them in one program
@@ -940,6 +942,28 @@ def test_a_fixpoint_compiled_inside_a_loop_is_shared_at_top_level():
     assert (program.size, program.code) == (7, alone.code)
     assert program.roots == (alone.roots[0], program.code[0][1])
     assert program.code[0][:3] == (kmod._FIX, program.code[0][1], True)
+
+
+def test_compiled_programs_match_their_recorded_digest():
+    # Every program of a seeded corpus, instruction for instruction: random
+    # formulas, their sorted closures and their to_mu encodings, and the
+    # closures of the binding-context texts above.  A change that moves a
+    # slot or reorders an instruction changes the digest, and so does a
+    # program that follows set iteration order, which CI checks by running
+    # this test under two hash seeds.  A deliberate change of layout
+    # records the new digest here.
+    programs = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        for depth in (3, 5, 7):
+            phi = random_formula(rng, depth, ("p", "q", "x", "y"))
+            for roots in ([phi], subformula_closure([phi]).sorted(), [to_mu(phi)]):
+                programs.append(repr(compile_formulas(roots)))
+    for text in _BINDING_CONTEXTS:
+        programs.append(repr(compile_formulas(subformula_closure([parse(text)]).sorted())))
+    assert len(programs) == 2706
+    digest = hashlib.sha256("\n".join(programs).encode()).hexdigest()
+    assert digest == "3173bcd33c53a677be4187aeef627fc1074844a9121fce86e25f529bc4a00660"
 
 
 def test_fixpoint_iteration_is_capped():

@@ -78,9 +78,9 @@ class FiltrationResult:
     ``classes[i]`` lists the source worlds mapped to ``quotient_worlds[i]``;
     ``r_phi`` is the transitive closure of the induced relation ``r_lambda``;
     :func:`filtrate` keeps both as rows, spelled out as pairs on first read.
-    ``maximal_clusters`` and ``sees_maximal`` describe the source model and
-    are recorded in both modes; only refined mode folds them into the
-    quotient signature.  The quotient frame and the masks behind
+    ``maximal_clusters`` describes the source model and is recorded in both
+    modes; only refined mode folds the worlds that see each maximal cluster
+    into the quotient signature.  The quotient frame and the masks behind
     :meth:`realized` are computed from these fields on first use, so a
     ``dataclasses.replace`` copy sees its own fields.
     """
@@ -95,7 +95,6 @@ class FiltrationResult:
     quotient_val: dict[str, tuple[str, ...]]
     source_truth: dict[Formula, frozenset[str]]
     maximal_clusters: tuple[frozenset[str], ...]
-    sees_maximal: dict[str, tuple[int, ...]]
 
     @cached_property
     def _frame(self) -> Frame:
@@ -146,7 +145,7 @@ def filtrate(
     ev = Evaluator(frame)
     ordered = closure.sorted()
     exts = ev.extensions(ordered, ev.valuation_masks(m.val))
-    maximal, seen = _maximal_clusters(frame)
+    maximal = _maximal_clusters(frame)
     # A world's signature is its column of the splitting masks: the extensions,
     # and in refined mode the worlds that see each maximal cluster.
     n = len(frame.worlds)
@@ -177,7 +176,6 @@ def filtrate(
         },
         source_truth={f: frame.unmask(e) for f, e in zip(ordered, exts)},
         maximal_clusters=tuple(frame.unmask(mask) for _, mask in maximal),
-        sees_maximal=dict(zip(frame.worlds, map(tuple, seen))),
     )
     fr.__dict__.update(_frame=quotient, _realized=realized)
     return fr
@@ -488,7 +486,6 @@ class AtomicTypeData:
     cluster_formula: dict[int, Formula]
     sees_cluster_formula: dict[int, Formula]
     profile_formula: dict[str, Formula]
-    view_formula: dict[str, Formula]
     class_formula: dict[str, Formula]
     component_formulas: dict[str, tuple[tuple[frozenset[str], Formula], ...]]
     report: CharacteristicReport
@@ -536,9 +533,13 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
     cluster_types = tuple(
         frozenset(types[code[i]] for i in _bits(c)) for c in frame.cluster_masks
     )
-    found, seen = _maximal_clusters(frame)
+    found = _maximal_clusters(frame)
     maximal = tuple(c for c, _ in found)
-    sees_maximal = {w: tuple(maximal[k] for k in ks) for w, ks in zip(worlds, seen)}
+    # per maximal cluster, the worlds that see it all, as they see its first
+    sees = [pred[_first(mask)] for _, mask in found]
+    sees_maximal = {
+        w: tuple(c for c, s in zip(maximal, sees) if s >> i & 1) for i, w in enumerate(worlds)
+    }
 
     chi = [conj(a if a in s else Neg(a) for a in alphabet) for s in types]
     reach = [dia_star(f) for f in chi]
@@ -552,11 +553,10 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
         w: conj(f if t >> i & 1 else Neg(f) for f, t in zip(ordered, truth))
         for i, w in enumerate(worlds)
     }
-    view_formula = {
-        w: conj(v if k in ks else Neg(v) for k, v in enumerate(views))
-        for w, ks in zip(worlds, seen)
+    class_formula = {
+        w: And(profile_formula[w], conj(v if s >> i & 1 else Neg(v) for v, s in zip(views, sees)))
+        for i, w in enumerate(worlds)
     }
-    class_formula = {w: And(profile_formula[w], view_formula[w]) for w in worlds}
     # path components of each successor set, using only edges inside it
     parts = {
         row: [
@@ -582,15 +582,15 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
     # per type set of maximal clusters: their worlds, and the worlds that
     # see one of them
     by_type: dict[frozenset, tuple[int, int]] = {}
-    for i, mask in found:
+    for (i, mask), s in zip(found, sees):
         have, see = by_type.get(cluster_types[i], (0, 0))
-        by_type[cluster_types[i]] = (have | mask, see | pred[_first(mask)])
+        by_type[cluster_types[i]] = (have | mask, see | s)
     maximal_worlds = reduce(or_, (mask for _, mask in found), 0)
     serial = sum(1 << i for i, row in enumerate(succ) if row)
     types_distinct = len(by_type) == len(maximal)
     reachable_serial = all(row & ~serial == 0 for row in succ)
     member = [(ext[cluster_formula[i]] & maximal_worlds, i, mask) for i, mask in found]
-    scope = [(ext[sees_cluster_formula[i]], i, mask) for i, mask in found]
+    scope = [(ext[sees_cluster_formula[i]], i, s) for (i, _), s in zip(found, sees)]
     located = [(ext[f] & row, comp) for row, ps in parts.items() for comp, f in ps]
 
     notes = []
@@ -618,7 +618,7 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
         cluster_scope_by_type=all(got == by_type[cluster_types[i]][1] for got, i, _ in scope),
         component_cover_ok=all(not comp & serial & ~got for got, comp in located),
         maximal_membership_sharp=sharp(all(got == mask for got, _, mask in member)),
-        cluster_scope_sharp=sharp(all(got == pred[_first(mask)] for got, _, mask in scope)),
+        cluster_scope_sharp=sharp(all(got == s for got, _, s in scope)),
         class_formula_sharp=sharp(all(ext[f] == mask for f, mask in classes.items())),
         component_formula_sharp=sharp(
             all(got == comp for got, comp in located), reachable_serial
@@ -634,7 +634,6 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
         cluster_formula=cluster_formula,
         sees_cluster_formula=sees_cluster_formula,
         profile_formula=profile_formula,
-        view_formula=view_formula,
         class_formula=class_formula,
         component_formulas=component_formulas,
         report=report,
@@ -712,7 +711,6 @@ class PreservationReport:
     sees_reflexive: bool | None
     path_components_equal: bool | None
     common_successor_ok: bool | None
-    locally_n_connected_for: tuple[int, ...]
     warnings: tuple[str, ...]
 
 
@@ -776,14 +774,6 @@ def preservation_report(
             for v in _bits(row & ~rt[u] & ~rt_pred[u])
         )
 
-    top = max(
-        source.local_connectedness,
-        filtered.local_connectedness,
-        untangled.local_connectedness,
-    )
-    floor = max(filtered.local_connectedness, untangled.local_connectedness)
-    locally_for = tuple(n for n in range(1, top + 1) if n >= floor)
-
     return PreservationReport(
         source=source,
         filtered=filtered,
@@ -794,6 +784,5 @@ def preservation_report(
         sees_reflexive=sees_reflexive,
         path_components_equal=path_components_equal,
         common_successor_ok=common_successor_ok,
-        locally_n_connected_for=locally_for,
         warnings=tuple(warnings),
     )

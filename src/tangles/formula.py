@@ -22,7 +22,8 @@ returns the one live node of that structure, from a table that holds nodes
 weakly.  Equality is therefore identity, hashing is the object's, and a
 formula that repeats a subformula is a DAG that stores it once.  The
 canonical order of tangle members and closure sets is by printed form,
-computed once per node; a tangle prints its members from that cached text.
+computed once per node; a tangle of two or more members prints them from
+that cached text, and the lone member of a tangle, never sorted, is laid out.
 :func:`pretty` and :func:`printed_length` lay out each node once per
 printing context, so shared subformulas cost one layout; the evaluator in
 ``kripke`` likewise computes each distinct subformula once.
@@ -549,12 +550,15 @@ class ClosureSet:
     def __post_init__(self):
         formulas = frozenset(self.formulas)
         object.__setattr__(self, "formulas", formulas)
-        for f in formulas:
-            for sub in immediate_subformulas(f):
-                if sub not in formulas:
-                    raise FormulaError(
-                        f"closure set misses {pretty(sub)}, a subformula of {pretty(f)}"
-                    )
+        lost = [(s, f) for f in formulas for s in immediate_subformulas(f) if s not in formulas]
+        if lost:
+            # a frozenset has no order, so name the least missing subformula
+            # and the least member it is missing from
+            sub = min((s for s, _ in lost), key=_sort_key)
+            f = min((f for s, f in lost if s is sub), key=_sort_key)
+            raise FormulaError(
+                f"closure set misses {_sort_key(sub)}, a subformula of {_sort_key(f)}"
+            )
 
     def __contains__(self, phi: Formula) -> bool:
         return phi in self.formulas
@@ -636,11 +640,12 @@ def _layout(f: Formula, need: int, rightmost: bool) -> Sequence:
         body = (f.body, 0, True)
         return (head, body) if rightmost else ("(" + head, body, ")")
     if kind in _TANGLES:
+        # sorting two or more members cached each one's printed form alone,
+        # which is how it prints here; a lone member is not sorted
+        keyed = len(f.members) > 1
         out = ["<t>{" if kind is Tangle else "<dt>{"]
         for m in f.members:
-            # a member prints as it does alone, so its cached sort key will do
-            text = getattr(m, "_text", None)
-            out += ((m, 0, True) if text is None else text, ", ")
+            out += (m._text if keyed else (m, 0, True), ", ")
         out[-1] = "}"
         return out
     op, lvl, assoc = _BINARY[kind]

@@ -98,15 +98,22 @@ class Frame:
 
     def __post_init__(self):
         given = self.__dict__["rel"]
-        # a set has no order to report the first stray pair in
-        pairs = given if isinstance(given, (frozenset, set)) else tuple(given)
+        unordered = isinstance(given, (frozenset, set))
+        pairs = given if unordered else tuple(given)
         worlds = _checked_worlds(self.worlds)
-        # rows of the entries before the first one that is not a pair, so
-        # that the first bad entry of either kind is the one named
-        index, succ, pred, stray = _relation_rows(worlds, takewhile(_is_pair, pairs), _itself)
+        # Given a sequence, rows of the entries before the first one that is
+        # not a pair, so that the first bad entry of either kind is the one
+        # named.  A set has no order: rows of all its pairs, and the stray
+        # pair, or else the entry that is not a pair, with the least repr.
+        index, succ, pred, stray = _relation_rows(
+            worlds, (filter if unordered else takewhile)(_is_pair, pairs), _itself
+        )
+        if stray and unordered:
+            stray = _relation_rows(worlds, sorted(filter(_is_pair, pairs), key=repr), _itself)[3]
         if stray:
             raise ValueError(f"relation pair {stray} outside the world set")
-        for entry in filterfalse(_is_pair, pairs):
+        bad = filterfalse(_is_pair, pairs)
+        for entry in sorted(bad, key=repr) if unordered else bad:
             raise ValueError(f"relation entry {entry!r} is not a pair")
         self.__dict__.update(worlds=worlds, rel=frozenset(pairs), succ=succ, index=index, pred=pred)
 
@@ -371,21 +378,13 @@ def _first(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _maximal_clusters(frame: Frame) -> tuple[list[tuple[int, int]], list[list[int]]]:
+def _maximal_clusters(frame: Frame) -> list[tuple[int, int]]:
     """The maximal clusters of a transitive frame, as (position among its
-    clusters, world mask) pairs, and per world the indices into that list
-    of the clusters it wholly sees."""
-    succ, pred = frame.succ, frame.pred
-    maximal = [
+    clusters, world mask) pairs."""
+    return [
         (c, mask) for c, mask in enumerate(frame.cluster_masks)
-        if not succ[_first(mask)] & ~mask
+        if not frame.succ[_first(mask)] & ~mask
     ]
-    seen: list[list[int]] = [[] for _ in frame.worlds]
-    for k, (_, mask) in enumerate(maximal):
-        # a world sees all of a cluster iff it sees its first world
-        for i in _bits(pred[_first(mask)]):
-            seen[i].append(k)
-    return maximal, seen
 
 
 def cluster_decomposition(frame: Frame) -> ClusterDecomposition:

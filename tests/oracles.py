@@ -530,14 +530,9 @@ def _realized(fr: FiltrationResult, phi: Formula) -> frozenset[str]:
 def _maximal_cluster_data(frame: Frame):
     dec = cluster_decomposition(frame)
     with_exit = {i for (i, _) in dec.order}
-    maximal = tuple(
+    return tuple(
         dec.clusters[i] for i in range(len(dec.clusters)) if i not in with_exit
     )
-    sees = {
-        w: tuple(i for i, c in enumerate(maximal) if c <= frame.successors(w))
-        for w in frame.worlds
-    }
-    return maximal, sees
 
 
 def _check_inputs(fr: FiltrationResult, m: KripkeModel, closure: ClosureSet) -> None:
@@ -556,11 +551,13 @@ def tree_filtrate(m: KripkeModel, closure: ClosureSet, mode: str = "standard") -
     masks = ev.valuation_masks(m.val)
     ordered = closure.sorted()
     source_truth = {f: ev.frame.unmask(tree_extension(ev, f, masks)) for f in ordered}
-    maximal, sees = _maximal_cluster_data(m.frame)
+    maximal = _maximal_cluster_data(m.frame)
 
     def signature(w: str):
         profile = tuple(w in source_truth[f] for f in ordered)
-        return (profile, sees[w]) if mode == "refined" else profile
+        if mode != "refined":
+            return profile
+        return profile, tuple(c <= m.frame.successors(w) for c in maximal)
 
     quotient_map: dict[str, str] = {}
     classes: list[list[str]] = []
@@ -597,7 +594,6 @@ def tree_filtrate(m: KripkeModel, closure: ClosureSet, mode: str = "standard") -
         quotient_val=quotient_val,
         source_truth=source_truth,
         maximal_clusters=maximal,
-        sees_maximal=sees,
     )
 
 
@@ -811,14 +807,16 @@ def tree_characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicT
         w: conj(f if w in closure_truth[f] else Neg(f) for f in ordered)
         for w in frame.worlds
     }
-    view_formula = {
-        w: conj(
-            sees_cluster_formula[i] if i in sees_maximal[w] else Neg(sees_cluster_formula[i])
-            for i in maximal
+    class_formula = {
+        w: And(
+            profile_formula[w],
+            conj(
+                sees_cluster_formula[i] if i in sees_maximal[w] else Neg(sees_cluster_formula[i])
+                for i in maximal
+            ),
         )
         for w in frame.worlds
     }
-    class_formula = {w: And(profile_formula[w], view_formula[w]) for w in frame.worlds}
     component_formulas = {
         x: tuple(
             (comp, disj(sees_cluster_formula[i] for i in maximal if dec.clusters[i] <= comp))
@@ -839,7 +837,6 @@ def tree_characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicT
         cluster_formula=cluster_formula,
         sees_cluster_formula=sees_cluster_formula,
         profile_formula=profile_formula,
-        view_formula=view_formula,
         class_formula=class_formula,
         component_formulas=component_formulas,
         report=None,

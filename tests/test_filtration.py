@@ -114,6 +114,35 @@ def test_untangle_rejects_foreign_inputs():
         untangle(fr, m, closure_of(Dia(p)))
 
 
+# each construction and its tree oracle, over (filtration, untangling,
+# model, closure)
+_CONSTRUCTIONS = {
+    "untangle": lambda fr, ut, m, c: untangle(fr, m, c),
+    "verify_reduction": verify_reduction,
+    "reduction_conditions": lambda fr, ut, m, c: reduction_conditions(fr, m, c),
+    "tree_untangle": lambda fr, ut, m, c: tree_untangle(fr, m, c),
+    "tree_verify_reduction": tree_verify_reduction,
+    "tree_reduction_conditions": lambda fr, ut, m, c: tree_reduction_conditions(fr, m, c),
+}
+
+
+@pytest.mark.parametrize("name", _CONSTRUCTIONS)
+def test_constructions_name_the_foreign_input(name):
+    # a filtration is read only with the model and the closure it was
+    # built from
+    build = _CONSTRUCTIONS[name]
+    m = strict_chain({"w0"})
+    closure = closure_of(Tangle((p,)), Dia(Top()))
+    fr = filtrate(m, closure)
+    ut = untangle(fr, m, closure)
+    other_model = KripkeModel(Frame(("a",), frozenset({("a", "a")})), {"p": ("a",)})
+    with pytest.raises(ValueError, match="^filtration was built from a different model$"):
+        build(fr, ut, other_model, closure)
+    with pytest.raises(ValueError, match="^filtration was built from a different closure set$"):
+        build(fr, ut, m, closure_of(Dia(p)))
+    build(fr, ut, m, closure)
+
+
 @pytest.mark.parametrize("seed", range(80))
 def test_filtration_property_tangle_free(seed):
     # for closures without tangles, the filtered model satisfies each

@@ -3,8 +3,10 @@
 import copy
 import dataclasses
 import gc
+import os
 import pickle
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -61,7 +63,7 @@ from tangles import formula
 from tangles.formula import MAX_DEPTH, parse_members, post_order, printed_length, rebuild
 from gen import random_formula, random_shared_formula
 from oracles import tree_free_atoms, tree_parse
-from test_cli import _mutate
+from test_cli import _env, _mutate
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -393,6 +395,75 @@ def test_nested_two_member_tangles_parse_in_linear_time():
     assert printed_length(phi) == len(pretty(phi)) == len(text)
 
 
+def _counting_layouts(monkeypatch) -> list:
+    """The printing contexts laid out from now on, in order."""
+    calls = []
+    layout = formula._layout
+
+    def counted(*ctx):
+        calls.append(ctx)
+        return layout(*ctx)
+
+    monkeypatch.setattr(formula, "_layout", counted)
+    return calls
+
+
+def test_a_lone_tangle_member_prints_alike_before_and_after_it_is_keyed(monkeypatch):
+    # a one-member tangle does not sort, so does not key, its member; it
+    # lays the member out whether or not something keyed it before
+    m = And(Atom("lone_p"), Box(Atom("lone_q")))
+    assert not hasattr(m, "_text")
+    phi = Tangle((m,))
+    calls = _counting_layouts(monkeypatch)
+    assert pretty(phi) == "<t>{lone_p & []lone_q}"
+    before = len(calls)
+    formula._sort_key(m)
+    calls.clear()
+    assert pretty(phi) == "<t>{lone_p & []lone_q}"
+    assert len(calls) == before == 5
+
+
+# Counts the layouts of sorting and printing the subformula closures of 100
+# random formulas, in a fresh interpreter.
+_LAYOUT_COUNT = """
+import random
+
+import gen
+from tangles import formula, pretty, subformula_closure
+
+calls = 0
+layout = formula._layout
+
+
+def counted(*ctx):
+    global calls
+    calls += 1
+    return layout(*ctx)
+
+
+formula._layout = counted
+for s in range(100):
+    phi = gen.random_formula(random.Random(s), 5, ("p", "q"))
+    for f in subformula_closure([phi]).sorted():
+        pretty(f)
+print(calls)
+"""
+
+
+def test_printing_work_does_not_depend_on_the_hash_seed():
+    # sorting a closure keys its members in set order, which follows the
+    # hash seed and the memory layout; the layouts must not follow it
+    env = _env()
+    env["PYTHONPATH"] += os.pathsep + os.path.dirname(os.path.abspath(__file__))
+    counts = set()
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run([sys.executable, "-c", _LAYOUT_COUNT],
+                              env=env | {"PYTHONHASHSEED": seed},
+                              capture_output=True, text=True, timeout=60, check=True)
+        counts.add(int(proc.stdout))
+    assert len(counts) == 1, counts
+
+
 def test_parse_cost_is_linear_in_nesting():
     # 999 parentheses around a 20,000-character conjunction of distinct
     # atoms cost about what the bare conjunction does; one more opens the
@@ -624,6 +695,17 @@ def test_closure_set_rejects_gaps():
     with pytest.raises(FormulaError):
         ClosureSet(frozenset({And(p, q), p}))  # q missing
     ClosureSet(frozenset({And(p, q), p, q}))
+
+
+def test_closure_set_names_its_least_gap():
+    # a frozenset has no order: the message names the missing subformula
+    # first in canonical order, then the least member it is missing from,
+    # whatever the hash seed
+    with pytest.raises(FormulaError, match=r"^closure set misses a0, a subformula of ~a0$"):
+        ClosureSet(frozenset(Neg(Atom(f"a{i}")) for i in range(100)))
+    members = {Atom(f"b{i}") for i in range(100)} | {And(Atom(f"b{i}"), r) for i in range(100)}
+    with pytest.raises(FormulaError, match=r"^closure set misses r, a subformula of b0 & r$"):
+        ClosureSet(frozenset(members))
 
 
 def test_closure_set_keeps_a_frozenset_of_any_collection():

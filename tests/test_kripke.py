@@ -832,6 +832,19 @@ def test_relation_entries_must_be_pairs():
         Frame(("a", "b"), [("a", "x"), "ab"])
 
 
+def test_a_set_of_pairs_names_its_least_bad_entry():
+    # a set has no order: of its stray pairs, or else of its entries that
+    # are not pairs, the one with the least repr is named, whatever the
+    # hash seed
+    strays = {("a", f"x{i}") for i in range(100)}
+    for pairs in (strays, frozenset(strays), strays | {("a", "a")}, strays | {"ab", ("a",)}):
+        with pytest.raises(ValueError, match=r"^relation pair \('a', 'x0'\) outside the world set$"):
+            Frame(("a",), pairs)
+    others = {f"e{i}" for i in range(100)} | {("a",) * k for k in (1, 3)}
+    with pytest.raises(ValueError, match=r"^relation entry 'e0' is not a pair$"):
+        Frame(("a",), others | {("a", "a")})
+
+
 # ---------------------------------------------------------------------------
 # Compiled programs against the tree evaluator
 

@@ -82,7 +82,9 @@ class FiltrationResult:
     modes; only refined mode folds the worlds that see each maximal cluster
     into the quotient signature.  The quotient frame and the masks behind
     :meth:`realized` are computed from these fields on first use, so a
-    ``dataclasses.replace`` copy sees its own fields.
+    ``dataclasses.replace`` copy sees its own fields.  ``source`` is the
+    model it was built from; the constructions that take the model again
+    refuse any other.
     """
 
     mode: str
@@ -95,6 +97,7 @@ class FiltrationResult:
     quotient_val: dict[str, tuple[str, ...]]
     source_truth: dict[Formula, frozenset[str]]
     maximal_clusters: tuple[frozenset[str], ...]
+    source: KripkeModel
 
     @cached_property
     def _frame(self) -> Frame:
@@ -176,13 +179,14 @@ def filtrate(
         },
         source_truth={f: frame.unmask(e) for f, e in zip(ordered, exts)},
         maximal_clusters=tuple(frame.unmask(mask) for _, mask in maximal),
+        source=m,
     )
     fr.__dict__.update(_frame=quotient, _realized=realized)
     return fr
 
 
 def _check_inputs(fr: FiltrationResult, m: KripkeModel, closure: ClosureSet) -> None:
-    if set(fr.quotient_map) != set(m.frame.worlds):
+    if m is not fr.source and m != fr.source:
         raise ValueError("filtration was built from a different model")
     if closure.formulas != fr.closure.formulas:
         raise ValueError("filtration was built from a different closure set")

@@ -536,7 +536,7 @@ def _maximal_cluster_data(frame: Frame):
 
 
 def _check_inputs(fr: FiltrationResult, m: KripkeModel, closure: ClosureSet) -> None:
-    if set(fr.quotient_map) != set(m.frame.worlds):
+    if m is not fr.source and m != fr.source:
         raise ValueError("filtration was built from a different model")
     if closure.formulas != fr.closure.formulas:
         raise ValueError("filtration was built from a different closure set")
@@ -594,6 +594,7 @@ def tree_filtrate(m: KripkeModel, closure: ClosureSet, mode: str = "standard") -
         quotient_val=quotient_val,
         source_truth=source_truth,
         maximal_clusters=maximal,
+        source=m,
     )
 
 

@@ -141,6 +141,18 @@ def test_constructions_name_the_foreign_input(name):
     with pytest.raises(ValueError, match="^filtration was built from a different closure set$"):
         build(fr, ut, m, closure_of(Dia(p)))
     build(fr, ut, m, closure)
+    # a model on the same worlds is foreign too, whether its valuation or
+    # its relation differs.  On the chain whose last world sees itself,
+    # <t>{p} & <>true holds everywhere with p at w2 and nowhere with p at w0.
+    looped = Frame(m.frame.worlds, m.frame.rel | {("w2", "w2")})
+    m = KripkeModel(looped, {"p": {"w2"}})
+    closure = closure_of(parse("<t>{p} & <>true"))
+    fr = filtrate(m, closure)
+    ut = untangle(fr, m, closure)
+    for other_model in (KripkeModel(looped, {"p": {"w0"}}), strict_chain({"w2"})):
+        with pytest.raises(ValueError, match="^filtration was built from a different model$"):
+            build(fr, ut, other_model, closure)
+    build(fr, ut, KripkeModel(looped, {"p": ("w2",)}), closure)  # an equal copy
 
 
 @pytest.mark.parametrize("seed", range(80))

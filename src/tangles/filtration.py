@@ -24,7 +24,7 @@ checks were applicable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable
@@ -218,6 +218,9 @@ class UntangleResult:
     always get an empty nucleus.  In ``reflexive_mode`` the worlds outside
     each nucleus keep their self-loop instead of becoming degenerate.
     :func:`untangle` keeps ``r_t`` as rows, spelled out as pairs on first read.
+    ``filtration`` is the filtration it was built from; the constructions
+    that take the filtration again refuse any other.  It is compared but
+    not hashed, since a filtration holds dicts.
     """
 
     reflexive_mode: bool
@@ -226,6 +229,7 @@ class UntangleResult:
     critical_points: tuple[str, ...]
     nuclei: tuple[frozenset[str], ...]
     r_t: frozenset[tuple[str, str]] = _Pairs()
+    filtration: FiltrationResult = field(hash=False)
 
     @cached_property
     def _frame(self) -> Frame:
@@ -235,7 +239,13 @@ class UntangleResult:
         return self._frame
 
     def untangled_model(self, fr: FiltrationResult) -> KripkeModel:
+        _check_untangling(fr, self)
         return KripkeModel(self.untangled_frame(), fr.quotient_val)
+
+
+def _check_untangling(fr: FiltrationResult, ut: UntangleResult) -> None:
+    if ut.filtration is not fr and ut.filtration != fr:
+        raise ValueError("untangling was built from a different filtration")
 
 
 def untangle(
@@ -296,6 +306,7 @@ def untangle(
         critical_points=tuple(critical),
         nuclei=tuple(nuclei),
         r_t=untangled,
+        filtration=fr,
     )
     ut.__dict__["_frame"] = untangled
     return ut
@@ -721,6 +732,8 @@ class PreservationReport:
 def preservation_report(
     fr: FiltrationResult, ut: UntangleResult, m: KripkeModel
 ) -> PreservationReport:
+    _check_inputs(fr, m, fr.closure)
+    _check_untangling(fr, ut)
     filtered_frame = fr.filtered_frame()
     untangled_frame = ut.untangled_frame()
     source = _profile(m.frame)
@@ -771,11 +784,10 @@ def preservation_report(
         )
         # pairs related by the quotient but by neither direction of the
         # untangled relation still need a common untangled successor
-        rt_pred = untangled_frame.pred
         common_successor_ok = all(
-            rt[u] & rt[v]
+            rt[u] & rt[v] or rt[v] >> u & 1
             for u, row in enumerate(filtered_frame.succ)
-            for v in _bits(row & ~rt[u] & ~rt_pred[u])
+            for v in _bits(row & ~rt[u])
         )
 
     return PreservationReport(

@@ -90,7 +90,7 @@ class Frame:
     spelled out on first read when it is built from rows.  The rest of the
     relation index (``index``, ``pred``, ``transitive``, ``cluster_masks``)
     is cached on the instance, so analyses of the same frame object share
-    it.
+    it; ``cluster_masks`` reads only ``succ``.
     """
 
     worlds: tuple[str, ...]
@@ -155,18 +155,15 @@ class Frame:
 
     @cached_property
     def cluster_masks(self) -> tuple[int, ...]:
-        """World masks of the clusters of a transitive frame, by first world."""
+        """World masks of the clusters of a transitive frame, by first world:
+        each holds the worlds with one up-set, their successors and themselves."""
         if not self.transitive:
             raise NonTransitiveError("cluster decomposition needs a transitive relation")
-        masks: list[int] = []
-        seen = 0
-        for i, (row, back) in enumerate(zip(self.succ, self.pred)):
-            bit = 1 << i
-            if not seen & bit:
-                mask = row & back | bit
-                seen |= mask
-                masks.append(mask)
-        return tuple(masks)
+        masks: dict[int, int] = {}
+        for i, row in enumerate(self.succ):
+            up = row | 1 << i
+            masks[up] = masks.get(up, 0) | 1 << i
+        return tuple(masks.values())
 
     @cached_property
     def _bit(self) -> dict[str, int]:
@@ -490,20 +487,20 @@ class Program:
     tangled: bool = False
 
 
-def _instruction(f: Formula, out: int, args: list[int]) -> tuple | None:
+def _instruction(f: Formula, out: int, args: list[int]) -> list[tuple]:
     """The instruction that computes ``f`` into slot ``out`` from its
-    children's slots; none for Bot, whose slot starts empty."""
+    children's slots, in a list; an empty one for Bot, whose slot starts empty."""
     kind = type(f)
     if kind is Atom:
-        return (_ATOM, out, f.name, 0)
+        return [(_ATOM, out, f.name, 0)]
     if kind is Top:
-        return (_TOP, out, 0, 0)
+        return [(_TOP, out, 0, 0)]
     if kind in _BINARY_OPS:
-        return (_BINARY_OPS[kind], out, *args)
+        return [(_BINARY_OPS[kind], out, *args)]
     if kind in _UNARY_OPS:
         op, rel = _UNARY_OPS[kind]
-        return (op, out, args[0], rel)
-    return None
+        return [(op, out, args[0], rel)]
+    return []
 
 
 def _tangle_body(members: list[int], q: int, rel: int) -> list[tuple]:
@@ -520,6 +517,14 @@ def _tangle_body(members: list[int], q: int, rel: int) -> list[tuple]:
         code.append((_AND, out, body, step))
         body, out = out, out + 1
     return code
+
+
+def _loop(code: list[tuple], var: int, nu: bool, body: list[tuple], result: int) -> None:
+    """Append to ``code`` the loop of slot ``var`` round ``body``, whose value
+    is in slot ``result``, with the body's length in its ``_LOOP``."""
+    code.append((_FIX, var, nu, var + 1))
+    code += body
+    code.append((_LOOP, var, result, (var + 1, len(body))))
 
 
 # tasks of the compiler's work stack
@@ -543,9 +548,8 @@ def compile_formulas(roots: Sequence[Formula]) -> Program:
     roots = tuple(roots)
     for root in roots:
         free_atoms(root)
-    # The instructions of the top level (key None) and of each loop body
-    # (key: the binder's slot), where ``(None, var, body, nu)`` stands for
-    # the nested loop of the binder at ``var``.
+    # The instructions of the top level (key None) and of each open loop body
+    # (key: its binder's slot); a loop goes whole into its context's as it closes.
     blocks: dict[int | None, list[tuple]] = {None: []}
     table: dict[tuple, int] = {}  # (context, node) -> slot
     done: list[int] = []  # the slot of each node visited, after its children's
@@ -578,8 +582,9 @@ def compile_formulas(roots: Sequence[Formula]) -> Program:
                 stack.append((_EMIT, f, dep, None))
                 stack += [(_VISIT, g, where, None) for g in reversed(immediate_subformulas(f))]
             continue
+        # f computes into slot, in the loop of its context
         if slot is not None:
-            ins = (None, slot, done.pop(), type(f) is Nu)
+            _loop(blocks[where], slot, type(f) is Nu, blocks.pop(slot), done.pop())
         else:
             cut = len(done) - len(immediate_subformulas(f))
             args = done[cut:]
@@ -587,35 +592,20 @@ def compile_formulas(roots: Sequence[Formula]) -> Program:
             slot = size
             if type(f) is Tangle or type(f) is TangleD:
                 tangled = True
-                blocks[slot] = body = _tangle_body(args, slot, int(type(f) is TangleD))
-                ins = (None, slot, body[-1][1], True)
+                body = _tangle_body(args, slot, int(type(f) is TangleD))
+                _loop(blocks[where], slot, True, body, body[-1][1])
                 size = body[-1][1] + 1
             else:
-                ins = _instruction(f, slot, args)
+                blocks[where] += _instruction(f, slot, args)
                 size += 1
-        # f computes into slot, in the loop of its context
-        if ins:
-            blocks[where].append(ins)
         table[where, f] = slot
         done.append(slot)
 
-    # Lay the blocks out, each loop between its _FIX and its _LOOP.
-    code: list[tuple] = []
-    layout = [(iter(blocks[None]), None)]
-    while layout:
-        todo, loop = layout[-1]
-        for ins in todo:
-            if ins[0] is None:
-                _, var, body, nu = ins
-                code.append((_FIX, var, nu, var + 1))
-                layout.append((iter(blocks[var]), (var, body, len(code))))
-                break
-            code.append(ins)
-        else:
-            layout.pop()
-            if loop:
-                var, body, start = loop
-                code.append((_LOOP, var, body, (var + 1, start)))
+    # each _LOOP holds its body's length: make it the jump back to the body's start
+    code = blocks[None]
+    for pc, (op, var, result, back) in enumerate(code):
+        if op == _LOOP:
+            code[pc] = (op, var, result, (back[0], pc - back[1]))
     return Program(tuple(code), size, tuple(done), tangled)
 
 

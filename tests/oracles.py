@@ -542,6 +542,11 @@ def _check_inputs(fr: FiltrationResult, m: KripkeModel, closure: ClosureSet) -> 
         raise ValueError("filtration was built from a different closure set")
 
 
+def _check_untangling(fr: FiltrationResult, ut: UntangleResult) -> None:
+    if ut.filtration is not fr and ut.filtration != fr:
+        raise ValueError("untangling was built from a different filtration")
+
+
 def tree_filtrate(m: KripkeModel, closure: ClosureSet, mode: str = "standard") -> FiltrationResult:
     if mode not in ("standard", "refined"):
         raise ValueError(f"unknown filtration mode {mode!r}")
@@ -650,6 +655,7 @@ def tree_untangle(
         critical_points=tuple(critical),
         nuclei=tuple(nuclei),
         r_t=frozenset(r_t),
+        filtration=fr,
     )
 
 
@@ -657,6 +663,7 @@ def tree_verify_reduction(
     fr: FiltrationResult, ut: UntangleResult, m: KripkeModel, closure: ClosureSet
 ) -> ReductionReport:
     _check_inputs(fr, m, closure)
+    _check_untangling(fr, ut)
     model_t = KripkeModel(Frame(ut.quotient_worlds, ut.r_t), fr.quotient_val)
     ev = Evaluator(model_t.frame)
     masks = ev.valuation_masks(model_t.val)

@@ -155,6 +155,82 @@ def test_constructions_name_the_foreign_input(name):
     build(fr, ut, KripkeModel(looped, {"p": ("w2",)}), closure)  # an equal copy
 
 
+# each construction that reads an untangling, and the tree oracle's
+_UNTANGLING_READERS = {
+    "verify_reduction": verify_reduction,
+    "tree_verify_reduction": tree_verify_reduction,
+    "preservation_report": lambda fr, ut, m, c: preservation_report(fr, ut, m),
+    "untangled_model": lambda fr, ut, m, c: ut.untangled_model(fr),
+}
+
+
+def looped_chain(val_p):
+    # the strict chain whose last world sees itself
+    frame = strict_chain(()).frame
+    return KripkeModel(Frame(frame.worlds, frame.rel | {("w2", "w2")}), {"p": val_p})
+
+
+@pytest.mark.parametrize("name", _UNTANGLING_READERS)
+def test_an_untangling_is_read_only_with_its_filtration(name):
+    read = _UNTANGLING_READERS[name]
+    foreign = "^untangling was built from a different filtration$"
+    # a fork whose two reflexive ends carry p and q: its untangling has
+    # three quotient worlds, the filtration of a -> b only two
+    fork = KripkeModel(
+        Frame(("r", "x", "y"), frozenset({("r", "x"), ("r", "y"), ("x", "x"), ("y", "y")})),
+        {"p": {"x"}, "q": {"y"}},
+    )
+    fork_closure = closure_of(parse("<t>{p} | <t>{q}"), Dia(Top()))
+    fork_ut = untangle(filtrate(fork, fork_closure), fork, fork_closure)
+    assert len(fork_ut.quotient_worlds) == 3
+    line = Frame(("a", "b"), frozenset({("a", "b"), ("b", "b")}))
+    m2 = KripkeModel(line, {"p": {"b"}})
+    closure = closure_of(parse("<t>{p} & <>true"))
+    f2 = filtrate(m2, closure)
+    assert len(f2.quotient_worlds) == 2
+    with pytest.raises(ValueError, match=foreign):
+        read(f2, fork_ut, m2, closure)
+    # an untangling built under the same closure is foreign too: with p at
+    # w2 of the looped chain, <t>{p} holds everywhere; with p at a, nowhere
+    looped = looped_chain({"w2"})
+    chain_ut = untangle(filtrate(looped, closure), looped, closure)
+    m2 = KripkeModel(line, {"p": {"a"}})
+    f2 = filtrate(m2, closure)
+    with pytest.raises(ValueError, match=foreign):
+        read(f2, chain_ut, m2, closure)
+    # its own untangling is read, with an equal copy of the filtration and
+    # with a copy of the untangling made by replace
+    ut = untangle(f2, m2, closure)
+    read(f2, ut, m2, closure)
+    copy = dataclasses.replace(ut, nuclei=ut.nuclei)
+    assert copy == ut and hash(copy) == hash(ut)
+    read(filtrate(m2, closure), copy, m2, closure)
+
+
+def test_preservation_report_refuses_a_foreign_model():
+    m = looped_chain({"w2"})
+    closure = closure_of(parse("<t>{p} & <>true"))
+    fr = filtrate(m, closure)
+    ut = untangle(fr, m, closure)
+    assert preservation_report(fr, ut, m).source.serial
+    with pytest.raises(ValueError, match="^filtration was built from a different model$"):
+        preservation_report(fr, ut, KripkeModel(Frame(("a",), frozenset()), {}))
+
+
+@pytest.mark.parametrize("mode", ["standard", "refined"])
+def test_the_constructions_build_no_predecessor_rows_of_the_quotients(mode):
+    # the quotients' clusters come from their successor rows alone
+    rng = random.Random(8400)
+    m = random_cluster_model(rng, 60)
+    closure = random_closure(rng)
+    fr = filtrate(m, closure, mode=mode)
+    ut = untangle(fr, m, closure)
+    assert reduction_conditions(fr, m, closure) == []
+    assert verify_reduction(fr, ut, m, closure).ok
+    assert "pred" not in vars(fr.filtered_frame())
+    assert "pred" not in vars(ut.untangled_frame())
+
+
 @pytest.mark.parametrize("seed", range(80))
 def test_filtration_property_tangle_free(seed):
     # for closures without tangles, the filtered model satisfies each

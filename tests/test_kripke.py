@@ -227,6 +227,9 @@ def test_cluster_decomposition(seed):
             len(cluster) == 1 and (min(cluster), min(cluster)) not in frame.rel
         )
     assert seen == set(frame.worlds)
+    # a copy built from rows finds the same clusters from its rows alone
+    built = Frame.from_rows(frame.worlds, frame.succ)
+    assert built.cluster_masks == frame.cluster_masks and "pred" not in vars(built)
     for (i, j) in dec.order:
         assert i != j
         assert dec.rank[i] > dec.rank[j]
@@ -240,6 +243,17 @@ def test_cluster_decomposition_needs_transitive():
     chain = Frame(("a", "b", "c"), frozenset({("a", "b"), ("b", "c")}))
     with pytest.raises(NonTransitiveError):
         cluster_decomposition(chain)
+
+
+def test_cluster_masks_read_only_the_successor_rows():
+    # two worlds of a transitive frame share a cluster iff they see the same
+    # worlds counting themselves: two irreflexive worlds that see the same
+    # worlds are two clusters
+    twins = Frame.from_rows(("a", "b", "c"), (0b100, 0b100, 0b100))
+    assert twins.cluster_masks == (0b001, 0b010, 0b100)
+    stacked = Frame.from_rows(("a", "b", "c", "d"), (0b1110, 0b1110, 0b1110, 0b1000))
+    assert stacked.cluster_masks == (0b0001, 0b0110, 0b1000)
+    assert "pred" not in vars(twins) and "pred" not in vars(stacked)
 
 
 def test_path_components():
@@ -977,6 +991,53 @@ def test_compiled_programs_match_their_recorded_digest():
     assert len(programs) == 2706
     digest = hashlib.sha256("\n".join(programs).encode()).hexdigest()
     assert digest == "3173bcd33c53a677be4187aeef627fc1074844a9121fce86e25f529bc4a00660"
+
+
+def _binder_chain(depth, binder, body):
+    """``binder(x0, ... binder(x<depth-1>, body(k, inner)) ...)``, built from
+    the innermost binder out, where ``inner`` is the next binder's node
+    (``p`` under the innermost) and ``x<k>`` the k-th variable."""
+    inner = p
+    for k in reversed(range(depth)):
+        inner = binder(k)(f"x{k}", body(k, inner))
+    return inner
+
+
+def test_deeply_nested_programs_match_their_recorded_digest():
+    # The random corpus above nests at most a few loops.  Here each body
+    # mentions an outer variable, so each loop nests inside an outer one,
+    # hundreds deep, with tangle loops inside fixpoint loops.  The digest
+    # was recorded before the compiler emitted each loop whole as its
+    # binder closes, so the two layouts agree instruction for instruction.
+    def x(k):
+        return Atom(f"x{k}")
+
+    def alternate(k, inner):
+        join, modal = (Or, Dia) if k % 2 == 0 else (And, Box)
+        return join(x(k // 3), modal(join(x(k), inner)))
+
+    def tangle(k, inner):
+        return (Tangle, TangleD)[k % 2]((And(x(k), x(k // 2)), Dia(inner)))
+
+    nu_chain = _binder_chain(990, lambda k: Nu, lambda k, f: Dia(And(x(k), And(x(k - 1), f))))
+    mu_chain = _binder_chain(400, lambda k: Mu, lambda k, f: Or(x(k), Box(Or(x(k - 2), f))))
+    alternating = _binder_chain(120, lambda k: (Mu, Nu)[k % 2], alternate)
+    tangles = _binder_chain(60, lambda k: Nu, tangle)
+    nested = p  # tangles nested in tangle members, with no binder
+    for k in range(60):
+        nested = (Tangle, TangleD)[k % 2]((Or(nested, q), Dia(Atom(f"a{k}"))))
+    roots = [[phi] for phi in (nu_chain, mu_chain, alternating, tangles, nested, to_mu(nested))]
+    roots += [[mu_chain, nu_chain, alternating]]
+    # closures of shallower chains, whose members each open loops of their own
+    shallow = (
+        _binder_chain(40, lambda k: (Mu, Nu)[k % 2], alternate),
+        _binder_chain(30, lambda k: Nu, tangle),
+    )
+    roots += [subformula_closure([phi]).sorted() for phi in shallow]
+    programs = [repr(compile_formulas(rs)) for rs in roots]
+    assert len(programs) == 9
+    digest = hashlib.sha256("\n".join(programs).encode()).hexdigest()
+    assert digest == "d454f313667299269523437422eb6681fed6118a02c275f84c204411f7c5f370"
 
 
 def test_fixpoint_iteration_is_capped():

@@ -6,6 +6,8 @@ filtration and untangling, axiom schemas with frame correspondence checks,
 and bounded counter-model search.
 """
 
+import importlib
+
 from .formula import (
     And,
     Atom,
@@ -46,6 +48,7 @@ from .formula import (
     substitute,
 )
 from .kripke import (
+    BudgetExceededError,
     ClusterDecomposition,
     Closures,
     Evaluator,
@@ -65,52 +68,73 @@ from .kripke import (
     relation_properties,
     to_dot,
 )
-from .topo import (
-    FiniteSpace,
-    SetOperators,
-    SpaceError,
-    SpacePredicates,
-    TopoModel,
-    alexandrov,
-    operators,
-    space_from_dict,
-    space_predicates,
-    space_to_dict,
-    topo_model_check,
-    topo_model_from_dict,
-)
 from .translate import TranslationError, star, to_d, to_mu
-from .filtration import (
-    AtomicTypeData,
-    CharacteristicReport,
-    CriticalPointError,
-    FiltrationResult,
-    FrameProfile,
-    PreservationReport,
-    ReductionReport,
-    UntangleResult,
-    characteristic_formulas,
-    defining_formula,
-    filtrate,
-    preservation_report,
-    reduction_conditions,
-    untangle,
-    verify_reduction,
-)
-from .logics import (
-    BudgetExceededError,
-    LogicProfile,
-    ProfileError,
-    SchemaError,
-    ValidityReport,
-    bounded_sat,
-    enumerate_frames,
-    figure3_constraints,
-    figure3_model,
-    frame_validates,
-    instantiate,
-    named_frames,
-    parse_profile,
-)
+
+#: The exports of the modules that load on first use, by module.  Reading
+#: one of them through the package (``tangles.untangle``, ``from tangles
+#: import bounded_sat``) imports its module and binds all of its names here.
+_DEFERRED = {
+    "topo": (
+        "FiniteSpace",
+        "SetOperators",
+        "SpaceError",
+        "SpacePredicates",
+        "TopoModel",
+        "alexandrov",
+        "operators",
+        "space_from_dict",
+        "space_predicates",
+        "space_to_dict",
+        "topo_model_check",
+        "topo_model_from_dict",
+    ),
+    "filtration": (
+        "AtomicTypeData",
+        "CharacteristicReport",
+        "CriticalPointError",
+        "FiltrationResult",
+        "FrameProfile",
+        "PreservationReport",
+        "ReductionReport",
+        "UntangleResult",
+        "characteristic_formulas",
+        "defining_formula",
+        "filtrate",
+        "preservation_report",
+        "reduction_conditions",
+        "untangle",
+        "verify_reduction",
+    ),
+    "logics": (
+        "LogicProfile",
+        "ProfileError",
+        "SchemaError",
+        "ValidityReport",
+        "bounded_sat",
+        "enumerate_frames",
+        "figure3_constraints",
+        "figure3_model",
+        "frame_validates",
+        "instantiate",
+        "named_frames",
+        "parse_profile",
+    ),
+}
+
+
+def __getattr__(name):
+    """A deferred export, or the standard ``AttributeError``."""
+    for module, names in _DEFERRED.items():
+        if name in names:
+            loaded = importlib.import_module(f".{module}", __name__)
+            globals().update({n: getattr(loaded, n) for n in names})
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    """The names bound so far and the deferred exports."""
+    return sorted(set(globals()).union(*_DEFERRED.values()))
+
 
 __version__ = "0.1.0"

@@ -5,6 +5,9 @@ One subcommand per capability, stable machine output under
 frame is produced.  Exit codes: 0 success or "true", 1 a counterexample or
 "false" or "not found", 2 usage errors of any kind, 3 a search budget or the
 print limit of ``translate`` exceeded.  All diagnostics go to stderr.
+
+The handlers that need ``filtration``, ``logics`` or ``topo`` import it
+themselves, so a process loads only what its subcommand uses.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import json
 import sys
 from typing import Sequence
 
-from .filtration import FiltrationResult, _profile, filtrate, untangle, verify_reduction
 from .formula import (
     Formula,
     free_atoms,
@@ -26,6 +28,9 @@ from .formula import (
     subformula_closure,
 )
 from .kripke import (
+    SEARCH_BUDGET,
+    VALUATION_BUDGET,
+    BudgetExceededError,
     Frame,
     KripkeModel,
     cluster_decomposition,
@@ -34,18 +39,6 @@ from .kripke import (
     model_to_dict,
     to_dot,
 )
-from .logics import (
-    SEARCH_BUDGET,
-    VALUATION_BUDGET,
-    BudgetExceededError,
-    bounded_sat,
-    figure3_constraints,
-    figure3_model,
-    frame_validates,
-    instantiate,
-    parse_profile,
-)
-from .topo import topo_model_check, topo_model_from_dict
 from .translate import star, to_d, to_mu
 
 
@@ -199,6 +192,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_tmc(args) -> int:
+    from .topo import topo_model_check, topo_model_from_dict
+
     phi = _one_formula(args)
     model = topo_model_from_dict(_load_json(args.space))
     return _print_answer(args, phi, topo_model_check(model, phi), model.space.frame)
@@ -233,6 +228,8 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .filtration import _profile
+
     frame = _load_model(args.model).frame
     profile = _profile(frame)
     report = {
@@ -269,13 +266,15 @@ def _cmd_analyze(args) -> int:
 
 def _filtration(args):
     """The model, the closure of the root formulas, and its filtration."""
+    from .filtration import filtrate
+
     roots = _root_formulas(args)
     model = _load_model(args.model)
     closure = subformula_closure(roots)
     return model, closure, filtrate(model, closure, mode=args.mode)
 
 
-def _filtration_data(fr: FiltrationResult, quotient: KripkeModel) -> dict:
+def _filtration_data(fr, quotient: KripkeModel) -> dict:
     return {
         "mode": fr.mode,
         "classes": {
@@ -299,6 +298,8 @@ def _cmd_filtrate(args) -> int:
 
 
 def _cmd_untangle(args) -> int:
+    from .filtration import untangle, verify_reduction
+
     model, closure, fr = _filtration(args)
     ut = untangle(fr, model, closure, reflexive_mode=args.reflexive)
     rep = verify_reduction(fr, ut, model, closure)
@@ -341,6 +342,8 @@ def _cmd_untangle(args) -> int:
 
 
 def _cmd_sat(args) -> int:
+    from .logics import bounded_sat, parse_profile
+
     phi = _one_formula(args)
     profile = parse_profile(args.profile)
     model = bounded_sat(phi, profile, args.max, args.budget)
@@ -355,6 +358,8 @@ def _cmd_sat(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .logics import frame_validates
+
     phi = _one_formula(args)
     report = frame_validates(_load_model(args.frame).frame, phi, args.budget)
 
@@ -380,6 +385,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
+    from .logics import instantiate
+
     sets = [parse_members(text) for text in args.set]
     formulas = [parse(text) for text in args.args]
     phi = _printable(instantiate(args.schema, *sets, *formulas), "the instance")
@@ -388,6 +395,8 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
+    from .logics import figure3_constraints, figure3_model
+
     model = figure3_model(args.m)
     constraints = None
     if args.constraints:

@@ -58,6 +58,21 @@ class NonTransitiveError(ValueError):
     """An operation that presupposes a transitive relation got something else."""
 
 
+# The searches of ``logics`` run on the evaluator below.  Their budgets and
+# the error that ends them live here, so the command line names them without
+# loading ``logics``.
+
+
+class BudgetExceededError(RuntimeError):
+    """The search was cut off before it could finish; the question is open."""
+
+
+#: Valuation budget for ``frame_validates``: at most this many valuations.
+VALUATION_BUDGET = 1 << 22
+#: Work budget for ``bounded_sat``: at most this many frame/valuation pairs.
+SEARCH_BUDGET = 1 << 21
+
+
 class _Pairs:
     """A relation field that reads as a frozenset of pairs.  It keeps the
     pairs it was given; a :class:`Frame` given instead, or the frame itself

@@ -36,6 +36,9 @@ from .formula import (
     free_atoms,
 )
 from .kripke import (
+    SEARCH_BUDGET,
+    VALUATION_BUDGET,
+    BudgetExceededError,
     Evaluator,
     Frame,
     KripkeModel,
@@ -54,10 +57,6 @@ class SchemaError(ValueError):
 
 class ProfileError(ValueError):
     """A logic name that does not parse."""
-
-
-class BudgetExceededError(RuntimeError):
-    """The search was cut off before it could finish; the question is open."""
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +340,6 @@ def enumerate_frames(
 
 # ---------------------------------------------------------------------------
 # Validity and bounded satisfiability
-
-#: Valuation budget for frame_validates: at most this many valuations.
-VALUATION_BUDGET = 1 << 22
-#: Work budget for bounded_sat: at most this many frame/valuation pairs.
-SEARCH_BUDGET = 1 << 21
 
 
 @dataclass(frozen=True)

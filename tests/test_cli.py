@@ -823,6 +823,42 @@ def test_importing_the_cli_builds_no_parser():
     assert proc.stdout.split() == ["0", "p", "12"]
 
 
+_DEFERRED_MODULES = ("tangles.filtration", "tangles.logics", "tangles.topo")
+
+
+@pytest.mark.parametrize("argvs, loaded", [
+    ([], []),
+    ([["fmt", "p & q"], ["mc", "chain.json", "<t>{p} -> <>p"],
+      ["translate", "--mode", "d", "<t>{p}"]], []),
+    ([["tmc", "sierpinski.json", "<dt>{p} -> <d>p"]], ["tangles.topo"]),
+    ([["analyze", "chain.json"]], ["tangles.filtration"]),
+    ([["filtrate", "chain.json", "<>p"]], ["tangles.filtration"]),
+    ([["untangle", "chain.json", "<t>{p}"]], ["tangles.filtration"]),
+    ([["sat", "--profile", "K4", "--max", "2", "<>p"]], ["tangles.logics"]),
+    ([["validate", "--frame", "chain.json", "[]p -> [][]p"]], ["tangles.logics"]),
+    ([["axioms", "--schema", "4", "-f", "p"]], ["tangles.logics"]),
+    ([["fixture", "figure3", "--m", "3"]], ["tangles.logics"]),
+], ids=["import", "fmt-mc-translate", "tmc", "analyze", "filtrate", "untangle", "sat",
+        "validate", "axioms", "fixture"])
+def test_subcommands_load_only_the_modules_they_use(tmp_path, chain_model, sierpinski_space,
+                                                    argvs, loaded):
+    """In a fresh interpreter, ``import tangles, tangles.cli`` loads none of
+    ``filtration``, ``logics`` and ``topo``; a subcommand loads the one it
+    uses, and ``fmt``, ``mc`` and ``translate`` none."""
+    probe = (
+        "import contextlib, io, sys\n"
+        "import tangles, tangles.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [tangles.cli.main(argv) for argv in {argvs!r}]\n"
+        "print(codes)\n"
+        f"print([m for m in {_DEFERRED_MODULES!r} if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=_env(),
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == [str([0] * len(argvs)), str(loaded)]
+
+
 def test_stray_pair_is_named_in_file_order(tmp_path):
     # the first pair outside the world set in the file, whatever the hash seed
     path = tmp_path / "stray.json"

@@ -1,12 +1,19 @@
 """Every module of the package uses each name it imports, every private
 name of the package has a reader, and so has every name the package
 exports and every public method and property of a class it exports.  No
-module keeps an export list of its own, and the test oracles read no
-private name of the package."""
+module keeps an export list of its own: the imports of
+``tangles/__init__.py`` and its table of deferred modules are the one
+list.  The test oracles read no private name of the package."""
 
 import ast
 import functools
+import importlib
+import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -102,11 +109,47 @@ def test_private_names_have_readers():
 
 
 def _exports():
-    """Each ``from .module import name`` of ``tangles/__init__.py``, as
-    (module file, name) pairs."""
+    """Each name ``tangles/__init__.py`` exports, as (module file, name)
+    pairs: those of its ``from .module import`` statements, then those of
+    its ``_DEFERRED`` table, which ``__getattr__`` loads on first use."""
+    body = _tree(PACKAGE / "__init__.py").body
+    (table,) = [ast.literal_eval(node.value) for node in body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["_DEFERRED"]]
     return [(f"{node.module}.py", alias.asname or alias.name)
-            for node in _tree(PACKAGE / "__init__.py").body
-            if isinstance(node, ast.ImportFrom) for alias in node.names]
+            for node in body if isinstance(node, ast.ImportFrom) for alias in node.names
+            ] + [(f"{module}.py", name) for module, names in table.items() for name in names]
+
+
+def test_exports_are_the_package_namespace():
+    """The guards below see every export, the deferred ones too: 99 names,
+    each the object of that name in its module and listed by
+    ``dir(tangles)`` before its module loads, and nothing else public in
+    the package but its modules."""
+    import tangles
+
+    exports = _exports()
+    names = {name for _, name in exports}
+    assert len(exports) == len(names) == 99
+    probe = ("import json, sys, tangles; listed = dir(tangles); "
+             "print(json.dumps([listed, sorted(m for m in sys.modules if m[:8] == 'tangles.')]))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    listed, loaded = json.loads(proc.stdout)
+    assert names <= set(listed)
+    assert loaded == ["tangles.formula", "tangles.kripke", "tangles.translate"]
+    for module, name in exports:
+        source = importlib.import_module(f"tangles.{module.removesuffix('.py')}")
+        assert getattr(tangles, name) is getattr(source, name), name
+    public = {name for name in dir(tangles) if not name.startswith("_")
+              and not inspect.ismodule(getattr(tangles, name))}
+    assert public == names
+    with pytest.raises(AttributeError, match="^module 'tangles' has no attribute 'no_such_name'$"):
+        tangles.no_such_name
+    from tangles.logics import SEARCH_BUDGET, VALUATION_BUDGET, BudgetExceededError
+    from tangles.kripke import SEARCH_BUDGET as search, VALUATION_BUDGET as valuation
+    assert (SEARCH_BUDGET, VALUATION_BUDGET) == (search, valuation)
+    assert BudgetExceededError is tangles.BudgetExceededError
 
 
 def _loads(tree, attributes_only=False):
@@ -178,8 +221,8 @@ def test_public_methods_of_exported_classes_have_readers():
 
 
 def test_no_module_assigns_all():
-    """The imports of ``tangles/__init__.py`` are the package's one export
-    list."""
+    """The imports of ``tangles/__init__.py`` and its table of deferred
+    modules are the package's one export list."""
     assigned = [f"{path.name}:{node.lineno}" for path in sorted(PACKAGE.glob("*.py"))
                 for node in ast.walk(_tree(path))
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)

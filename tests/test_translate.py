@@ -141,6 +141,24 @@ def test_to_mu_agrees_on_every_small_transitive_frame():
     assert counts == [2, 8, 39, 242]
 
 
+def test_to_mu_agrees_on_every_five_world_transitive_frame(monkeypatch):
+    # the one-atom formulas among the above and their translations in one
+    # program, on each of the 1,895 transitive frames of 5 worlds up to
+    # isomorphism, under all 32 valuations of p; the isomorphism test is
+    # raised to 5 worlds as in test_canonical_classes_of_five_worlds
+    monkeypatch.setattr("tangles.logics._CANONICAL_LIMIT", 5)
+    phis = [phi for phi in _formulas_up_to(4) if free_atoms(phi) == {"p"}]
+    program = compile_formulas(phis + [to_mu(phi) for phi in phis])
+    assert (len(phis), program.size) == (115, 383)
+    frames = 0
+    for frame in enumerate_frames(5):
+        frames += 1
+        roots = Evaluator(frame).run_block(program, ("p",), 0, 1 << 5)
+        for phi, got, want in zip(phis, roots, roots[len(phis):]):
+            assert got == want, (pretty(phi), frame.succ)
+    assert frames == 1895
+
+
 def _small_spaces():
     """Every finite space of 1-4 points up to homeomorphism, as an
     evaluator over its specialization preorder with the punctured

@@ -80,8 +80,9 @@ class FiltrationResult:
     :func:`filtrate` keeps both as rows, spelled out as pairs on first read.
     ``maximal_clusters`` describes the source model and is recorded in both
     modes; only refined mode folds the worlds that see each maximal cluster
-    into the quotient signature.  The quotient frame and the masks behind
-    :meth:`realized` are computed from these fields on first use, so a
+    into the quotient signature.  The quotient frame and the mask views
+    (``_image``, ``_truth`` and ``_realized``, which :meth:`realized` reads)
+    are computed from these fields on first use, so a
     ``dataclasses.replace`` copy sees its own fields.  ``source`` is the
     model it was built from; the constructions that take the model again
     refuse any other.
@@ -104,15 +105,23 @@ class FiltrationResult:
         return Frame(self.quotient_worlds, self.r_phi)
 
     @cached_property
+    def _image(self) -> list[int]:
+        """Per world of the source frame, the bit of its quotient world's
+        position in ``quotient_worlds``."""
+        bit = {w: 1 << i for i, w in enumerate(self.quotient_worlds)}
+        return [bit[self.quotient_map[x]] for x in self.source.frame.worlds]
+
+    @cached_property
+    def _truth(self) -> dict[Formula, int]:
+        """Per closure member, the mask of the source worlds that make it true."""
+        mask = self.source.frame.mask
+        return {f: mask(ws) for f, ws in self.source_truth.items()}
+
+    @cached_property
     def _realized(self) -> dict[Formula, int]:
         """Per closure member, the mask over ``quotient_worlds`` of the
         quotient worlds some member of whose class makes it true."""
-        bit = {w: 1 << i for i, w in enumerate(self.quotient_worlds)}
-        source = {x: bit[q] for x, q in self.quotient_map.items()}
-        return {
-            f: reduce(or_, map(source.__getitem__, ws), 0)
-            for f, ws in self.source_truth.items()
-        }
+        return {f: _union(self._image, t) for f, t in self._truth.items()}
 
     def filtered_frame(self) -> Frame:
         return self._frame
@@ -181,7 +190,9 @@ def filtrate(
         maximal_clusters=tuple(frame.unmask(mask) for _, mask in maximal),
         source=m,
     )
-    fr.__dict__.update(_frame=quotient, _realized=realized)
+    fr.__dict__.update(
+        _frame=quotient, _image=image_bit, _truth=dict(zip(ordered, exts)), _realized=realized
+    )
     return fr
 
 
@@ -190,18 +201,6 @@ def _check_inputs(fr: FiltrationResult, m: KripkeModel, closure: ClosureSet) -> 
         raise ValueError("filtration was built from a different model")
     if closure.formulas != fr.closure.formulas:
         raise ValueError("filtration was built from a different closure set")
-
-
-def _preimages(fr: FiltrationResult, frame: Frame, quotient: Frame) -> list[int]:
-    """Per world of ``quotient``, the mask of the worlds of ``frame`` that
-    ``fr.quotient_map`` sends there."""
-    index = quotient.index
-    out = [0] * len(quotient.worlds)
-    for i, w in enumerate(frame.worlds):
-        k = index.get(fr.quotient_map[w])
-        if k is not None:
-            out[k] |= 1 << i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +267,17 @@ def untangle(
     _check_inputs(fr, m, closure)
     frame, quotient = m.frame, fr.filtered_frame()
     clusters = quotient.cluster_masks
-    image_bit = [1 << quotient.index[fr.quotient_map[w]] for w in frame.worlds]
-    preimages = _preimages(fr, frame, quotient)
-    tangles = [
-        (frame.mask(fr.source_truth[f]), [fr._realized[g] for g in f.members])
-        for f in closure.tangle_members
-    ]
+    image = fr._image
+    # per quotient world, the mask of the source worlds mapped there
+    preimages = _columns(image, len(quotient.worlds))
+    tangles = [(fr._truth[f], [fr._realized[g] for g in f.members]) for f in closure.tangle_members]
 
     rows = list(quotient.succ)
     critical: list[str] = []
     nuclei: list[frozenset[str]] = []
     for cluster in clusters:
         for y in _bits(_union(preimages, cluster)):
-            inside = _union(image_bit, frame.succ[y]) & cluster
+            inside = _union(image, frame.succ[y]) & cluster
             if all(
                 any(not realized & inside for realized in members)
                 for truth, members in tangles
@@ -343,10 +340,10 @@ def verify_reduction(
     ev = Evaluator(model_t.frame)
     ordered = closure.sorted()
     exts = ev.extensions(ordered, ev.valuation_masks(model_t.val))
-    preimages = _preimages(fr, frame, model_t.frame)
+    preimages = _columns(fr._image, len(fr.quotient_worlds))
     checked = 0
     for f, ext in zip(ordered, exts):
-        expected = frame.mask(fr.source_truth[f])
+        expected = fr._truth[f]
         wrong = expected ^ _union(preimages, ext)
         if wrong:
             i = _first(wrong)
@@ -370,12 +367,11 @@ def reduction_conditions(
     out: list[str] = []
     frame = m.frame
     worlds = frame.worlds
-    truth = {f: frame.mask(ws) for f, ws in fr.source_truth.items()}
+    truth = fr._truth
     quotient = fr.filtered_frame()
-    image = [quotient.index[fr.quotient_map[w]] for w in worlds]
-    preimages = _preimages(fr, frame, quotient)
+    preimages = _columns(fr._image, len(quotient.worlds))
     # per source world, the source worlds whose images its image sees
-    seen = [_union(preimages, quotient.succ[k]) for k in image]
+    seen = [_union(preimages, _union(quotient.succ, bit)) for bit in fr._image]
 
     for a in sorted(closure.atoms):
         held = frozenset(fr.quotient_val.get(a, ()))

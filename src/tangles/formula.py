@@ -17,10 +17,12 @@ recurses, nor do the printer and ``repr``; the folds and ``substitute``
 walk :func:`post_order`, which lists each distinct node once.
 
 Nodes are hash-consed: every way of making a node (the class call,
-``rebuild``, the parser, ``dataclasses.replace``, ``copy`` and ``pickle``)
-returns the one live node of that structure, from a table that holds nodes
-weakly.  Equality is therefore identity, hashing is the object's, and a
-formula that repeats a subformula is a DAG that stores it once.  The
+positional or by field name, ``rebuild``, the parser, ``copy`` and
+``pickle``) returns the one live node of that structure, from a table that
+holds nodes weakly.  Equality is therefore identity, hashing is the
+object's, and a formula that repeats a subformula is a DAG that stores it
+once.  The node kinds are plain slotted classes, immutable once made:
+setting or deleting a field raises ``dataclasses.FrozenInstanceError``.  The
 canonical order of tangle members and closure sets is by printed form,
 computed once per node; a tangle of two or more members prints them from
 that cached text, and the lone member of a tangle, never sorted, is laid out.
@@ -49,7 +51,7 @@ import itertools
 import re
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 
@@ -98,15 +100,16 @@ class Formula:
 
     Nodes are interned: calling a node class returns the one live node of
     that structure, made on first use, so equality is identity and the hash
-    is the object's.  The fields are set here, once; the dataclasses of the
-    node kinds generate no ``__init__``.
+    is the object's.  Each node kind names its fields in ``__match_args__``
+    and ``__slots__``; they are set here, once, and never again.  The slots
+    declared here cache a node's printed form and free names.
     """
 
-    __slots__ = ()
+    __slots__ = ("_text", "_free", "__weakref__")
 
     def __new__(kind, *args, **named):
         fields = kind.__match_args__
-        if named:  # dataclasses.replace names every field
+        if named:  # fields by keyword, as repr spells them
             args += tuple(named.pop(f) for f in fields[len(args):] if f in named)
         if named or len(args) != len(fields):
             raise TypeError(f"{kind.__name__} takes the fields {', '.join(fields)}")
@@ -131,6 +134,12 @@ class Formula:
                         object.__setattr__(node, name, value)
                     _NODES[key] = weakref.KeyedRef(node, _forget, key)
         return node
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __str__(self) -> str:
         return pretty(self)
@@ -183,88 +192,64 @@ class Formula:
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
-# The node kinds: frozen dataclasses for their fields and
-# ``dataclasses.replace``; construction, equality and ``repr`` come from
-# Formula.
-_node = dataclass(frozen=True, eq=False, init=False, repr=False)
-
-
-@_node
 class Atom(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@_node
 class Top(Formula):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@_node
 class Bot(Formula):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@_node
 class Neg(Formula):
-    sub: Formula
+    __slots__ = __match_args__ = ("sub",)
 
 
-@_node
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Iff(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Box(Formula):
-    sub: Formula
+    __slots__ = __match_args__ = ("sub",)
 
 
-@_node
 class Dia(Formula):
-    sub: Formula
+    __slots__ = __match_args__ = ("sub",)
 
 
-@_node
 class BoxD(Formula):
     """``[d]`` - interior of the punctured neighbourhood, box-like."""
 
-    sub: Formula
+    __slots__ = __match_args__ = ("sub",)
 
 
-@_node
 class DiaD(Formula):
     """``<d>`` - the derivative (limit point) diamond."""
 
-    sub: Formula
+    __slots__ = __match_args__ = ("sub",)
 
 
-@_node
 class Forall(Formula):
-    sub: Formula
+    __slots__ = __match_args__ = ("sub",)
 
 
-@_node
 class Exists(Formula):
-    sub: Formula
+    __slots__ = __match_args__ = ("sub",)
 
 
 def _sort_key(phi: Formula) -> str:
@@ -288,37 +273,35 @@ def _normalize_members(members: Iterable[Formula]) -> tuple[Formula, ...]:
     return tuple(by_text[k] for k in sorted(by_text))
 
 
-@_node
 class Tangle(Formula):
     """``<t>{...}``: some point set where every member is cofinally reachable."""
 
-    members: tuple[Formula, ...]
+    __slots__ = __match_args__ = ("members",)
 
 
-@_node
 class TangleD(Formula):
     """``<dt>{...}``: the derivative-based tangle."""
 
-    members: tuple[Formula, ...]
+    __slots__ = __match_args__ = ("members",)
 
 
-@_node
 class _Binder(Formula):
     """Shared shape of the fixpoint binders: the body must be positive in
     the bound variable, which ``Formula.__new__`` checks."""
 
-    var: str
-    body: Formula
+    __slots__ = __match_args__ = ("var", "body")
 
 
-@_node
 class Mu(_Binder):
     """``mu x. f``: least fixpoint."""
 
+    __slots__ = ()
 
-@_node
+
 class Nu(_Binder):
     """``nu x. f``: greatest fixpoint."""
+
+    __slots__ = ()
 
 
 def box_star(phi: Formula) -> Formula:

@@ -733,7 +733,7 @@ def test_nodes_are_interned(seed):
     assert parse(pretty(phi)) is phi
     assert copy.copy(phi) is phi and copy.deepcopy(phi) is phi
     assert pickle.loads(pickle.dumps(phi)) is phi
-    assert dataclasses.replace(phi) is phi
+    assert rebuild(phi, immediate_subformulas(phi)) is phi
     for f in subformula_closure([phi]):
         assert rebuild(f, immediate_subformulas(f)) is f
         assert hash(f) == object.__hash__(f)
@@ -742,10 +742,8 @@ def test_nodes_are_interned(seed):
 def test_interning_reaches_every_construction_path():
     assert Neg(p) is Neg(p) and Neg(p) is not Neg(q)
     assert Mu("x", Dia(Atom("x"))) is parse("mu x. <>x")
-    assert dataclasses.replace(Neg(p), sub=q) is Neg(q)
-    assert dataclasses.replace(Mu("x", Dia(Atom("x"))), var="y", body=Box(Atom("y"))) is parse(
-        "mu y. []y"
-    )
+    assert Neg(sub=q) is Neg(q)
+    assert Mu(var="y", body=Box(Atom("y"))) is parse("mu y. []y")
     assert Tangle([q, p, q]) is Tangle((p, q)) is parse("<t>{q, p}")
     assert pickle.loads(pickle.dumps([Tangle((q, p)), TangleD((p,))])) == [
         parse("<t>{p, q}"), parse("<dt>{p}")
@@ -755,7 +753,19 @@ def test_interning_reaches_every_construction_path():
     with pytest.raises(TypeError):
         And(p, q, r)
     with pytest.raises(TypeError):
-        dataclasses.replace(Neg(p), left=q)
+        Neg(left=q)
+    # nodes are immutable: no field can be set or deleted
+    phi = And(p, Neg(q))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phi.left = q
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del phi.right
+    assert phi.left is p and phi.right is Neg(q)
+    # repr spells the keyword calls that make the node again
+    ns = vars(formula)
+    for text in ("p & ~q", "<t>{p, ~q}", "<dt>{p}", "mu x. <>x | []q", "nu y. A <d>(r -> E [d]y)"):
+        f = parse(text)
+        assert eval(repr(f), ns) is f
 
 
 @pytest.mark.parametrize("seed", range(60))

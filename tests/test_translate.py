@@ -159,6 +159,29 @@ def test_to_mu_agrees_on_every_five_world_transitive_frame(monkeypatch):
     assert frames == 1895
 
 
+def test_tangle_loops_match_the_cluster_criterion_on_every_five_world_transitive_frame(
+    monkeypatch,
+):
+    # the compiled greatest-fixpoint loops of <t>{p} and <t>{p, ~p} against
+    # the cluster criterion of tree_extension, on each of the 1,895
+    # transitive frames of 5 worlds up to isomorphism, under all 32
+    # valuations of p; <t>{~p} under a valuation is <t>{p} under its
+    # complement, so it adds nothing
+    monkeypatch.setattr("tangles.logics._CANONICAL_LIMIT", 5)
+    phis = [Tangle((p,)), Tangle((p, Neg(p)))]
+    program = compile_formulas(phis)
+    frames = 0
+    for frame in enumerate_frames(5):
+        frames += 1
+        ev = Evaluator(frame)
+        roots = ev.run_block(program, ("p",), 0, 1 << 5)
+        for v in range(1 << 5):
+            for phi, root in zip(phis, roots):
+                got = sum((bits >> v & 1) << w for w, bits in enumerate(root))
+                assert got == tree_extension(ev, phi, {"p": v}), (pretty(phi), frame.succ, v)
+    assert frames == 1895
+
+
 def _small_spaces():
     """Every finite space of 1-4 points up to homeomorphism, as an
     evaluator over its specialization preorder with the punctured

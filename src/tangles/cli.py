@@ -206,19 +206,16 @@ _TRANSLATIONS = {"mu": to_mu, "d": to_d, "star": star}
 _PRINT_LIMIT = 1 << 24
 
 
-def _printable(phi: Formula, what: str) -> Formula:
-    """``phi``, unless its printed form is longer than the limit."""
-    size = printed_length(phi)
+def _within_limit(size: int, what: str) -> None:
+    """Refuse to print ``what``, ``size`` characters long, if that is over the limit."""
     if size > _PRINT_LIMIT:
-        raise BudgetExceededError(
-            f"{what} would print {size} characters, over the limit of {_PRINT_LIMIT}"
-        )
-    return phi
+        raise BudgetExceededError(f"{what} would print {size} characters, over the limit of {_PRINT_LIMIT}")
 
 
 def _cmd_translate(args) -> int:
     phi = _one_formula(args)
-    out = _printable(_TRANSLATIONS[args.mode](phi), "the translation")
+    out = _TRANSLATIONS[args.mode](phi)
+    _within_limit(printed_length(out), "the translation")
     _emit(
         args,
         lambda: {"input": pretty(phi), "mode": args.mode, "output": pretty(out)},
@@ -385,11 +382,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    from .logics import instantiate
+    from .logics import _gn_length, instantiate
 
     sets = [parse_members(text) for text in args.set]
     formulas = [parse(text) for text in args.args]
-    phi = _printable(instantiate(args.schema, *sets, *formulas), "the instance")
+    if not sets and not formulas:  # G_n has about n² nodes: sized from n before it is built
+        _within_limit(_gn_length(args.schema), "the instance")
+    phi = instantiate(args.schema, *sets, *formulas)
+    _within_limit(printed_length(phi), "the instance")
     _emit(args, lambda: {"schema": args.schema, "formula": pretty(phi)}, lambda: [pretty(phi)])
     return 0
 

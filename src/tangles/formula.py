@@ -51,6 +51,7 @@ import itertools
 import re
 import threading
 import weakref
+from collections import deque
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -690,8 +691,7 @@ _SYMBOLS = (
 # grouped by their first character, which scans faster than one
 # alternative each.  No token holds a parenthesis but one alone.
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[~&|(){},.]|<(?:->|dt>|d>|t>|>)|\[d?\]|->|\S")
-# each byte's step in parenthesis depth, read as a signed byte
-_STEP = bytes(1 if c == ord("(") else 255 if c == ord(")") else 0 for c in range(256))
+_HEAD = re.compile(r"\([^()]*")  # a group's head: its text up to the next parenthesis
 _ATOM_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 # every token that is not an atom; "" ends the text
 _RESERVED = frozenset((*_SYMBOLS, *_KEYWORDS, ""))
@@ -722,12 +722,12 @@ def parse(text: str) -> Formula:
     One loop builds the formula over an explicit stack of open frames.  It
     tokenizes the text one stretch at a time, up to the next parenthesis.
     A parenthesized group parses the same way wherever it stands, so each
-    distinct group is parsed once: at a "(", the group's end is looked up
-    in a depth profile of the text, and a repeat of a group already parsed
-    is looked up by its text and skipped, with no tokens made for it.  A
-    bad character is reported before any grammar error; input nested deeper
-    than :data:`MAX_DEPTH` raises ``FormulaError("formula nested too
-    deeply")``.
+    distinct group is parsed once: at a "(", the groups already closed
+    under the same head (the text up to the next parenthesis) are compared
+    with the text in place, newest first, and a repeat is skipped with no
+    tokens made for it.  A bad character is reported before any grammar
+    error; input nested deeper than :data:`MAX_DEPTH` raises
+    ``FormulaError("formula nested too deeply")``.
     """
     return _parse(text, members=False)
 
@@ -758,22 +758,20 @@ def _parse_text(text: str, members: bool):
     # is tagged with its level, so a prefix (at _LEVEL_PREFIX, arg None)
     # binds tighter than any binary operator (arg its left operand) and a
     # binder (arg its variable), whose body reaches as far right as it can,
-    # looser.  A parenthesis frame holds its group's text, if its end was
-    # found, and the outer values of ``high`` and ``room``; a tangle frame
-    # its kind and members so far.  A member set's root frame has kind None
-    # when it ends with the text.
+    # looser.  A parenthesis frame holds its group's head, its start and the
+    # outer value of ``high``; a tangle frame its kind and members so far.
+    # A member set's root frame has kind None when it ends with the text.
     stack: list[tuple] = []
-    # the text of each parenthesized group parsed so far -> its node and the
-    # deepest stack it reached, counted from below its "("
-    groups: dict[str, tuple[Formula, int]] = {}
+    # Each head -> its newest ``keep`` closed groups, newest first: their
+    # text, node and the deepest stack each reached, counted from below its
+    # "(".  A group is skipped only where its whole text stands, and a
+    # balanced group is no proper prefix of another, so the match is exact.
+    groups: dict[str, deque[tuple[str, Formula, int]]] = {}
+    keep = len(text).bit_length()  # so a "(" compares O(log n) groups
+    # characters of group text the memo may still keep: a group's text holds
+    # its children's, so keeping all of it would cost the text times its depth
+    spare = 4 * len(text)
     names: dict[str, Atom] = {}  # each atom parsed so far, by name
-    depth = None  # the parenthesis depth after each character, made at the first "("
-    # The longest stretch a "(" searches for its group's end: half the
-    # length of the innermost open group, or half its own room if its end
-    # was not found.  A group longer than half of the one around it cannot
-    # repeat within it, and along any chain of open groups the rooms halve,
-    # so each character is searched O(log n) times.
-    room = len(text) // 2
     high = 0  # the deepest stack since the innermost open "(" was pushed
     node = None  # the operand just completed, if any
     pos = 0  # where the next stretch starts
@@ -800,7 +798,7 @@ def _parse_text(text: str, members: bool):
             toks.append("")
         else:
             toks = _TOKEN.findall(text, pos, at + 1)
-        start, i = pos, 0
+        start, shut, i = pos, pos, 0  # the k-th ")" token is the k-th ")" from ``shut``
         while True:
             tok = toks[i]
             i += 1
@@ -815,24 +813,15 @@ def _parse_text(text: str, members: bool):
                 if tok in _PREFIX:
                     stack.append((_LEVEL_PREFIX, _PREFIX[tok], None))
                 elif tok == "(":
-                    if depth is None:
-                        depth = list(itertools.accumulate(
-                            memoryview(text.encode("ascii", "replace").translate(_STEP)).cast("b")
-                        ))
-                    try:
-                        end = depth.index(depth[at] - 1, at + 1, at + 1 + room)
-                    except ValueError:  # longer than room, or never closed
-                        key, inner = None, room // 2
-                    else:
-                        key, inner = text[at:end + 1], (end - at) // 2
-                        hit = groups.get(key)
-                        if hit is not None:
-                            node, height = hit
-                            high = max(high, height + len(stack))
-                            pos = end + 1
+                    head = _HEAD.match(text, at).group()
+                    for key, hit, height in groups.get(head, ()):
+                        if text.startswith(key, at):
+                            node = hit
+                            high, pos = max(high, height + len(stack)), at + len(key)
                             break
-                    stack.append((_PAREN_TAG, key, (high, room)))
-                    high, room, pos = len(stack), inner, at + 1
+                    else:
+                        stack.append((_PAREN_TAG, head, (at, high)))
+                        high, pos = len(stack), at + 1
                     break
                 elif tok == "<t>" or tok == "<dt>":
                     if toks[i] != "{":
@@ -880,10 +869,12 @@ def _parse_text(text: str, members: bool):
                 if stack[-1][0] == _PAREN_TAG:
                     if tok != ")":
                         raise _expected("RPAREN", text, start, toks, i - 1)
-                    # the ")" that closes a group is the one its end was found at
-                    _, key, (outer_high, room) = stack.pop()
-                    if key is not None:
-                        groups[key] = (node, high - len(stack))
+                    _, head, (opened, outer_high) = stack.pop()
+                    shut = text.find(")", shut) + 1
+                    if shut - opened <= spare:
+                        spare -= shut - opened
+                        closed = (text[opened:shut], node, high - len(stack))
+                        groups.setdefault(head, deque((), keep)).appendleft(closed)
                     high = max(high, outer_high)
                     continue
                 _, kind, members_so_far = stack[-1]

@@ -125,6 +125,20 @@ _TANGLED = {
 
 _G_RE = re.compile(r"^G([1-9]\d*)(d?)$")
 
+
+def _gn_length(schema: str) -> int:
+    """``printed_length(instantiate(schema))`` for ``G``n on its default
+    atoms, from n alone, or 0 for any other schema.  Its n+1 exclusions
+    each print n ``~``, n `` & `` and p0..pn (a digit more per index from
+    10, 100, ...) thrice: in ``<>(...)``, ``~(...)`` and ``<>~(...)``."""
+    g = _G_RE.match(schema)
+    if not g or g.group(2):
+        return 0
+    m = int(g.group(1)) + 1
+    names = 2 * m + sum(m - 10**d for d in range(1, len(str(m - 1))))
+    return 3 * m * (names + 4 * m - 4) + 23 * m + 2
+
+
 #: Schema ids with fixed arity; G1, G2, ... and G1d are recognised by pattern.
 BASE_SCHEMAS = (*_PLAIN, *_TANGLED)
 

@@ -11,12 +11,13 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from tangles import Atom, Neg, instantiate, parse, pretty, star, to_mu
-from tangles import cli
+from tangles import cli, logics
 from tangles.cli import main
 from tangles.formula import MAX_DEPTH
 from gen import random_formula
@@ -571,6 +572,26 @@ def test_axioms_over_the_print_limit_exit_3(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err == f"error: the instance would print {size} characters, over the limit of 50\n"
     assert run(capsys, "axioms", "--schema", "4", "-f", "p")[:2] == (0, "<><>p -> <>p\n")
+
+
+@pytest.mark.parametrize("n", [100_000, 99_999_999_999])
+def test_axioms_refuse_a_large_gn_before_building_it(capsys, monkeypatch, n):
+    # the instance has about n² nodes, so it is sized from n alone
+    size = logics._gn_length(f"G{n}")
+
+    def built(*args):
+        raise AssertionError("the instance was built")
+
+    monkeypatch.setattr(logics, "instantiate", built)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "axioms", "--schema", f"G{n}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err == f"error: the instance would print {size} characters, over the limit of {cli._PRINT_LIMIT}\n"
+    assert peak < 1 << 20
 
 
 def test_recursion_error_exits_2(capsys, monkeypatch):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -500,10 +501,10 @@ def _parse_time(text):
 
 def test_parse_cost_is_linear_in_nested_groups():
     # 400 groups nested one in the next, each with 50 atoms of its own, cost
-    # about what the same atoms do bare.  A "(" looks for its group's end
-    # only within half of the group around it; a search that ran to the end
-    # of each group would read the text once per level.  The names are long
-    # so that such a search costs more than the tokens do.
+    # about what the same atoms do bare.  A "(" reads only its head, up to
+    # the next parenthesis; one that searched for its group's end, or read
+    # the group's whole text, would read the text once per level.  The names
+    # are long so that such a read costs more than the tokens do.
     levels = [" & ".join(f"p{k}_{i}".ljust(16, "_") for i in range(50)) for k in range(400)]
     nested = "".join(f"({level} & " for level in levels[:-1]) + f"({levels[-1]}" + ")" * 400
     bare = " & ".join(levels)
@@ -511,9 +512,37 @@ def test_parse_cost_is_linear_in_nested_groups():
     assert _parse_time(nested) < 3 * _parse_time(bare) + 0.05
 
 
+def test_parse_memory_is_linear_in_nested_groups():
+    # 400 groups nested one in the next, each with a 1,000-character name of
+    # its own: a group's text holds the text of every group inside it, so a
+    # memo that kept the text of each group would take about 80 MB here
+    nested = "".join(f"(p{k:03}{'_' * 1000} & " for k in range(400)) + "q" + ")" * 400
+    assert len(nested) == 403_601
+    tracemalloc.start()
+    try:
+        parse(nested)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * len(nested)
+
+
+@pytest.mark.parametrize(
+    "group", [lambda k: f"((a) & b{k})", lambda k: f"(x & (b{k}))"], ids=["head-(", "head-(x"]
+)
+def test_parse_cost_is_linear_in_groups_that_share_a_head(group):
+    # 8,000 distinct groups under one head cost about what their atoms do
+    # bare: a "(" compares only the newest few groups of its head, where
+    # comparing every earlier one would read the text once per group
+    texts = [" | ".join(map(group, range(8000)))]
+    texts.append(texts[0].replace("(", "").replace(")", ""))
+    assert parse(texts[0]) is parse(texts[1])
+    assert _parse_time(texts[0]) < 3 * _parse_time(texts[1]) + 0.05
+
+
 def test_parse_tokenizes_each_distinct_group_once(monkeypatch):
     # the to_d text of []^12 psi spells 200,696 characters; a repeated group
-    # is skipped without a token made for it, so the parse reads 610 of them
+    # is skipped without a token made for it, so the parse reads 601 of them
     phi = Or(p, Box(And(q, Dia(r))))
     for _ in range(12):
         phi = Box(phi)
@@ -533,7 +562,7 @@ def test_parse_tokenizes_each_distinct_group_once(monkeypatch):
 
     monkeypatch.setattr(formula, "_TOKEN", Counting())
     assert parse(text) is to_d(phi)
-    assert (len(text), sum(read)) == (200_696, 610)
+    assert (len(text), sum(read)) == (200_696, 601)
 
 
 _ORACLE_DEPTH = 20_000
@@ -610,6 +639,10 @@ def test_parse_matches_tree_parse(seed):
         "mu x. (x | p) & (x | p)",
         "(mu x. x) & (mu x. x) | (nu x. x)",
         "(mu $. x) & (mu x. x)",
+        # groups that share a head, the text up to their next parenthesis
+        "(x & (y)) | (x & (z)) | (x & (y))",
+        "((a) & b) | ((a) & c) | ((a) & b)",
+        "(x & (y)) & (x & (y)",
     ],
 )
 def test_parse_skips_repeated_groups_as_tree_parse_reads_them(text):
@@ -641,6 +674,12 @@ def test_parse_members_skips_repeated_groups():
     assert parse_members("(p), (p)") == tree_parse("<t>{(p), (p)}").members == (p,)
     assert parse_members("{(p), (q)}") == tree_parse("<t>{(p), (q)}").members == (p, q)
     assert parse_members("((p) & q), ((p) & q), (p)") == (p, And(p, q))
+    for text in ["(x & (y)), (x & (z)), (x & (y))", "((a) & b), ((a) & c), ((a) & b)"]:
+        assert parse_members(text) == tree_parse(f"<t>{{{text}}}").members
+        assert len(parse_members(text)) == 2
+    # an unclosed repeat
+    with pytest.raises(ParseError, match=r"^expected RPAREN, found 'end of input' \(at position 19\)$"):
+        parse_members("(x & (y)), (x & (y)")
 
 
 def test_walkers_visit_each_distinct_node_once(monkeypatch):

@@ -45,6 +45,7 @@ from tangles import (
     to_mu,
 )
 from tangles import logics
+from tangles.formula import printed_length
 from tangles.kripke import Evaluator
 from tangles.logics import BASE_SCHEMAS, BLOCK
 from gen import random_formula, random_member_set, random_model, random_tangle_formula
@@ -111,6 +112,17 @@ def test_g_schema_shapes():
         And(And(Dia(q0), Dia(q1)), Dia(q2)),
         Dia(And(And(dia_star(Neg(q0)), dia_star(Neg(q1))), dia_star(Neg(q2)))),
     )
+
+
+def test_gn_length_is_the_printed_length_of_the_default_instance():
+    # names p0..p9 have one digit, p10..p99 two and p100 on three; all of
+    # n = 1-150 agree, but they take seconds together, so the boundaries
+    # stand for the rest
+    for n in [*range(1, 41), 98, 99, 100, 101, 150]:
+        assert logics._gn_length(f"G{n}") == printed_length(instantiate(f"G{n}")), n
+    assert logics._gn_length("G99999999999") == 476_666_666_668_100_000_000_002
+    for schema in ["G1d", "G2d", "G0", "4", "Fix", "Z"]:
+        assert logics._gn_length(schema) == 0
 
 
 @pytest.mark.parametrize(

@@ -95,9 +95,9 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 def _json_text(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, with each newline
     followed by ``indent``'s spaces: a nested value's lines start at its
-    parent's indent.  Strings, ints, bools, None, and non-empty lists and
-    string-keyed dicts are written here, with type checks and joins run in
-    C, so a relation's pairs cost no bytecode each; anything else goes to
+    parent's indent.  Strings, ints, bools, None, lists and string-keyed
+    dicts are written here, with type checks and joins run in C, so a
+    relation's pairs cost no bytecode each; anything else goes to
     ``json.dumps``."""
     kind = type(value)
     if kind is str:
@@ -106,11 +106,13 @@ def _json_text(value, indent: str = "\n") -> str:
         return int.__repr__(value)
     if kind is bool or value is None:
         return _CONSTANTS[value]
+    if (kind is list or kind is dict) and not value:
+        return "[]" if kind is list else "{}"
     inner = indent + "  "
-    if kind is dict and value and set(map(type, value)) == {str}:
+    if kind is dict and set(map(type, value)) == {str}:
         items = [_ENCODE(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if kind is list and value:
+    if kind is list:
         kinds = set(map(type, value))
         if kinds == {list} and set(map(len, value)) == {2}:
             firsts, seconds = zip(*value)
@@ -122,9 +124,8 @@ def _json_text(value, indent: str = "\n") -> str:
                 return "[" + inner + "[" + pair + rows + inner + "]" + indent + "]"
         items = map(_ENCODE, value) if kinds == {str} else [_json_text(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
-    # empty containers, tuples, floats, subclasses and non-string keys; the
-    # encoder escapes every newline inside a string, so each newline left
-    # starts a line
+    # tuples, floats, subclasses and non-string keys; the encoder escapes
+    # every newline inside a string, so each newline left starts a line
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", indent)
 
 

@@ -120,17 +120,17 @@ class Frame:
         # not a pair, so that the first bad entry of either kind is the one
         # named.  A set has no order: rows of all its pairs, and the stray
         # pair, or else the entry that is not a pair, with the least repr.
-        index, succ, pred, stray = _relation_rows(
-            worlds, (filter if unordered else takewhile)(_is_pair, pairs), _itself
+        bit, succ, stray = _relation_rows(
+            worlds, [*(filter if unordered else takewhile)(_is_pair, pairs)], _itself
         )
         if stray and unordered:
-            stray = _relation_rows(worlds, sorted(filter(_is_pair, pairs), key=repr), _itself)[3]
+            stray = _relation_rows(worlds, sorted(filter(_is_pair, pairs), key=repr), _itself)[2]
         if stray:
             raise ValueError(f"relation pair {stray} outside the world set")
         bad = filterfalse(_is_pair, pairs)
         for entry in sorted(bad, key=repr) if unordered else bad:
             raise ValueError(f"relation entry {entry!r} is not a pair")
-        self.__dict__.update(worlds=worlds, rel=frozenset(pairs), succ=succ, index=index, pred=pred)
+        self.__dict__.update(worlds=worlds, rel=frozenset(pairs), succ=succ, _bit=bit)
 
     @classmethod
     def from_rows(cls, worlds: Iterable[str], succ: Iterable[int]) -> Frame:
@@ -160,7 +160,13 @@ class Frame:
     @cached_property
     def pred(self) -> tuple[int, ...]:
         """``pred[j]`` has bit ``i`` set iff world ``i`` sees world ``j``."""
-        return _columns(self.succ, len(self.succ))
+        # the worlds that have a row see each of its set bits: one pass per
+        # distinct row, so the work follows the pairs, not the worlds squared
+        pred = [0] * len(self.succ)
+        for row, owners in _row_owners(self.succ).items():
+            for j in _bits(row):
+                pred[j] |= owners
+        return tuple(pred)
 
     @cached_property
     def transitive(self) -> bool:
@@ -174,11 +180,7 @@ class Frame:
         each holds the worlds with one up-set, their successors and themselves."""
         if not self.transitive:
             raise NonTransitiveError("cluster decomposition needs a transitive relation")
-        masks: dict[int, int] = {}
-        for i, row in enumerate(self.succ):
-            up = row | 1 << i
-            masks[up] = masks.get(up, 0) | 1 << i
-        return tuple(masks.values())
+        return tuple(_row_owners([row | 1 << i for i, row in enumerate(self.succ)]).values())
 
     @cached_property
     def _bit(self) -> dict[str, int]:
@@ -219,23 +221,42 @@ def _itself(x):
     return x
 
 
-def _relation_rows(worlds: tuple[str, ...], pairs: Iterable, name: Callable) -> tuple:
-    """The index of ``worlds``, the successor and predecessor rows of the
+def _relation_rows(worlds: tuple[str, ...], pairs: Sequence, name: Callable) -> tuple:
+    """The bit of each of ``worlds`` by name, the successor rows of the
     ``pairs`` between them, each member read as ``name(member)``, and the
     first pair so read, in the given order, that names another world (None
-    if there is none)."""
-    index = {w: i for i, w in enumerate(worlds)}
-    bits = [1 << i for i in range(len(worlds))]
-    succ, pred = [0] * len(worlds), [0] * len(worlds)
-    stray = None
-    for (u, v) in pairs:
-        i, j = index.get(name(u)), index.get(name(v))
-        if i is None or j is None:
-            stray = stray or (name(u), name(v))
-            continue
-        succ[i] |= bits[j]
-        pred[j] |= bits[i]
-    return index, tuple(succ), tuple(pred), stray
+    if there is none).  ``pairs`` is read a second time when it holds
+    anything but pairs of world names."""
+    bit = {w: 1 << i for i, w in enumerate(worlds)}
+    rows = dict.fromkeys(worlds, 0)
+    try:
+        # pairs of world names, as a model file holds them: no call and no
+        # position lookup per member
+        for u, v in pairs:
+            rows[u] |= bit[v]
+    except (KeyError, TypeError, ValueError):
+        # another member, or an entry that is not a pair: start again and
+        # read each member through ``name``, so that the first stray pair is
+        # named and a bad entry raises as it is met
+        rows = dict.fromkeys(worlds, 0)
+        stray = None
+        for (u, v) in pairs:
+            u, v = name(u), name(v)
+            if u in rows and v in bit:
+                rows[u] |= bit[v]
+            else:
+                stray = stray or (u, v)
+        return bit, tuple(rows.values()), stray
+    return bit, tuple(rows.values()), None
+
+
+def _row_owners(rows: Sequence[int]) -> dict[int, int]:
+    """Each distinct row of ``rows``, with the mask of the positions that
+    have it, in first-position order."""
+    owners: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        owners[row] = owners.get(row, 0) | 1 << i
+    return owners
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -246,8 +267,8 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-# Every mask is decoded by one of the two helpers below, which read its
-# binary digits with byte operations in C.
+# The two helpers below decode a whole mask at once, reading its binary
+# digits with byte operations in C; ``_bits`` costs a step per set bit.
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -451,8 +472,14 @@ def path_components(frame: Frame) -> tuple[frozenset[str], ...]:
 def _local_component_counts(frame: Frame) -> Iterator[int]:
     """Per world with successors, the path components of its successor set,
     where the connecting paths must stay inside that set."""
-    # worlds with the same successors have the same count
-    return (len(_components(frame, row)) for row in set(frame.succ) if row)
+    # worlds with the same successors have the same count, and a set that
+    # holds one of the worlds whose set it is forms one component: that
+    # world sees every member
+    return (
+        1 if row & owners else len(_components(frame, row))
+        for row, owners in _row_owners(frame.succ).items()
+        if row
+    )
 
 
 def locally_n_connected(frame: Frame, n: int) -> bool:
@@ -902,18 +929,18 @@ def _valuation_data(data: Mapping) -> dict[str, list[str]]:
 
 
 def model_from_dict(data: Mapping) -> KripkeModel:
-    """The model ``data`` describes; its frame's ``succ``, ``pred`` and
-    ``index`` come from the pass over the pairs that :class:`Frame` makes."""
+    """The model ``data`` describes; its frame's ``succ`` comes from one pass
+    over the pairs, and ``index`` and ``pred`` are built when read."""
     try:
         worlds = tuple(str(w) for w in _listed(data["worlds"]))
-        index, succ, pred, stray = _relation_rows(worlds, _listed(data["rel"], nested=True), str)
+        bit, succ, stray = _relation_rows(worlds, _listed(data["rel"], nested=True), str)
         val = _valuation_data(data)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model data: {exc}") from exc
     frame = Frame.from_rows(worlds, succ)
     if stray:
         raise ValueError(f"relation pair {stray} outside the world set")
-    frame.__dict__.update(index=index, pred=pred)
+    frame.__dict__["_bit"] = bit
     return KripkeModel(frame, val)
 
 

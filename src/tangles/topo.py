@@ -21,6 +21,9 @@ respectively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial, reduce
+from itertools import product, starmap
+from operator import and_, or_
 from typing import Iterable, Mapping
 
 from .formula import Formula
@@ -28,9 +31,10 @@ from .kripke import (
     Evaluator,
     Frame,
     NonTransitiveError,
-    _bits,
     _collection,
+    _columns,
     _listed,
+    _picked,
     _Valued,
     _valuation_data,
     path_components,
@@ -66,34 +70,37 @@ class FiniteSpace:
         if len(set(points)) != len(points):
             raise SpaceError("duplicate point ids")
         bit = {p: 1 << i for i, p in enumerate(points)}
-        opens = set()
-        for o in self.opens:
-            if not o <= bit.keys():
-                raise SpaceError(f"open set {sorted(o)} not within the point set")
-            opens.add(sum(map(bit.__getitem__, o)))
+        try:
+            opens = set(map(sum, map(partial(map, bit.__getitem__), self.opens)))
+        except KeyError:
+            stray = next(o for o in self.opens if not o <= bit.keys())
+            raise SpaceError(f"open set {sorted(stray)} not within the point set") from None
         full = (1 << len(points)) - 1
         if 0 not in opens:
             raise SpaceError("the empty set must be open")
         if full not in opens:
             raise SpaceError("the whole point set must be open")
-        nbhd = [full] * len(points)
-        for o in opens:
-            for i in _bits(o):
-                nbhd[i] &= o
+        # U_x is the intersection of the opens that hold x: column x of the
+        # open masks selects them
+        ordered = sorted(opens)
+        nbhd = [reduce(and_, _picked(ordered, col)) for col in _columns(ordered, len(points))]
         object.__setattr__(self, "frame", Frame.from_rows(points, nbhd))
         # Each open set is the union of the U_x of its points, and so is the
         # intersection of two opens.  Adding the U_x one at a time, starting
         # from the empty set, shows the family closed under union and
-        # intersection iff every O | U_x is open.
-        for o in sorted(opens):
-            for x, u in zip(points, nbhd):
-                if o | u not in opens:
-                    raise SpaceError(
-                        "opens not closed under union and intersection: "
-                        f"{sorted(self.frame.unmask(o | u))}, the union of "
-                        f"{sorted(self.frame.unmask(o))} "
-                        f"and the least open set around {x!r}, is missing"
-                    )
+        # intersection iff every O | U_x is open.  One pass in C checks that;
+        # only a family that fails it is walked again, for the first union
+        # missing by open set and then by point.
+        if not opens.issuperset(starmap(or_, product(ordered, nbhd))):
+            o, x, u = next(
+                (o, x, u) for o in ordered for x, u in zip(points, nbhd) if o | u not in opens
+            )
+            raise SpaceError(
+                "opens not closed under union and intersection: "
+                f"{sorted(self.frame.unmask(o | u))}, the union of "
+                f"{sorted(self.frame.unmask(o))} "
+                f"and the least open set around {x!r}, is missing"
+            )
 
 
 class TopoModel(_Valued):
@@ -196,7 +203,7 @@ def space_to_dict(space: FiniteSpace, val: Mapping[str, Iterable[str]] | None = 
 def space_from_dict(data: Mapping) -> FiniteSpace:
     try:
         points = tuple(str(p) for p in _listed(data["points"]))
-        opens = frozenset(frozenset(str(p) for p in o) for o in _listed(data["opens"], nested=True))
+        opens = frozenset(frozenset(map(str, o)) for o in _listed(data["opens"], nested=True))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed space data: {exc}") from exc
     return FiniteSpace(points, opens)

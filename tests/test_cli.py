@@ -952,6 +952,7 @@ def _random_json(rng: random.Random, depth: int):
         lambda: {rng.randrange(-9, 9): _random_json(rng, depth - 1) for _ in range(size)},
         lambda: {_Name(_random_string(rng)): _random_json(rng, depth - 1) for _ in range(size)},
         lambda: [rng.choice([[], {}, [[]], {"": {}}]) for _ in range(size)],
+        lambda: {_random_string(rng): rng.choice([[], {}, [{}], {"": []}]) for _ in range(size)},
         lambda: _random_pairs(rng),
         lambda: [_random_string(rng) for _ in range(size)],
     ])()
@@ -963,6 +964,9 @@ def test_json_text_matches_json_dumps():
         [["u", "v"]], [["u", "v"], ["w"]], [["u", 1], ["v", "w"]], [["u", None]],
         [("u", "v")], {"rel": [["a\"b", "new\nline"], ["é", "𝔭"]]},
         {2: "b", -1: "a"}, _Level.LOW, _Name("x"), [float("nan")],
+        # empties nested in lists and dicts, written without json.dumps
+        {"a": [[], {}], "b": {"c": [], "d": {}}}, [[[], [{}]], {"x": {"y": {"z": []}}}],
+        [["u", "v"], []], {"rel": [], "val": {}, "worlds": ["w"]}, [{}, {"": []}, [[]]],
     ]
     rng = random.Random(20261019)
     for value in fixed + [_random_json(rng, 4) for _ in range(3000)]:

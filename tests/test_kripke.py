@@ -44,6 +44,7 @@ from tangles import (
     closures,
     cluster_decomposition,
     enumerate_frames,
+    figure3_model,
     frame_validates,
     generated_submodel,
     locally_n_connected,
@@ -254,6 +255,18 @@ def test_cluster_masks_read_only_the_successor_rows():
     stacked = Frame.from_rows(("a", "b", "c", "d"), (0b1110, 0b1110, 0b1110, 0b1000))
     assert stacked.cluster_masks == (0b0001, 0b0110, 0b1000)
     assert "pred" not in vars(twins) and "pred" not in vars(stacked)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_local_counts_skip_only_sets_that_hold_an_owner(seed):
+    # a successor set that holds a world whose set it is counts as one
+    # component without a search; every count, in first-world order of the
+    # distinct rows, is the one the search gives
+    rng = random.Random(7650 + seed)
+    kind = ("general", "transitive", "serial", "reflexive")[seed % 4]
+    frame = random_model(rng, rng.randint(1, 10), kind=kind).frame
+    want = [len(kmod._components(frame, row)) for row in dict.fromkeys(frame.succ) if row]
+    assert list(kmod._local_component_counts(frame)) == want
 
 
 def test_path_components():
@@ -707,12 +720,13 @@ def test_row_built_frames_match_pair_built_ones(seed):
         assert copied == frame and copied.succ == frame.succ
     check_against_oracles(built)
     assert built == frame and hash(built) == hash(frame)
-    # the loader builds both rows in its one pass over the pairs, in any
-    # order and with repeats
+    # the loader builds the successor rows in its one pass over the pairs,
+    # in any order and with repeats; the predecessor rows wait for a reader
     pairs = [list(p) for p in sorted(frame.rel)]
     rng.shuffle(pairs)
     loaded = model_from_dict({"worlds": list(frame.worlds), "rel": pairs + pairs[:3]}).frame
-    assert vars(loaded)["succ"] == frame.succ and vars(loaded)["pred"] == frame.pred
+    assert vars(loaded)["succ"] == frame.succ and "pred" not in vars(loaded)
+    assert loaded.pred == frame.pred
     check_against_oracles(loaded)
     assert loaded == frame
 
@@ -816,6 +830,79 @@ def test_row_built_frame_validation():
         Frame.from_rows(("w",), (-1,))
     with pytest.raises(AttributeError):
         Frame.from_rows(("w",), (1,)).missing
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_pred_is_the_transpose_of_the_successor_rows(seed):
+    # pred is built on first read, from each distinct row once, on frames
+    # built from pairs, from rows and by the loader alike
+    rng = random.Random(7800 + seed)
+    kind = ("general", "transitive", "serial", "reflexive")[seed % 4]
+    frame = random_model(rng, rng.randint(1, 12), kind=kind).frame
+    if seed % 8 == 7:
+        frame = closures(layered_frame(rng, rng.randint(60, 120))).transitive
+    data = {"worlds": list(frame.worlds), "rel": [list(p) for p in frame.rel]}
+    copies = (Frame(frame.worlds, frame.rel), Frame.from_rows(frame.worlds, frame.succ),
+              model_from_dict(data).frame)
+    for built in copies:
+        assert "pred" not in vars(built)
+        assert built.pred == kmod._columns(frame.succ, len(frame.worlds))
+
+
+def test_pred_of_the_sparse_figure3_fixture_is_its_transpose():
+    # 8,003 worlds and 16,005 pairs: checking a model reads no pred, and
+    # pred, once read, is the transpose that the n-by-n grid gives
+    model = figure3_model(4000)
+    worlds, rel = model.frame.worlds, model.frame.rel
+    loaded = model_from_dict({"worlds": list(worlds), "rel": [list(p) for p in sorted(rel)],
+                              "val": {a: sorted(ws) for a, ws in model.val.items()}})
+    assert model_check(loaded, parse("<t>{p0, p1}")) == frozenset()
+    assert "pred" not in vars(loaded.frame)
+    want = kmod._columns(model.frame.succ, len(worlds))
+    for frame in (loaded.frame, Frame(worlds, rel), Frame.from_rows(worlds, model.frame.succ)):
+        assert frame.pred == want
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_the_name_keyed_pass_matches_the_str_pass(seed):
+    # worlds named by the digits of their positions, so that a file may
+    # give them as ints: a pair with an int member leaves the name-keyed
+    # pass for the one that reads each member through str
+    rng = random.Random(7850 + seed)
+    kind = ("general", "transitive", "serial", "reflexive")[seed % 4]
+    frame = random_model(rng, 9, kind=kind).frame
+    position = {w: i for i, w in enumerate(frame.worlds)}
+    ints = [[position[u], position[v]] for u, v in frame.rel]
+    rng.shuffle(ints)
+    ints += ints[:4]
+    names = [list(map(str, pair)) for pair in ints]
+    worlds = [str(i) for i in range(len(frame.worlds))]
+    # all names, all ints, and names with one int pair last, after the
+    # name-keyed pass has filled rows
+    for pairs in (names, ints, names[:-1] + ints[-1:]):
+        assert kmod._relation_rows(tuple(worlds), pairs, str)[1:] == (frame.succ, None)
+        for ids in (worlds, list(range(len(worlds)))):
+            loaded = model_from_dict({"worlds": ids, "rel": pairs}).frame
+            assert loaded.worlds == tuple(worlds) and loaded.succ == frame.succ
+
+
+@pytest.mark.parametrize("rel, message", [
+    # the first stray pair in the given order, after an int member
+    ([[1, 2], ["1", "x"], [2, "y"]], "relation pair ('1', 'x') outside the world set"),
+    ([["1", "2"], ["1", "x"], ["y", "2"]], "relation pair ('1', 'x') outside the world set"),
+    ([["1", "2"], ["1", 1.5]], "relation pair ('1', '1.5') outside the world set"),
+    ([["1", "2"], [["1"], "2"]], """relation pair ("['1']", '2') outside the world set"""),
+    ([["1", {"k": 1}]], """relation pair ('1', "{'k': 1}") outside the world set"""),
+    ([["1", "2"], ["1", "2", "1"]], "malformed model data: too many values to unpack (expected 2)"),
+    ([["1", "x"], ["1", "2", "1"]], "malformed model data: too many values to unpack (expected 2)"),
+    ([["1", "2"], ["1"]], "malformed model data: not enough values to unpack (expected 2, got 1)"),
+    ([["1", "2"], 7], "malformed model data: cannot unpack non-iterable int object"),
+    ([["1", "2"], None], "malformed model data: cannot unpack non-iterable NoneType object"),
+])
+def test_malformed_models_keep_their_messages(rel, message):
+    with pytest.raises(ValueError) as caught:
+        model_from_dict({"worlds": [1, "2"], "rel": rel})
+    assert str(caught.value) == message
 
 
 def test_stray_pairs_are_named_in_the_given_order():

@@ -3,6 +3,7 @@ correspondence with relational models, serialization."""
 
 import json
 import random
+import re
 
 import pytest
 
@@ -188,6 +189,46 @@ def test_validation_matches_pairwise_oracle(seed, kind):
         except SpaceError:
             accepted = False
         assert accepted == pairwise_topology(points, family)
+
+
+def first_missing_union(points, family):
+    """The message that names the first ``O | U_x`` missing from a family
+    with the empty and the whole set, by open set (ordered as a mask with
+    point i at bit i) and then by point; None if the family is a topology."""
+    rank = {p: 1 << i for i, p in enumerate(points)}
+    least = [frozenset.intersection(*(o for o in family if x in o)) for x in points]
+    for o in sorted(family, key=lambda o: sum(map(rank.get, o))):
+        for x, u in zip(points, least):
+            if o | u not in family:
+                return ("opens not closed under union and intersection: "
+                        f"{sorted(o | u)}, the union of {sorted(o)} "
+                        f"and the least open set around {x!r}, is missing")
+    return None
+
+
+@pytest.mark.parametrize("kind", ["unclosed", "dropped"])
+@pytest.mark.parametrize("seed", range(30))
+def test_a_family_that_is_not_closed_names_its_first_missing_union(seed, kind):
+    rng = random.Random(4100 + seed)
+    for _ in range(10):
+        points, family = random_family(rng, kind)
+        if not {frozenset(), frozenset(points)} <= family:
+            continue
+        want = first_missing_union(points, family)
+        if want is None:
+            assert FiniteSpace(points, family).opens == family
+        else:
+            with pytest.raises(SpaceError) as caught:
+                FiniteSpace(points, family)
+            assert str(caught.value) == want
+    # the messages of the other checks
+    for points, family, message in [
+        (("a",), [(), ("a",), ("z",)], "open set ['z'] not within the point set"),
+        (("a", "b"), [("a",), ("a", "b")], "the empty set must be open"),
+        (("a", "b"), [(), ("a",)], "the whole point set must be open"),
+    ]:
+        with pytest.raises(SpaceError, match=f"^{re.escape(message)}$"):
+            FiniteSpace(points, frozenset(map(frozenset, family)))
 
 
 def test_union_closed_family_missing_an_intersection():

@@ -20,9 +20,12 @@ from typing import Sequence
 
 from .formula import (
     Formula,
+    Tangle,
+    TangleD,
     free_atoms,
     parse,
     parse_members,
+    post_order,
     pretty,
     printed_length,
     subformula_closure,
@@ -207,14 +210,25 @@ _TRANSLATIONS = {"mu": to_mu, "d": to_d, "star": star}
 _PRINT_LIMIT = 1 << 24
 
 
-def _within_limit(size: int, what: str) -> None:
-    """Refuse to print ``what``, ``size`` characters long, if that is over the limit."""
+def _within_limit(size: int, what: str, at_least: bool = False) -> None:
+    """Refuse to print ``what``, ``size`` characters long, or at least that
+    long, if that is over the limit."""
     if size > _PRINT_LIMIT:
-        raise BudgetExceededError(f"{what} would print {size} characters, over the limit of {_PRINT_LIMIT}")
+        amount = f"at least {size}" if at_least else size
+        raise BudgetExceededError(f"{what} would print {amount} characters, over the limit of {_PRINT_LIMIT}")
 
 
 def _cmd_translate(args) -> int:
     phi = _one_formula(args)
+    if args.mode == "d":
+        # ``to_d`` orders a tangle's translated members by their printed
+        # text, and each member's text is part of the output: a member too
+        # long to print is refused before that text is built.  Inner
+        # tangles come first, so the members checked hold none too long.
+        for f in post_order(phi):
+            if isinstance(f, (Tangle, TangleD)) and len(f.members) > 1:
+                for member in f.members:
+                    _within_limit(printed_length(to_d(member)), "the translation", at_least=True)
     out = _TRANSLATIONS[args.mode](phi)
     _within_limit(printed_length(out), "the translation")
     _emit(

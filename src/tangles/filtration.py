@@ -50,11 +50,12 @@ from .kripke import (
     NonTransitiveError,
     _bits,
     _columns,
-    _components,
     _first,
+    _local_components,
     _maximal_clusters,
     _Pairs,
     _picked,
+    _row_owners,
     _transitive_rows,
     _union,
     min_local_connectedness,
@@ -81,8 +82,8 @@ class FiltrationResult:
     ``maximal_clusters`` describes the source model and is recorded in both
     modes; only refined mode folds the worlds that see each maximal cluster
     into the quotient signature.  The quotient frame and the mask views
-    (``_image``, ``_truth`` and ``_realized``, which :meth:`realized` reads)
-    are computed from these fields on first use, so a
+    (``_image``, ``_preimages``, ``_truth`` and ``_realized``, which
+    :meth:`realized` reads) are computed from these fields on first use, so a
     ``dataclasses.replace`` copy sees its own fields.  ``source`` is the
     model it was built from; the constructions that take the model again
     refuse any other.
@@ -110,6 +111,11 @@ class FiltrationResult:
         position in ``quotient_worlds``."""
         bit = {w: 1 << i for i, w in enumerate(self.quotient_worlds)}
         return [bit[self.quotient_map[x]] for x in self.source.frame.worlds]
+
+    @cached_property
+    def _preimages(self) -> tuple[int, ...]:
+        """Per quotient world, the mask of the source worlds mapped there."""
+        return _columns(self._image, len(self.quotient_worlds))
 
     @cached_property
     def _truth(self) -> dict[Formula, int]:
@@ -168,9 +174,7 @@ def filtrate(
     class_of = [ids.setdefault(sig, len(ids)) for sig in _columns(splitters, n)]
 
     quotient_worlds = tuple(f"c{k}" for k in range(len(ids)))
-    parts = [0] * len(ids)
-    for i, k in enumerate(class_of):
-        parts[k] |= 1 << i
+    parts = tuple(_row_owners(class_of).values())
     image_bit = [1 << k for k in class_of]
     r_lambda_rows = [_union(image_bit, _union(frame.succ, part)) for part in parts]
     quotient = Frame.from_rows(quotient_worlds, _transitive_rows(r_lambda_rows))
@@ -191,7 +195,8 @@ def filtrate(
         source=m,
     )
     fr.__dict__.update(
-        _frame=quotient, _image=image_bit, _truth=dict(zip(ordered, exts)), _realized=realized
+        _frame=quotient, _image=image_bit, _preimages=parts, _truth=dict(zip(ordered, exts)),
+        _realized=realized,
     )
     return fr
 
@@ -267,9 +272,7 @@ def untangle(
     _check_inputs(fr, m, closure)
     frame, quotient = m.frame, fr.filtered_frame()
     clusters = quotient.cluster_masks
-    image = fr._image
-    # per quotient world, the mask of the source worlds mapped there
-    preimages = _columns(image, len(quotient.worlds))
+    image, preimages = fr._image, fr._preimages
     tangles = [(fr._truth[f], [fr._realized[g] for g in f.members]) for f in closure.tangle_members]
 
     rows = list(quotient.succ)
@@ -340,11 +343,10 @@ def verify_reduction(
     ev = Evaluator(model_t.frame)
     ordered = closure.sorted()
     exts = ev.extensions(ordered, ev.valuation_masks(model_t.val))
-    preimages = _columns(fr._image, len(fr.quotient_worlds))
     checked = 0
     for f, ext in zip(ordered, exts):
         expected = fr._truth[f]
-        wrong = expected ^ _union(preimages, ext)
+        wrong = expected ^ _union(fr._preimages, ext)
         if wrong:
             i = _first(wrong)
             truth = bool(expected >> i & 1)
@@ -369,9 +371,8 @@ def reduction_conditions(
     worlds = frame.worlds
     truth = fr._truth
     quotient = fr.filtered_frame()
-    preimages = _columns(fr._image, len(quotient.worlds))
     # per source world, the source worlds whose images its image sees
-    seen = [_union(preimages, _union(quotient.succ, bit)) for bit in fr._image]
+    seen = [_union(fr._preimages, _union(quotient.succ, bit)) for bit in fr._image]
 
     for a in sorted(closure.atoms):
         held = frozenset(fr.quotient_val.get(a, ()))
@@ -534,12 +535,11 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
     exts = ev.extensions((*alphabet, *ordered), val)
     truth = exts[len(alphabet):]
     # types[t] holds alphabet[k] iff bit k of t is set; code[i] is the
-    # type of world i and of_type[t] the mask of the worlds of type t
+    # type of world i and of_type[t] the mask of the worlds of type t, for
+    # each type some world has
     types = list(_subsets(alphabet))
     code = _columns(exts[:len(alphabet)], len(worlds))
-    of_type = [0] * len(types)
-    for i, t in enumerate(code):
-        of_type[t] |= 1 << i
+    of_type = _row_owners(code)
     type_of = dict(zip(worlds, map(types.__getitem__, code)))
     cluster_types = tuple(
         frozenset(types[code[i]] for i in _bits(c)) for c in frame.cluster_masks
@@ -572,18 +572,16 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
     parts = {
         row: [
             (comp, disj(v for v, (_, c) in zip(views, found) if c & ~comp == 0))
-            for comp in _components(frame, row)
+            for comp in comps
         ]
-        for row in set(succ)
+        for row, comps in _local_components(frame)
     }
     named = {row: tuple((frame.unmask(c), f) for c, f in ps) for row, ps in parts.items()}
-    component_formulas = {x: named[row] for x, row in zip(worlds, succ)}
+    component_formulas = {x: named.get(row, ()) for x, row in zip(worlds, succ)}
 
     # A class formula spells out the closure profile and the view of the
     # maximal clusters, so worlds share one iff they share both.
-    classes: dict[Formula, int] = {}
-    for i, w in enumerate(worlds):
-        classes[class_formula[w]] = classes.get(class_formula[w], 0) | 1 << i
+    classes = _row_owners(class_formula.values())
     checked = tuple(dict.fromkeys((
         *chi, *cluster_formula.values(), *views, *classes,
         *(f for ps in parts.values() for _, f in ps),
@@ -622,7 +620,7 @@ def characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicTypeDa
     report = CharacteristicReport(
         types_distinct=types_distinct,
         reachable_serial=reachable_serial,
-        type_description_ok=all(ext[f] == mask for f, mask in zip(chi, of_type)),
+        type_description_ok=all(ext[f] == of_type.get(t, 0) for t, f in enumerate(chi)),
         maximal_membership_by_type=all(
             got == by_type[cluster_types[i]][0] for got, i, _ in member
         ),

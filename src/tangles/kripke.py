@@ -250,12 +250,12 @@ def _relation_rows(worlds: tuple[str, ...], pairs: Sequence, name: Callable) -> 
     return bit, tuple(rows.values()), None
 
 
-def _row_owners(rows: Sequence[int]) -> dict[int, int]:
-    """Each distinct row of ``rows``, with the mask of the positions that
-    have it, in first-position order."""
-    owners: dict[int, int] = {}
-    for i, row in enumerate(rows):
-        owners[row] = owners.get(row, 0) | 1 << i
+def _row_owners(values: Iterable) -> dict:
+    """Each distinct one of ``values``, with the mask of the positions that
+    hold it, in first-position order."""
+    owners: dict = {}
+    for i, value in enumerate(values):
+        owners[value] = owners.get(value, 0) | 1 << i
     return owners
 
 
@@ -469,14 +469,13 @@ def path_components(frame: Frame) -> tuple[frozenset[str], ...]:
     return tuple(frame.unmask(c) for c in _components(frame, everything))
 
 
-def _local_component_counts(frame: Frame) -> Iterator[int]:
-    """Per world with successors, the path components of its successor set,
-    where the connecting paths must stay inside that set."""
-    # worlds with the same successors have the same count, and a set that
-    # holds one of the worlds whose set it is forms one component: that
-    # world sees every member
+def _local_components(frame: Frame) -> Iterator[tuple[int, list[int]]]:
+    """Each distinct nonempty successor set, in first-world order, with its
+    path components, where the connecting paths must stay inside that set."""
+    # a set that holds one of the worlds whose set it is forms one
+    # component: that world sees every member
     return (
-        1 if row & owners else len(_components(frame, row))
+        (row, [row] if row & owners else _components(frame, row))
         for row, owners in _row_owners(frame.succ).items()
         if row
     )
@@ -486,12 +485,12 @@ def locally_n_connected(frame: Frame, n: int) -> bool:
     """Every successor set splits into at most ``n`` path components, where
     the connecting paths must stay inside the successor set.  An empty
     successor set has zero components and never violates the bound."""
-    return all(count <= n for count in _local_component_counts(frame))
+    return all(len(comps) <= n for _, comps in _local_components(frame))
 
 
 def min_local_connectedness(frame: Frame) -> int:
     """Least ``n >= 1`` such that the frame is locally n-connected."""
-    return max(_local_component_counts(frame), default=1)
+    return max((len(comps) for _, comps in _local_components(frame)), default=1)
 
 
 # ---------------------------------------------------------------------------

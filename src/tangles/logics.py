@@ -43,6 +43,7 @@ from .kripke import (
     Frame,
     KripkeModel,
     Program,
+    _first,
     _picked,
     compile_formulas,
     locally_n_connected,
@@ -393,7 +394,7 @@ def _least_model(
         ext = ev.run_block(program, atoms, start, size)[0]
         somewhere = functools.reduce(operator.or_, ext)
         if somewhere:
-            bit = (somewhere & -somewhere).bit_length() - 1  # the lowest set bit
+            bit = _first(somewhere)
             return start + bit, next(w for w, m in zip(frame.worlds, ext) if m >> bit & 1)
     return None
 

@@ -381,6 +381,45 @@ def test_translate_output_over_the_limit_exits_3(capsys, text, size):
     assert err == f"error: the translation would print {size} characters, over the limit of 16777216\n"
 
 
+@pytest.mark.parametrize(
+    "text,size",
+    [
+        ("<t>{" + "[]" * 26 + "p, q}", 536870904),
+        ("<t>{<t>{" + "[]" * 24 + "p, q}, r}", 134217720),
+        ("<dt>{" + "[]" * 26 + "p, q}", 536870904),
+    ],
+    ids=["member", "inner", "derivative"],
+)
+def test_translate_d_refuses_a_long_tangle_member_before_building_it(
+    capsys, monkeypatch, text, size
+):
+    # to_d orders a tangle's translated members by their printed text, which
+    # doubles with each box; a member's text is part of the output, so one
+    # too long to print is refused before any translated tangle is built
+    def built(*args):
+        raise AssertionError("a translated tangle was built")
+
+    monkeypatch.setattr("tangles.translate.TangleD", built)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "translate", "--mode", "d", text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: the translation would print at least {size} characters,"
+        f" over the limit of {cli._PRINT_LIMIT}\n"
+    )
+    assert peak < 1 << 20
+
+
+def test_translate_d_measures_the_whole_output_when_each_member_fits(capsys):
+    code, out, err = run(capsys, "translate", "--mode", "d", "<t>{" + "[]" * 20 + "p, q}")
+    assert (code, out) == (3, "")
+    assert err == "error: the translation would print 25165828 characters, over the limit of 16777216\n"
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_fuzzed_formulas_keep_the_exit_code_contract_in_mode_d(capsys, seed):
     # 3 means the output would exceed the print limit

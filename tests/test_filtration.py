@@ -33,6 +33,7 @@ from tangles import (
     untangle,
     verify_reduction,
 )
+from tangles.kripke import _columns
 from gen import random_cluster_model, random_formula, random_model
 from oracles import (
     tree_characteristic_formulas,
@@ -346,6 +347,26 @@ def test_reduction_lemma_on_every_small_model():
     assert models == 2632
 
 
+def test_reduction_lemma_on_every_four_world_model():
+    # every transitive frame of 4 worlds up to isomorphism, 242 of them,
+    # under every valuation of p, with one closure per mode; the 5-world
+    # sweep (60,640 models) takes half a minute and is left out
+    closures = {
+        "standard": closure_of(parse("<t>{p, ~p}"), Dia(Top())),
+        "refined": closure_of(parse("<t>{p, ~p} | []p"), Dia(Top())),
+    }
+    frames = list(enumerate_frames(4))
+    assert len(frames) == 242
+    for frame in frames:
+        for ps in range(1 << 4):
+            m = KripkeModel(frame, {"p": frame.unmask(ps)})
+            for mode, closure in closures.items():
+                fr = filtrate(m, closure, mode)
+                report = verify_reduction(fr, untangle(fr, m, closure), m, closure)
+                assert report.ok, (mode, model_to_dict(m), report.failure)
+                assert reduction_conditions(fr, m, closure) == [], (mode, model_to_dict(m))
+
+
 # closures of the local connectedness sweeps, each with <>true, p and q
 _SWEEP_CLOSURES = {
     root: closure_of(parse(root), Dia(Top()), p, q)
@@ -507,6 +528,19 @@ def test_realized_is_the_image_of_the_source_truth(seed):
     fr = filtrate(m, closure, mode="refined" if seed % 2 else "standard")
     for f in closure:
         assert fr.realized(f) == {fr.quotient_map[x] for x in fr.source_truth[f]}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_preimages_are_the_columns_of_the_image(seed):
+    # filtrate keeps each class mask it built; a replace copy computes the
+    # same masks from its own fields
+    rng = random.Random(8600 + seed)
+    m = random_model(rng, rng.randint(1, 9), ("p", "q"), kind="transitive")
+    closure = random_closure(rng)
+    for mode in ("standard", "refined"):
+        fr = filtrate(m, closure, mode)
+        want = _columns(fr._image, len(fr.quotient_worlds))
+        assert fr._preimages == want == dataclasses.replace(fr)._preimages
 
 
 def _outcome(fn, *args, **kwargs):

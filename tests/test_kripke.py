@@ -259,14 +259,14 @@ def test_cluster_masks_read_only_the_successor_rows():
 
 @pytest.mark.parametrize("seed", range(40))
 def test_local_counts_skip_only_sets_that_hold_an_owner(seed):
-    # a successor set that holds a world whose set it is counts as one
-    # component without a search; every count, in first-world order of the
-    # distinct rows, is the one the search gives
+    # a successor set that holds a world whose set it is is one component
+    # without a search; every set's components, in first-world order of the
+    # distinct nonempty rows, are the ones the search gives
     rng = random.Random(7650 + seed)
     kind = ("general", "transitive", "serial", "reflexive")[seed % 4]
     frame = random_model(rng, rng.randint(1, 10), kind=kind).frame
-    want = [len(kmod._components(frame, row)) for row in dict.fromkeys(frame.succ) if row]
-    assert list(kmod._local_component_counts(frame)) == want
+    want = [(row, kmod._components(frame, row)) for row in dict.fromkeys(frame.succ) if row]
+    assert list(kmod._local_components(frame)) == want
 
 
 def test_path_components():

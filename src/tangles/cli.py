@@ -16,7 +16,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 from .formula import (
     Formula,

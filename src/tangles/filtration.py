@@ -24,10 +24,10 @@ checks were applicable.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
-from typing import Iterable
 
 from .formula import (
     And,

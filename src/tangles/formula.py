@@ -52,8 +52,7 @@ import re
 import threading
 import weakref
 from collections import deque
-from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 
 class FormulaError(ValueError):
@@ -87,6 +86,15 @@ class CaptureError(FormulaError):
 # because a node can die, and its entry go, while its thread adds another.
 _NODES: dict[tuple, weakref.KeyedRef] = {}
 _NODES_LOCK = threading.RLock()
+
+
+def _frozen(doing: str, name: str):
+    """Refuse to change a field of an immutable node or record.  The error
+    class is imported only when it is raised, so that the modules every
+    command loads do not load ``dataclasses``."""
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot {doing} field {name!r}")
 
 
 def _forget(entry: weakref.KeyedRef, nodes: dict = _NODES, lock=_NODES_LOCK) -> None:
@@ -137,10 +145,10 @@ class Formula:
         return node
 
     def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        _frozen("assign to", name)
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        _frozen("delete", name)
 
     def __str__(self) -> str:
         return pretty(self)
@@ -525,11 +533,62 @@ def rebuild(phi: Formula, subs: Sequence[Formula]) -> Formula:
     return Formula.__new__(kind, *args)
 
 
-@dataclass(frozen=True)
-class ClosureSet:
+class _Record:
+    """An immutable record: the base of the package's result and structure
+    classes.  A class body lists its fields as annotations, in order, with
+    an optional class-level default.  The record takes them by position or
+    by name, then runs ``__post_init__``; it compares, hashes, prints and
+    matches field by field, and refuses assignment and deletion, as a
+    frozen dataclass does.  It is no dataclass, so ``dataclasses.replace``,
+    ``fields`` and ``asdict`` refuse it; a call of its class remakes one."""
+
+    def __init_subclass__(cls):
+        # the class's own annotations; a class attribute that reads as
+        # missing (a descriptor without a class default) leaves a field required
+        cls.__match_args__ = names = tuple(cls.__annotations__)
+        cls._defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+
+    def __init__(self, *args, **named):
+        names = self.__match_args__
+        if named or len(args) != len(names):  # fields by keyword or by default
+            given = dict(zip(names, args))
+            values = self._defaults | given | named
+            if len(args) > len(names) or given.keys() & named or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+            args = map(values.__getitem__, names)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        _frozen("assign to", name)
+
+    def __delattr__(self, name):
+        _frozen("delete", name)
+
+
+class ClosureSet(_Record):
     """A finite formula set closed under immediate subformulas."""
 
-    formulas: frozenset[Formula] = field(default_factory=frozenset)
+    formulas: frozenset[Formula] = frozenset()
 
     def __post_init__(self):
         formulas = frozenset(self.formulas)

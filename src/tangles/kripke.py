@@ -24,11 +24,10 @@ valuation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cache, cached_property, lru_cache, reduce
 from itertools import chain, compress, filterfalse, repeat, takewhile
 from operator import or_
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .formula import (
     And,
@@ -49,6 +48,7 @@ from .formula import (
     TangleD,
     Top,
     _BINDERS,
+    _Record,
     free_atoms,
     immediate_subformulas,
 )
@@ -83,7 +83,7 @@ class _Pairs:
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            # no class default, so a dataclass field of this kind is required
+            # no class default, so a record field of this kind is required
             raise AttributeError(self.name)
         cache = obj.__dict__
         pairs = cache.get(self.name, obj)
@@ -95,8 +95,7 @@ class _Pairs:
         obj.__dict__[self.name] = value
 
 
-@dataclass(frozen=True, eq=False)
-class Frame:
+class Frame(_Record):
     """Worlds in canonical order plus the relation as successor rows:
     ``succ[i]`` has bit ``j`` set iff world ``i`` sees world ``j``.
 
@@ -362,8 +361,7 @@ class KripkeModel(_Valued):
 # Relation analysis
 
 
-@dataclass(frozen=True)
-class RelationProperties:
+class RelationProperties(_Record):
     reflexive: bool
     transitive: bool
     serial: bool
@@ -375,8 +373,7 @@ def relation_properties(frame: Frame) -> RelationProperties:
     return RelationProperties(reflexive, frame.transitive, all(succ))
 
 
-@dataclass(frozen=True)
-class Closures:
+class Closures(_Record):
     transitive: Frame
     reflexive_transitive: Frame
 
@@ -389,8 +386,7 @@ def closures(frame: Frame) -> Closures:
     )
 
 
-@dataclass(frozen=True)
-class ClusterDecomposition:
+class ClusterDecomposition(_Record):
     """Partition of a transitive frame into clusters.
 
     ``clusters[i]`` lists the member worlds; ``degenerate[i]`` flags the
@@ -508,8 +504,7 @@ _UNARY_OPS = {Neg: (_NOT, 0), Box: (_BOX, 0), BoxD: (_BOX, 1), Dia: (_DIA, 0),
               DiaD: (_DIA, 1), Forall: (_ALL, 0), Exists: (_EX, 0)}
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(_Record):
     """Formulas compiled for :meth:`Evaluator.run`: one instruction per
     distinct subformula and binding of its free fixpoint variables,
     children first; ``roots`` are the slots of the compiled formulas.

@@ -13,8 +13,7 @@ import functools
 import itertools
 import operator
 import re
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .formula import (
     And,
@@ -29,6 +28,7 @@ from .formula import (
     Neg,
     Tangle,
     Top,
+    _Record,
     box_star,
     conj,
     dia_star,
@@ -182,8 +182,7 @@ def instantiate(schema: str, *args) -> Formula:
 _PROFILE_RE = re.compile(r"^(K4|KD4|S4)(?:G([1-9]\d*))?(t)?(?:\.U(C)?)?$")
 
 
-@dataclass(frozen=True)
-class LogicProfile:
+class LogicProfile(_Record):
     """A logic name resolved to frame conditions and a language fragment.
 
     Transitivity is common to every profile.  The fragment records which
@@ -357,8 +356,7 @@ def enumerate_frames(
 # Validity and bounded satisfiability
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(_Record):
     """Outcome of an exhaustive validity check on one frame.
 
     On failure the witness names a refuting valuation (atom -> worlds) and

@@ -20,13 +20,12 @@ respectively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from functools import partial, reduce
 from itertools import product, starmap
 from operator import and_, or_
-from typing import Iterable, Mapping
 
-from .formula import Formula
+from .formula import Formula, _Record
 from .kripke import (
     Evaluator,
     Frame,
@@ -45,19 +44,17 @@ class SpaceError(ValueError):
     """The proposed open family is not a topology."""
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(_Record):
     """Points plus the full family of open sets.
 
     ``frame`` is the specialization preorder as a :class:`Frame`: ``x``
     sees ``y`` iff ``y`` lies in every open set containing ``x``.  It is
-    built from the open sets while they are validated and takes no part in
-    equality, hashing or ``repr``.
+    built from the open sets while they are validated.  It is no field, so
+    it takes no part in construction, equality, hashing or ``repr``.
     """
 
     points: tuple[str, ...]
     opens: frozenset[frozenset[str]]
-    frame: Frame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = tuple(_collection(self.points, "points"))
@@ -116,8 +113,7 @@ class TopoModel(_Valued):
         self._set_val(val)
 
 
-@dataclass(frozen=True)
-class SetOperators:
+class SetOperators(_Record):
     interior: frozenset[str]
     closure: frozenset[str]
     derivative: frozenset[str]
@@ -141,8 +137,7 @@ def operators(space: FiniteSpace, subset: Iterable[str]) -> SetOperators:
     )
 
 
-@dataclass(frozen=True)
-class SpacePredicates:
+class SpacePredicates(_Record):
     is_TD: bool
     dense_in_itself: bool
     connected: bool

@@ -883,7 +883,10 @@ def test_importing_the_cli_builds_no_parser():
     assert proc.stdout.split() == ["0", "p", "12"]
 
 
-_DEFERRED_MODULES = ("tangles.filtration", "tangles.logics", "tangles.topo")
+_WATCHED_MODULES = ("tangles.filtration", "tangles.logics", "tangles.topo",
+                    "dataclasses", "inspect", "typing")
+# the filtration's results are dataclasses, and dataclasses loads inspect
+_FILTRATION = ["tangles.filtration", "dataclasses", "inspect"]
 
 
 @pytest.mark.parametrize("argvs, loaded", [
@@ -891,9 +894,9 @@ _DEFERRED_MODULES = ("tangles.filtration", "tangles.logics", "tangles.topo")
     ([["fmt", "p & q"], ["mc", "chain.json", "<t>{p} -> <>p"],
       ["translate", "--mode", "d", "<t>{p}"]], []),
     ([["tmc", "sierpinski.json", "<dt>{p} -> <d>p"]], ["tangles.topo"]),
-    ([["analyze", "chain.json"]], ["tangles.filtration"]),
-    ([["filtrate", "chain.json", "<>p"]], ["tangles.filtration"]),
-    ([["untangle", "chain.json", "<t>{p}"]], ["tangles.filtration"]),
+    ([["analyze", "chain.json"]], _FILTRATION),
+    ([["filtrate", "chain.json", "<>p"]], _FILTRATION),
+    ([["untangle", "chain.json", "<t>{p}"]], _FILTRATION),
     ([["sat", "--profile", "K4", "--max", "2", "<>p"]], ["tangles.logics"]),
     ([["validate", "--frame", "chain.json", "[]p -> [][]p"]], ["tangles.logics"]),
     ([["axioms", "--schema", "4", "-f", "p"]], ["tangles.logics"]),
@@ -904,16 +907,19 @@ def test_subcommands_load_only_the_modules_they_use(tmp_path, chain_model, sierp
                                                     argvs, loaded):
     """In a fresh interpreter, ``import tangles, tangles.cli`` loads none of
     ``filtration``, ``logics`` and ``topo``; a subcommand loads the one it
-    uses, and ``fmt``, ``mc`` and ``translate`` none."""
+    uses, and ``fmt``, ``mc`` and ``translate`` none.  Only the filtration
+    loads ``dataclasses`` (and with it ``inspect``), and nothing loads
+    ``typing``.  The probe runs without ``site``, whose path files may load
+    ``typing`` before the package does."""
     probe = (
         "import contextlib, io, sys\n"
         "import tangles, tangles.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [tangles.cli.main(argv) for argv in {argvs!r}]\n"
         "print(codes)\n"
-        f"print([m for m in {_DEFERRED_MODULES!r} if m in sys.modules])\n"
+        f"print([m for m in {_WATCHED_MODULES!r} if m in sys.modules])\n"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=_env(),
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], cwd=tmp_path, env=_env(),
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stderr == ""
     assert proc.stdout.splitlines() == [str([0] * len(argvs)), str(loaded)]

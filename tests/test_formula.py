@@ -807,6 +807,122 @@ def test_interning_reaches_every_construction_path():
         assert eval(repr(f), ns) is f
 
 
+def _records():
+    """One instance of each record class, its pinned ``repr`` (recorded
+    from the frozen dataclasses these classes were), and its pinned hash
+    where that does not depend on the hash seed or on object addresses."""
+    from tangles import (
+        FiniteSpace, LogicProfile, RelationProperties, SetOperators, SpacePredicates,
+        ValidityReport, closures,
+    )
+    from tangles.kripke import ClusterDecomposition, Program
+
+    space = FiniteSpace(("x",), [(), ("x",)])
+    # a two-member frozenset prints in an order that follows the hash seed
+    return [
+        (ClosureSet(frozenset({Atom("p")})),
+         "ClosureSet(formulas=frozenset({Atom(name='p')}))", None),
+        (Frame(("a", "b"), [("a", "b")]),
+         "Frame(worlds=('a', 'b'), rel=frozenset({('a', 'b')}))", None),
+        (RelationProperties(True, False, True),
+         "RelationProperties(reflexive=True, transitive=False, serial=True)",
+         2946073206561277986),
+        (closures(Frame(("a",), [])),
+         "Closures(transitive=Frame(worlds=('a',), rel=frozenset()), "
+         "reflexive_transitive=Frame(worlds=('a',), rel=frozenset({('a', 'a')})))", None),
+        (ClusterDecomposition((frozenset({"a"}),), (False,), frozenset(), (1,)),
+         "ClusterDecomposition(clusters=(frozenset({'a'}),), degenerate=(False,), "
+         "order=frozenset(), rank=(1,))", None),
+        (Program(((1, 0, 0, 0),), 1, (0,)),
+         "Program(code=((1, 0, 0, 0),), size=1, roots=(0,), tangled=False)",
+         2254066983666727266),
+        (LogicProfile("S4", "modal", reflexive=True),
+         "LogicProfile(name='S4', fragment='modal', serial=False, reflexive=True, "
+         "connected=False, local_connectedness=None)", None),
+        (ValidityReport(False, 3, {"p": ("a",)}, "a"),
+         "ValidityReport(valid=False, checked=3, witness_valuation={'p': ('a',)}, "
+         "witness_world='a')", None),
+        (space, f"FiniteSpace(points=('x',), opens={space.opens!r})", None),
+        (SetOperators(frozenset(), frozenset({"x"}), frozenset()),
+         "SetOperators(interior=frozenset(), closure=frozenset({'x'}), derivative=frozenset())",
+         None),
+        (SpacePredicates(True, False, True),
+         "SpacePredicates(is_TD=True, dense_in_itself=False, connected=True)",
+         2946073206561277986),
+    ]
+
+
+@pytest.mark.parametrize("case", range(11))
+def test_records_behave_as_the_frozen_dataclasses_they_were(case):
+    record, text, pinned_hash = _records()[case]
+    kind = type(record)
+    names = kind.__match_args__
+    values = tuple(getattr(record, name) for name in names)
+    # the repr spells every field in order, so it pins __match_args__ too
+    assert repr(record) == text
+    # equal field by field, and built again by position or by keyword
+    again = kind(*values)
+    assert again == record and not again != record
+    assert kind(**dict(zip(names, values))) == record
+    if kind is Frame:
+        assert hash(record) == hash((record.worlds, record.succ))
+    elif kind.__name__ == "ValidityReport":  # its witness is a dict
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(record)
+    else:
+        assert hash(record) == hash(again) == hash(values)
+    if pinned_hash is not None:
+        assert hash(record) == pinned_hash
+    # a record of another class with the same fields is unequal
+    twin = type("Twin", (formula._Record,), {"__annotations__": dict.fromkeys(names, "object")})
+    assert twin(*values) != record and record != twin(*values)
+    assert record != values and record != object()
+    # frozen: no field, nor any other attribute, can be set or deleted
+    for change in (lambda: setattr(record, names[0], values[0]),
+                   lambda: setattr(record, "other", 1),
+                   lambda: delattr(record, names[-1])):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            change()
+    assert tuple(getattr(record, name) for name in names) == values
+    # a missing, unknown or repeated field is refused
+    bad = [lambda: kind(*values, other=1), lambda: kind(*values, values[-1]),
+           lambda: kind(*values, **{names[0]: values[0]})]
+    if kind is not ClosureSet:  # its one field has a default
+        bad.append(lambda: kind(**dict(zip(names[1:], values[1:]))))
+    for call in bad:
+        with pytest.raises(TypeError):
+            call()
+    # copies are equal, and positional patterns read __match_args__
+    assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+    match record:
+        case kind(first):
+            assert first == values[0]
+        case _:
+            pytest.fail("no match")
+    # a record is no dataclass
+    for helper in (dataclasses.replace, dataclasses.fields, dataclasses.asdict):
+        with pytest.raises(TypeError):
+            helper(record)
+
+
+def test_record_defaults_hold():
+    from tangles import FiniteSpace, LogicProfile, ValidityReport
+    from tangles.kripke import Program
+
+    assert Program((), 0, ()).tangled is False and Program((), 0, (), True).tangled is True
+    assert ClosureSet() == ClosureSet(frozenset()) and ClosureSet().formulas == frozenset()
+    assert LogicProfile("K4", "modal") == LogicProfile(
+        name="K4", fragment="modal", serial=False, reflexive=False, connected=False,
+        local_connectedness=None,
+    )
+    assert ValidityReport(True, 5) == ValidityReport(True, 5, None, None)
+    assert ValidityReport(valid=True, checked=5, witness_world="a").witness_valuation is None
+    # a space's specialization frame is no field
+    space = FiniteSpace(("x", "y"), [(), ("x",), ("x", "y")])
+    assert FiniteSpace.__match_args__ == ("points", "opens")
+    assert space.frame.succ == (0b01, 0b11) and "frame" not in repr(space)
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_printed_length_counts_without_printing(seed):
     rng = random.Random(4300 + seed)

@@ -410,12 +410,14 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_fixture(args) -> int:
-    from .logics import figure3_constraints, figure3_model
+    from .logics import _figure3_length, figure3_constraints, figure3_model
 
+    # DOT draws the model alone.  The model has about 4m pairs and the
+    # constraints about m²/18: the output is sized from m before they are built
+    listed = args.constraints and args.format != "dot"
+    _within_limit(_figure3_length(args.m, listed), "the fixture", at_least=True)
     model = figure3_model(args.m)
-    constraints = None
-    if args.constraints:
-        constraints = [pretty(f) for f in figure3_constraints(args.m // 3)]
+    constraints = [pretty(f) for f in figure3_constraints(args.m // 3)] if listed else None
 
     def structured() -> dict:
         data = model_to_dict(model)

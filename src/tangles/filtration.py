@@ -25,7 +25,6 @@ checks were applicable.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
 
@@ -37,6 +36,7 @@ from .formula import (
     Formula,
     Neg,
     Top,
+    _Record,
     box_star,
     conj,
     dia_star,
@@ -72,8 +72,7 @@ class CriticalPointError(ValueError):
 # Filtration
 
 
-@dataclass(frozen=True)
-class FiltrationResult:
+class FiltrationResult(_Record):
     """Quotient of a finite transitive model by agreement on a closure set.
 
     ``classes[i]`` lists the source worlds mapped to ``quotient_worlds[i]``;
@@ -84,7 +83,7 @@ class FiltrationResult:
     into the quotient signature.  The quotient frame and the mask views
     (``_image``, ``_preimages``, ``_truth`` and ``_realized``, which
     :meth:`realized` reads) are computed from these fields on first use, so a
-    ``dataclasses.replace`` copy sees its own fields.  ``source`` is the
+    copy made by calling the class sees its own fields.  ``source`` is the
     model it was built from; the constructions that take the model again
     refuse any other.
     """
@@ -212,8 +211,7 @@ def _check_inputs(fr: FiltrationResult, m: KripkeModel, closure: ClosureSet) -> 
 # Untangling
 
 
-@dataclass(frozen=True)
-class UntangleResult:
+class UntangleResult(_Record):
     """Refinement of the quotient relation that restores tangle truth.
 
     ``clusters``, ``critical_points`` and ``nuclei`` are aligned: entry i
@@ -233,7 +231,10 @@ class UntangleResult:
     critical_points: tuple[str, ...]
     nuclei: tuple[frozenset[str], ...]
     r_t: frozenset[tuple[str, str]] = _Pairs()
-    filtration: FiltrationResult = field(hash=False)
+    filtration: FiltrationResult
+
+    def __hash__(self):
+        return hash(self._values()[:-1])
 
     @cached_property
     def _frame(self) -> Frame:
@@ -316,8 +317,7 @@ def untangle(
 # Reduction checks
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(_Record):
     """Outcome of replaying the closure on the untangled quotient.
 
     ``failure`` holds the first mismatch as (formula, source world,
@@ -434,8 +434,7 @@ def reduction_conditions(
 # Characteristic formulas
 
 
-@dataclass(frozen=True)
-class CharacteristicReport:
+class CharacteristicReport(_Record):
     """Which defining properties of the characteristic formulas held.
 
     The type-level checks hold on every finite transitive model.  The
@@ -461,22 +460,12 @@ class CharacteristicReport:
 
     @property
     def ok(self) -> bool:
-        """True when every applicable check passed."""
-        values = (
-            self.type_description_ok,
-            self.maximal_membership_by_type,
-            self.cluster_scope_by_type,
-            self.component_cover_ok,
-            self.maximal_membership_sharp,
-            self.cluster_scope_sharp,
-            self.class_formula_sharp,
-            self.component_formula_sharp,
-        )
-        return all(v is not False for v in values)
+        """True when every applicable check passed: the fields from
+        ``type_description_ok`` to ``component_formula_sharp``."""
+        return all(v is not False for v in self._values()[2:-1])
 
 
-@dataclass(frozen=True)
-class AtomicTypeData:
+class AtomicTypeData(_Record):
     """Atomic types of a model and the formulas they induce.
 
     The alphabet holds the closure atoms plus one diamond tracking whether
@@ -677,8 +666,7 @@ def defining_formula(
 # Preservation
 
 
-@dataclass(frozen=True)
-class FrameProfile:
+class FrameProfile(_Record):
     """Structural summary of one frame."""
 
     serial: bool
@@ -700,8 +688,7 @@ def _profile(frame: Frame) -> FrameProfile:
     )
 
 
-@dataclass(frozen=True)
-class PreservationReport:
+class PreservationReport(_Record):
     """How much frame structure survived filtration and untangling.
 
     The ``*_preserved`` fields are None when the source lacks the

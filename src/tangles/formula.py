@@ -90,8 +90,8 @@ _NODES_LOCK = threading.RLock()
 
 def _frozen(doing: str, name: str):
     """Refuse to change a field of an immutable node or record.  The error
-    class is imported only when it is raised, so that the modules every
-    command loads do not load ``dataclasses``."""
+    class is imported only when it is raised, so that no command loads
+    ``dataclasses``."""
     from dataclasses import FrozenInstanceError
 
     raise FrozenInstanceError(f"cannot {doing} field {name!r}")
@@ -534,13 +534,14 @@ def rebuild(phi: Formula, subs: Sequence[Formula]) -> Formula:
 
 
 class _Record:
-    """An immutable record: the base of the package's result and structure
-    classes.  A class body lists its fields as annotations, in order, with
-    an optional class-level default.  The record takes them by position or
-    by name, then runs ``__post_init__``; it compares, hashes, prints and
-    matches field by field, and refuses assignment and deletion, as a
-    frozen dataclass does.  It is no dataclass, so ``dataclasses.replace``,
-    ``fields`` and ``asdict`` refuse it; a call of its class remakes one."""
+    """An immutable record: the base of every record class of the package,
+    its results, structures and models.  A class body lists its fields as
+    annotations, in order, with an optional class-level default.  The
+    record takes them by position or by name, then runs ``__post_init__``;
+    it compares, hashes, prints and matches field by field, and refuses
+    assignment and deletion, as a frozen dataclass does.  It is no
+    dataclass, so ``dataclasses.replace``, ``fields`` and ``asdict``
+    refuse it; a call of its class remakes one."""
 
     def __init_subclass__(cls):
         # the class's own annotations; a class attribute that reads as

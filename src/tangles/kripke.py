@@ -314,31 +314,25 @@ def _transitive_rows(succ: Sequence[int]) -> list[int]:
     return rows
 
 
-class _Valued:
-    """A structure plus a valuation of its elements.  A subclass keeps the
-    structure in its own slot and names it by ``_structure``, its elements
-    by ``_elements`` and their kind, for messages, by ``_NOUN``.  Atoms
-    absent from ``val`` are false everywhere.  Instances are value-compared
-    and treated as immutable."""
+class _Valued(_Record):
+    """A structure plus a valuation of its elements.  A subclass declares
+    the structure as its first field and ``val`` as its second, and names
+    the elements by ``_elements`` and their kind, for messages, by
+    ``_NOUN``.  Atoms absent from ``val``, or true nowhere, are false
+    everywhere, and take no part in equality."""
 
-    __slots__ = ()
-
-    def _set_val(self, val: Mapping[str, Iterable[str]]) -> None:
+    def __post_init__(self):
         scope = set(self._elements)
-        self.val = {}
-        for atom, elements in val.items():
-            found = self.val[atom] = frozenset(_collection(elements, f"valuation of '{atom}'"))
+        val = {}
+        for atom, elements in self.val.items():
+            found = val[atom] = frozenset(_collection(elements, f"valuation of '{atom}'"))
             if not found <= scope:
                 raise ValueError(f"valuation of '{atom}' mentions unknown {self._NOUN}")
+        object.__setattr__(self, "val", val)
 
-    def _key(self) -> tuple:
-        return self._structure, frozenset((a, s) for a, s in self.val.items() if s)
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if isinstance(other, type(self)) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
+    def _values(self) -> tuple:
+        structure, val = super()._values()
+        return structure, frozenset((a, s) for a, s in val.items() if s)
 
     def __repr__(self):
         return f"{type(self).__name__}({self._NOUN}={len(self._elements)}, atoms={sorted(self.val)})"
@@ -347,14 +341,10 @@ class _Valued:
 class KripkeModel(_Valued):
     """A frame plus a valuation of its worlds."""
 
-    __slots__ = ("frame", "val")
+    frame: Frame
+    val: Mapping[str, Iterable[str]]
     _NOUN = "worlds"
-    _structure = property(lambda self: self.frame)
     _elements = property(lambda self: self.frame.worlds)
-
-    def __init__(self, frame: Frame, val: Mapping[str, Iterable[str]]):
-        self.frame = frame
-        self._set_val(val)
 
 
 # ---------------------------------------------------------------------------

@@ -127,17 +127,22 @@ _TANGLED = {
 _G_RE = re.compile(r"^G([1-9]\d*)(d?)$")
 
 
+def _names_length(n: int) -> int:
+    """Characters in the names x0..x(n-1), for n at least 1: two each, and
+    a digit more per index from 10, 100, ..."""
+    return 2 * n + sum(n - 10**d for d in range(1, len(str(n - 1))))
+
+
 def _gn_length(schema: str) -> int:
     """``printed_length(instantiate(schema))`` for ``G``n on its default
     atoms, from n alone, or 0 for any other schema.  Its n+1 exclusions
-    each print n ``~``, n `` & `` and p0..pn (a digit more per index from
-    10, 100, ...) thrice: in ``<>(...)``, ``~(...)`` and ``<>~(...)``."""
+    each print n ``~``, n `` & `` and p0..pn thrice: in ``<>(...)``,
+    ``~(...)`` and ``<>~(...)``."""
     g = _G_RE.match(schema)
     if not g or g.group(2):
         return 0
     m = int(g.group(1)) + 1
-    names = 2 * m + sum(m - 10**d for d in range(1, len(str(m - 1))))
-    return 3 * m * (names + 4 * m - 4) + 23 * m + 2
+    return 3 * m * (_names_length(m) + 4 * m - 4) + 23 * m + 2
 
 
 #: Schema ids with fixed arity; G1, G2, ... and G1d are recognised by pattern.
@@ -505,6 +510,20 @@ def figure3_model(m: int) -> KripkeModel:
         val[f"p{i}"] = {f"b{k}" for k in (3 * i, 3 * i + 1) if k <= m + 1}
         i += 1
     return KripkeModel(Frame(worlds, frozenset(rel)), val)
+
+
+def _figure3_length(m: int, constraints: bool) -> int:
+    """A lower bound, from m alone, on what the fence fixture prints in any
+    format: the world list and the 4m+5 pairs (loops, and two edges from
+    each spine world) print spine names five times and post names four,
+    with three more characters a pair.  With ``constraints``, each
+    ``A ~(<>pi & <>pj)`` prints 12 characters besides its two names."""
+    m = max(m, 0)  # figure3_model refuses a negative m
+    bound = 5 * _names_length(m + 1) + 4 * _names_length(m + 2) + 12 * m + 15
+    if constraints:
+        k = m // 3 + 1
+        bound += (k - 1) * (6 * k + _names_length(k))
+    return bound
 
 
 def figure3_constraints(max_index: int) -> tuple[Formula, ...]:

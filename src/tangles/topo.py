@@ -103,14 +103,10 @@ class FiniteSpace(_Record):
 class TopoModel(_Valued):
     """A finite space plus a valuation of its points."""
 
-    __slots__ = ("space", "val")
+    space: FiniteSpace
+    val: Mapping[str, Iterable[str]]
     _NOUN = "points"
-    _structure = property(lambda self: self.space)
     _elements = property(lambda self: self.space.points)
-
-    def __init__(self, space: FiniteSpace, val: Mapping[str, Iterable[str]]):
-        self.space = space
-        self._set_val(val)
 
 
 class SetOperators(_Record):

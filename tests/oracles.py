@@ -48,7 +48,6 @@ depth limit is Python's recursion limit.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import re
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -106,6 +105,12 @@ from tangles import (
 )
 from tangles.formula import rebuild
 from tangles.logics import SEARCH_BUDGET, VALUATION_BUDGET
+
+
+def remade(record, **changes):
+    """A copy of ``record``: its class called on the fields that
+    ``__match_args__`` names, with ``changes`` applied."""
+    return type(record)(**{name: getattr(record, name) for name in record.__match_args__} | changes)
 
 
 def tree_extension(ev: Evaluator, phi: Formula, val: Mapping[str, int]) -> int:
@@ -850,7 +855,7 @@ def tree_characteristic_formulas(m: KripkeModel, closure: ClosureSet) -> AtomicT
         report=None,
     )
     report = _verify_characteristics(data, m, ev, masks, dec, signature_of)
-    return dataclasses.replace(data, report=report)
+    return remade(data, report=report)
 
 
 def _verify_characteristics(

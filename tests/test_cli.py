@@ -662,6 +662,61 @@ def test_fixture_figure3(capsys):
     assert run(capsys, "fixture", "figure3", "--m", "-1")[0] == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured", "dot"])
+def test_fixture_length_bound_holds_in_every_format(capsys, fmt):
+    # the bound the fixture is refused by is never above what it prints;
+    # DOT prints no constraints, so their bound is not added
+    from tangles.logics import _figure3_length
+
+    for m in [*range(40), 99, 100, 101, 333]:
+        for flags in ([], ["--constraints"]):
+            code, out, _ = run(capsys, "fixture", "figure3", "--m", str(m), "--format", fmt, *flags)
+            assert code == 0
+            assert _figure3_length(m, bool(flags) and fmt != "dot") <= len(out), (m, flags)
+    # the pair constraints dominate, and the bound counts them all
+    if fmt == "text":
+        code, out, _ = run(capsys, "fixture", "figure3", "--m", "300", "--constraints")
+        assert (len(out), _figure3_length(300, True)) == (118120, 103477)
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["--m", "100000000000"], 11900000000194),
+    (["--m", "4000", "--constraints"], 18298902),
+    (["--m", "4000", "--constraints", "--format", "structured"], 18298902),
+])
+def test_fixture_refuses_an_output_over_the_limit_before_building_it(
+    capsys, monkeypatch, argv, size
+):
+    def built(*args):
+        raise AssertionError("the fixture was built")
+
+    monkeypatch.setattr("tangles.logics.figure3_model", built)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "fixture", "figure3", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: the fixture would print at least {size} characters,"
+        f" over the limit of {cli._PRINT_LIMIT}\n"
+    )
+    assert peak < 1 << 20
+
+
+def test_fixture_dot_builds_no_constraints(capsys, monkeypatch):
+    # DOT draws the model alone, so --constraints builds none
+    plain = run(capsys, "fixture", "figure3", "--m", "30", "--format", "dot")
+    assert plain[0] == 0
+
+    def built(*args):
+        raise AssertionError("the constraints were built")
+
+    monkeypatch.setattr("tangles.logics.figure3_constraints", built)
+    assert run(capsys, "fixture", "figure3", "--m", "30", "--constraints", "--format", "dot") == plain
+
+
 def test_axioms_member_set_errors_exit_2(capsys):
     # a -s text is one member set, and error positions count from it
     code, out, err = run(capsys, "axioms", "--schema", "G1", "-s", "{p} & q")
@@ -885,8 +940,9 @@ def test_importing_the_cli_builds_no_parser():
 
 _WATCHED_MODULES = ("tangles.filtration", "tangles.logics", "tangles.topo",
                     "dataclasses", "inspect", "typing")
-# the filtration's results are dataclasses, and dataclasses loads inspect
-_FILTRATION = ["tangles.filtration", "dataclasses", "inspect"]
+# the filtration's results are records like the rest, so no subcommand
+# loads dataclasses (or inspect, which it loads)
+_FILTRATION = ["tangles.filtration"]
 
 
 @pytest.mark.parametrize("argvs, loaded", [
@@ -907,9 +963,8 @@ def test_subcommands_load_only_the_modules_they_use(tmp_path, chain_model, sierp
                                                     argvs, loaded):
     """In a fresh interpreter, ``import tangles, tangles.cli`` loads none of
     ``filtration``, ``logics`` and ``topo``; a subcommand loads the one it
-    uses, and ``fmt``, ``mc`` and ``translate`` none.  Only the filtration
-    loads ``dataclasses`` (and with it ``inspect``), and nothing loads
-    ``typing``.  The probe runs without ``site``, whose path files may load
+    uses, and ``fmt``, ``mc`` and ``translate`` none.  Nothing loads
+    ``dataclasses``, ``inspect`` or ``typing``.  The probe runs without ``site``, whose path files may load
     ``typing`` before the package does."""
     probe = (
         "import contextlib, io, sys\n"

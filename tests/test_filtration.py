@@ -1,7 +1,6 @@
 """Filtration and untangling: quotient bookkeeping, the reduction check,
 characteristic formulas, structure preservation."""
 
-import dataclasses
 import random
 from itertools import product
 
@@ -33,9 +32,11 @@ from tangles import (
     untangle,
     verify_reduction,
 )
+from tangles import logics
 from tangles.kripke import _columns
 from gen import random_cluster_model, random_formula, random_model
 from oracles import (
+    remade,
     tree_characteristic_formulas,
     tree_filtrate,
     tree_reduction_conditions,
@@ -200,10 +201,10 @@ def test_an_untangling_is_read_only_with_its_filtration(name):
     with pytest.raises(ValueError, match=foreign):
         read(f2, chain_ut, m2, closure)
     # its own untangling is read, with an equal copy of the filtration and
-    # with a copy of the untangling made by replace
+    # with a copy of the untangling remade from its fields
     ut = untangle(f2, m2, closure)
     read(f2, ut, m2, closure)
-    copy = dataclasses.replace(ut, nuclei=ut.nuclei)
+    copy = remade(ut, nuclei=ut.nuclei)
     assert copy == ut and hash(copy) == hash(ut)
     read(filtrate(m2, closure), copy, m2, closure)
 
@@ -347,24 +348,36 @@ def test_reduction_lemma_on_every_small_model():
     assert models == 2632
 
 
-def test_reduction_lemma_on_every_four_world_model():
-    # every transitive frame of 4 worlds up to isomorphism, 242 of them,
-    # under every valuation of p, with one closure per mode; the 5-world
-    # sweep (60,640 models) takes half a minute and is left out
+def _reduction_lemma_on_every_model(n):
+    """Check the reduction on every transitive frame of ``n`` worlds up to
+    isomorphism, under every valuation of p, with one closure per mode, and
+    return the number of frames."""
     closures = {
         "standard": closure_of(parse("<t>{p, ~p}"), Dia(Top())),
         "refined": closure_of(parse("<t>{p, ~p} | []p"), Dia(Top())),
     }
-    frames = list(enumerate_frames(4))
-    assert len(frames) == 242
+    frames = list(enumerate_frames(n))
     for frame in frames:
-        for ps in range(1 << 4):
+        for ps in range(1 << n):
             m = KripkeModel(frame, {"p": frame.unmask(ps)})
             for mode, closure in closures.items():
                 fr = filtrate(m, closure, mode)
                 report = verify_reduction(fr, untangle(fr, m, closure), m, closure)
                 assert report.ok, (mode, model_to_dict(m), report.failure)
                 assert reduction_conditions(fr, m, closure) == [], (mode, model_to_dict(m))
+    return len(frames)
+
+
+def test_reduction_lemma_on_every_four_world_model():
+    assert _reduction_lemma_on_every_model(4) == 242
+
+
+@pytest.mark.sweep
+def test_reduction_lemma_on_every_five_world_model(monkeypatch):
+    # 1,895 frames, 60,640 models: about half a minute, so it runs in its
+    # own CI step rather than in the default run
+    monkeypatch.setattr(logics, "_CANONICAL_LIMIT", 5)
+    assert _reduction_lemma_on_every_model(5) == 1895
 
 
 # closures of the local connectedness sweeps, each with <>true, p and q
@@ -465,15 +478,15 @@ def test_reduction_conditions_flag_forged_quotients():
     closure = closure_of(Dia(p))
     fr = filtrate(m, closure)
     assert reduction_conditions(fr, m, closure) == []
-    forged = dataclasses.replace(fr, quotient_val={"p": ()})
+    forged = remade(fr, quotient_val={"p": ()})
     assert any("valuation of p" in msg for msg in reduction_conditions(forged, m, closure))
-    gutted = dataclasses.replace(fr, r_phi=frozenset())
+    gutted = remade(fr, r_phi=frozenset())
     assert any("lost in the quotient" in msg for msg in reduction_conditions(gutted, m, closure))
-    # a copy made by replace reads its own fields, never the original's
+    # a copy remade from its fields reads them, never the original's
     # quotient frame or masks
     ut = untangle(fr, m, closure)
     assert verify_reduction(fr, ut, m, closure).ok
-    assert not verify_reduction(fr, dataclasses.replace(ut, r_t=frozenset()), m, closure).ok
+    assert not verify_reduction(fr, remade(ut, r_t=frozenset()), m, closure).ok
     assert preservation_report(fr, ut, m).filtered.connected
     assert untangle(gutted, m, closure).r_t == frozenset()
     gutted_report = preservation_report(gutted, untangle(gutted, m, closure), m)
@@ -488,17 +501,17 @@ def test_reduction_conditions_name_each_forged_condition():
     assert reduction_conditions(fr, m, closure) == []
     qa, qb = fr.quotient_map["a"], fr.quotient_map["b"]
     bound = 2 ** len(closure)
-    seen_across = dataclasses.replace(fr, r_phi=fr.r_phi | {(qa, qb)})
+    seen_across = remade(fr, r_phi=fr.r_phi | {(qa, qb)})
     cases = {
         "class of a mixes worlds with different profiles":
-            dataclasses.replace(fr, classes=(("a", "b"),)),
+            remade(fr, classes=(("a", "b"),)),
         "<t>{p} holds at b but not at a across the quotient": seen_across,
         "<>p fails at a despite its body holding from b": seen_across,
-        f"{2 + bound} quotient worlds exceed the bound {bound}": dataclasses.replace(
+        f"{2 + bound} quotient worlds exceed the bound {bound}": remade(
             fr, quotient_worlds=fr.quotient_worlds + tuple(f"x{k}" for k in range(bound))
         ),
         f"cluster of {min(qa, qb)} mixes worlds realising different tangle or diamond members":
-            dataclasses.replace(fr, r_phi=fr.r_phi | {(qa, qa), (qa, qb), (qb, qa)}),
+            remade(fr, r_phi=fr.r_phi | {(qa, qa), (qa, qb), (qb, qa)}),
     }
     for message, forged in cases.items():
         found = reduction_conditions(forged, m, closure)
@@ -512,7 +525,7 @@ def test_untangle_refuses_a_cluster_without_critical_point():
     m = KripkeModel(Frame(("a", "b"), frozenset(product("ab", repeat=2))), {"p": {"b"}})
     closure = closure_of(Tangle((p,)))
     fr = filtrate(m, closure)
-    forged = dataclasses.replace(
+    forged = remade(
         fr, source_truth={**fr.source_truth, Tangle((p,)): frozenset()}
     )
     with pytest.raises(CriticalPointError, match="no critical point for cluster"):
@@ -532,15 +545,15 @@ def test_realized_is_the_image_of_the_source_truth(seed):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_preimages_are_the_columns_of_the_image(seed):
-    # filtrate keeps each class mask it built; a replace copy computes the
-    # same masks from its own fields
+    # filtrate keeps each class mask it built; a copy remade from its fields
+    # computes the same masks from them
     rng = random.Random(8600 + seed)
     m = random_model(rng, rng.randint(1, 9), ("p", "q"), kind="transitive")
     closure = random_closure(rng)
     for mode in ("standard", "refined"):
         fr = filtrate(m, closure, mode)
         want = _columns(fr._image, len(fr.quotient_worlds))
-        assert fr._preimages == want == dataclasses.replace(fr)._preimages
+        assert fr._preimages == want == remade(fr)._preimages
 
 
 def _outcome(fn, *args, **kwargs):
@@ -573,7 +586,7 @@ def test_filtration_matches_pair_set_oracles(seed):
             assert report == tree_verify_reduction(fr, ut, m, closure)
             # a forged relation fails the check at the same place
             r_t = frozenset(p for p in ut.r_t if rng.random() < 0.7)
-            forged_ut = dataclasses.replace(ut, r_t=r_t)
+            forged_ut = remade(ut, r_t=r_t)
             assert _outcome(verify_reduction, fr, forged_ut, m, closure) == _outcome(
                 tree_verify_reduction, fr, forged_ut, m, closure
             )
@@ -581,9 +594,9 @@ def test_filtration_matches_pair_set_oracles(seed):
         loops = frozenset(p for p in fr.r_phi if p[0] == p[1] and rng.random() < 0.8)
         val = {a: tuple(w for w in ws if rng.random() < 0.8) for a, ws in fr.quotient_val.items()}
         for forged in (
-            dataclasses.replace(fr, r_phi=loops),
-            dataclasses.replace(fr, quotient_val=val),
-            dataclasses.replace(fr, r_phi=frozenset(p for p in fr.r_phi if rng.random() < 0.8)),
+            remade(fr, r_phi=loops),
+            remade(fr, quotient_val=val),
+            remade(fr, r_phi=frozenset(p for p in fr.r_phi if rng.random() < 0.8)),
         ):
             assert _outcome(reduction_conditions, forged, m, closure) == _outcome(
                 tree_reduction_conditions, forged, m, closure
@@ -667,6 +680,19 @@ def test_defining_formula(seed):
     )
     with pytest.raises(ValueError):
         defining_formula(fr, data, {"not-a-world"})
+
+
+def test_characteristic_report_ok_reads_every_applicable_check():
+    # types_distinct and reachable_serial say which checks apply; any other
+    # check fails the report when False and is skipped when None
+    from tangles.filtration import CharacteristicReport
+
+    names = CharacteristicReport.__match_args__[:-1]
+    for name in names:
+        fields = dict.fromkeys(names, True) | {"notes": ()}
+        assert CharacteristicReport(**fields | {name: None}).ok
+        failed = CharacteristicReport(**fields | {name: False})
+        assert failed.ok == (name in ("types_distinct", "reachable_serial")), name
 
 
 @pytest.mark.parametrize("seed", range(240))

@@ -812,12 +812,34 @@ def _records():
     from the frozen dataclasses these classes were), and its pinned hash
     where that does not depend on the hash seed or on object addresses."""
     from tangles import (
-        FiniteSpace, LogicProfile, RelationProperties, SetOperators, SpacePredicates,
-        ValidityReport, closures,
+        FiniteSpace, KripkeModel, LogicProfile, RelationProperties, SetOperators,
+        SpacePredicates, TopoModel, ValidityReport, closures, filtrate, untangle,
+    )
+    from tangles.filtration import (
+        AtomicTypeData, CharacteristicReport, FrameProfile, PreservationReport, ReductionReport,
     )
     from tangles.kripke import ClusterDecomposition, Program
 
     space = FiniteSpace(("x",), [(), ("x",)])
+    model = KripkeModel(Frame(("a",), [("a", "a")]), {"p": ["a"]})
+    fr = filtrate(model, ClosureSet(frozenset({Atom("p")})))
+    fr_text = (
+        "FiltrationResult(mode='standard', closure=ClosureSet(formulas=frozenset({Atom(name='p')})), "
+        "quotient_worlds=('c0',), classes=(('a',),), quotient_map={'a': 'c0'}, "
+        "r_lambda=frozenset({('c0', 'c0')}), r_phi=frozenset({('c0', 'c0')}), "
+        "quotient_val={'p': ('c0',)}, source_truth={Atom(name='p'): frozenset({'a'})}, "
+        "maximal_clusters=(frozenset({'a'}),), source=KripkeModel(worlds=1, atoms=['p']))"
+    )
+    checks = CharacteristicReport(*[True] * 10, ())
+    checks_text = (
+        "CharacteristicReport(types_distinct=True, reachable_serial=True, "
+        "type_description_ok=True, maximal_membership_by_type=True, cluster_scope_by_type=True, "
+        "component_cover_ok=True, maximal_membership_sharp=True, cluster_scope_sharp=True, "
+        "class_formula_sharp=True, component_formula_sharp=True, notes=())"
+    )
+    profile = FrameProfile(True, True, True, 1, 1)
+    profile_text = ("FrameProfile(serial=True, reflexive=True, connected=True, "
+                    "path_component_count=1, local_connectedness=1)")
     # a two-member frozenset prints in an order that follows the hash seed
     return [
         (ClosureSet(frozenset({Atom("p")})),
@@ -849,16 +871,45 @@ def _records():
         (SpacePredicates(True, False, True),
          "SpacePredicates(is_TD=True, dense_in_itself=False, connected=True)",
          2946073206561277986),
+        (fr, fr_text, None),
+        (untangle(fr, model, fr.closure),
+         "UntangleResult(reflexive_mode=False, quotient_worlds=('c0',), "
+         "clusters=(frozenset({'c0'}),), critical_points=('a',), nuclei=(frozenset({'c0'}),), "
+         f"r_t=frozenset({{('c0', 'c0')}}), filtration={fr_text})", None),
+        # None hashes by address before Python 3.12
+        (ReductionReport(True, 1, None), "ReductionReport(ok=True, checked=1, failure=None)", None),
+        (checks, checks_text, 6713098372001534491),
+        (AtomicTypeData(
+            (Atom("p"),), {"a": frozenset({Atom("p")})}, (frozenset({frozenset({Atom("p")})}),),
+            (0,), {"a": (0,)}, {0: Atom("p")}, {0: Dia(Atom("p"))}, {"a": Atom("p")},
+            {"a": Atom("p")}, {"a": ()}, checks),
+         "AtomicTypeData(alphabet=(Atom(name='p'),), type_of={'a': frozenset({Atom(name='p')})}, "
+         "cluster_types=(frozenset({frozenset({Atom(name='p')})}),), maximal_clusters=(0,), "
+         "sees_maximal={'a': (0,)}, cluster_formula={0: Atom(name='p')}, "
+         "sees_cluster_formula={0: Dia(sub=Atom(name='p'))}, profile_formula={'a': Atom(name='p')}, "
+         "class_formula={'a': Atom(name='p')}, component_formulas={'a': ()}, "
+         f"report={checks_text})", None),
+        (profile, profile_text, 7340327685198478874),
+        (PreservationReport(profile, profile, profile, *[True] * 6, ()),
+         f"PreservationReport(source={profile_text}, filtered={profile_text}, "
+         f"untangled={profile_text}, serial_preserved=True, reflexive_preserved=True, "
+         "connected_preserved=True, sees_reflexive=True, path_components_equal=True, "
+         "common_successor_ok=True, warnings=())", -5726401869338024628),
+        # a model prints its size and atoms, not its fields
+        (KripkeModel(Frame(("a", "b"), [("a", "b")]), {"p": ["a"], "q": []}),
+         "KripkeModel(worlds=2, atoms=['p', 'q'])", None),
+        (TopoModel(space, {"p": ["x"]}), "TopoModel(points=1, atoms=['p'])", None),
     ]
 
 
-@pytest.mark.parametrize("case", range(11))
+@pytest.mark.parametrize("case", range(20))
 def test_records_behave_as_the_frozen_dataclasses_they_were(case):
     record, text, pinned_hash = _records()[case]
     kind = type(record)
     names = kind.__match_args__
     values = tuple(getattr(record, name) for name in names)
-    # the repr spells every field in order, so it pins __match_args__ too
+    # the repr spells every field in order, so it pins __match_args__ too,
+    # but a model's spells its size and atoms
     assert repr(record) == text
     # equal field by field, and built again by position or by keyword
     again = kind(*values)
@@ -866,9 +917,25 @@ def test_records_behave_as_the_frozen_dataclasses_they_were(case):
     assert kind(**dict(zip(names, values))) == record
     if kind is Frame:
         assert hash(record) == hash((record.worlds, record.succ))
-    elif kind.__name__ == "ValidityReport":  # its witness is a dict
+    elif kind.__name__ in ("ValidityReport", "FiltrationResult", "AtomicTypeData"):
+        # each holds a dict
         with pytest.raises(TypeError, match="unhashable type: 'dict'"):
             hash(record)
+    elif kind.__name__ == "UntangleResult":
+        # the filtration is compared but not hashed
+        assert hash(record) == hash(again) == hash(values[:-1])
+        from tangles import filtrate
+
+        fr = values[-1]
+        forged = kind(*values[:-1], filtrate(fr.source, fr.closure, "refined"))
+        assert hash(forged) == hash(record) and forged != record
+    elif kind.__name__ in ("KripkeModel", "TopoModel"):
+        # an atom true nowhere takes no part in equality or hashing
+        structure, val = values
+        assert hash(record) == hash((structure, frozenset((a, s) for a, s in val.items() if s)))
+        assert kind(structure, {a: s for a, s in val.items() if s}) == record
+        assert kind(structure, dict(val, r=set())) == record
+        assert kind(structure, {"q": set()}) == kind(structure, {})
     else:
         assert hash(record) == hash(again) == hash(values)
     if pinned_hash is not None:

@@ -3,8 +3,9 @@
 One subcommand per capability, stable machine output under
 ``--format structured`` (JSON with sorted keys), DOT export where a model or
 frame is produced.  Exit codes: 0 success or "true", 1 a counterexample or
-"false" or "not found", 2 usage errors of any kind, 3 a search budget or the
-print limit of ``translate`` exceeded.  All diagnostics go to stderr.
+"false" or "not found", 2 usage errors of any kind, 3 a search budget, the
+print limit of ``translate``, or the world limit of a frame or space (36,635
+worlds or points) exceeded.  All diagnostics go to stderr.
 
 The handlers that need ``filtration``, ``logics`` or ``topo`` import it
 themselves, so a process loads only what its subcommand uses.

@@ -71,12 +71,25 @@ class BudgetExceededError(RuntimeError):
 VALUATION_BUDGET = 1 << 22
 #: Work budget for ``bounded_sat``: at most this many frame/valuation pairs.
 SEARCH_BUDGET = 1 << 21
+#: Bytes a frame's table of world bits and its successor rows may take.  Over
+#: n worlds the bit ``1 << i`` takes about i/7.5 bytes, so the table takes
+#: about n²/15 and full rows twice that: n²/5 in all.  A budget of 256 MiB
+#: gives a limit of 36,635 worlds, or points of a space.
+_FRAME_MEMORY = 1 << 28
+_WORLD_LIMIT = int((5 * _FRAME_MEMORY) ** 0.5)
+
+
+def _within_world_limit(count: int, kind: str = "frame", noun: str = "worlds") -> None:
+    """Refuse a frame, or a space, of ``count`` worlds or points over the
+    limit, before its bit table or rows are built."""
+    if count > _WORLD_LIMIT:
+        raise BudgetExceededError(f"a {kind} of {count} {noun} is over the limit of {_WORLD_LIMIT}")
 
 
 class _Pairs:
     """A relation field that reads as a frozenset of pairs.  It keeps the
-    pairs it was given; a :class:`Frame` given instead, or the frame itself
-    when none was, stands for its rows, spelled out as pairs on first read."""
+    pairs a record was given; a :class:`Frame` given instead, or the frame
+    itself, which keeps none, stands for its rows, spelled out on first read."""
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -99,19 +112,19 @@ class Frame(_Record):
     """Worlds in canonical order plus the relation as successor rows:
     ``succ[i]`` has bit ``j`` set iff world ``i`` sees world ``j``.
 
-    Frames compare and hash on ``worlds`` and ``succ``.  ``rel`` is the
-    relation as a set of pairs, kept when the frame is built from pairs and
-    spelled out on first read when it is built from rows.  The rest of the
-    relation index (``index``, ``pred``, ``transitive``, ``cluster_masks``)
-    is cached on the instance, so analyses of the same frame object share
-    it; ``cluster_masks`` reads only ``succ``.
+    Frames compare and hash on ``worlds`` and ``succ``, the one stored
+    relation: a frame built from pairs keeps none of them, and ``rel``, the
+    relation as a set of pairs, is spelled out from the rows on first read.
+    The rest of the relation index (``index``, ``pred``, ``transitive``,
+    ``cluster_masks``) is cached on the instance, so analyses of the same
+    frame object share it; ``cluster_masks`` reads only ``succ``.
     """
 
     worlds: tuple[str, ...]
     rel: frozenset[tuple[str, str]] = _Pairs()
 
     def __post_init__(self):
-        given = self.__dict__["rel"]
+        given = self.__dict__.pop("rel")
         unordered = isinstance(given, (frozenset, set))
         pairs = given if unordered else tuple(given)
         worlds = _checked_worlds(self.worlds)
@@ -129,7 +142,7 @@ class Frame(_Record):
         bad = filterfalse(_is_pair, pairs)
         for entry in sorted(bad, key=repr) if unordered else bad:
             raise ValueError(f"relation entry {entry!r} is not a pair")
-        self.__dict__.update(worlds=worlds, rel=frozenset(pairs), succ=succ, _bit=bit)
+        self.__dict__.update(worlds=worlds, succ=succ, _bit=bit)
 
     @classmethod
     def from_rows(cls, worlds: Iterable[str], succ: Iterable[int]) -> Frame:
@@ -143,13 +156,8 @@ class Frame(_Record):
         frame.__dict__.update(worlds=worlds, succ=succ)
         return frame
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.worlds == other.worlds and self.succ == other.succ
-
-    def __hash__(self):
-        return hash((self.worlds, self.succ))
+    def _values(self) -> tuple:
+        return self.worlds, self.succ
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -209,6 +217,7 @@ def _checked_worlds(worlds: Iterable[str]) -> tuple[str, ...]:
         raise ValueError("a frame needs at least one world")
     if len(set(worlds)) != len(worlds):
         raise ValueError("duplicate world ids")
+    _within_world_limit(len(worlds))
     return worlds
 
 
@@ -917,6 +926,7 @@ def model_from_dict(data: Mapping) -> KripkeModel:
     over the pairs, and ``index`` and ``pred`` are built when read."""
     try:
         worlds = tuple(str(w) for w in _listed(data["worlds"]))
+        _within_world_limit(len(worlds))
         bit, succ, stray = _relation_rows(worlds, _listed(data["rel"], nested=True), str)
         val = _valuation_data(data)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -496,11 +496,12 @@ def figure3_model(m: int) -> KripkeModel:
         raise ValueError("m must be at least 0")
     spine = [f"a{k}" for k in range(m + 1)]
     posts = [f"b{k}" for k in range(m + 2)]
-    worlds = tuple(spine + posts)
-    rel = {(w, w) for w in worlds}
-    for k in range(m + 1):
-        rel.add((f"a{k}", f"b{k}"))
-        rel.add((f"a{k}", f"b{k + 1}"))
+    # a_k sees itself and the posts b_k and b_(k+1), at m+1+k and m+2+k; a
+    # post sees itself.  The frame checks its size before it reads a row.
+    rows = itertools.chain(
+        (1 << k | 3 << m + 1 + k for k in range(m + 1)), (1 << m + 1 + k for k in range(m + 2))
+    )
+    frame = Frame.from_rows(spine + posts, rows)
     colours = ("r", "g", "b")
     val: dict[str, set[str]] = {c: set() for c in colours}
     for k in range(m + 2):
@@ -509,7 +510,7 @@ def figure3_model(m: int) -> KripkeModel:
     while 3 * i <= m + 1:
         val[f"p{i}"] = {f"b{k}" for k in (3 * i, 3 * i + 1) if k <= m + 1}
         i += 1
-    return KripkeModel(Frame(worlds, frozenset(rel)), val)
+    return KripkeModel(frame, val)
 
 
 def _figure3_length(m: int, constraints: bool) -> int:

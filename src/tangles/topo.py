@@ -36,6 +36,7 @@ from .kripke import (
     _picked,
     _Valued,
     _valuation_data,
+    _within_world_limit,
     path_components,
 )
 
@@ -66,6 +67,7 @@ class FiniteSpace(_Record):
             raise SpaceError("a space needs at least one point")
         if len(set(points)) != len(points):
             raise SpaceError("duplicate point ids")
+        _within_world_limit(len(points), "space", "points")
         bit = {p: 1 << i for i, p in enumerate(points)}
         try:
             opens = set(map(sum, map(partial(map, bit.__getitem__), self.opens)))

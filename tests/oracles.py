@@ -40,6 +40,9 @@ it enumerates the simple cycles the world reaches and asks whether one
 meets every member, where ``tree_extension`` applies the cluster criterion
 and ``kripke`` iterates the greatest fixpoint.
 
+``tree_figure3_model`` builds the fence fixture from its pairs of world
+names, where ``logics.figure3_model`` sets the bits of each world's row.
+
 ``tree_parse`` is the recursive-descent parser that ``formula.parse``
 replaced: it tokenizes in a Python loop and descends through six levels of
 calls for every node of the tree the text spells, repeats included.  Its
@@ -1124,3 +1127,23 @@ def tree_star(phi: Formula) -> Formula:
         return rebuild(f, subs)
 
     return walk(phi)
+
+
+def tree_figure3_model(m: int) -> KripkeModel:
+    """The fence fixture built from pairs: spine worlds a0..am, each seeing
+    itself and the posts b_k and b_(k+1) below it, posts b0..b(m+1) seeing
+    themselves; colours r, g, b in rotation on the posts, and pi on the
+    posts b(3i) and b(3i+1)."""
+    spine = [f"a{k}" for k in range(m + 1)]
+    posts = [f"b{k}" for k in range(m + 2)]
+    worlds = tuple(spine + posts)
+    rel = {(w, w) for w in worlds}
+    for k in range(m + 1):
+        rel.add((f"a{k}", f"b{k}"))
+        rel.add((f"a{k}", f"b{k + 1}"))
+    val: dict[str, set[str]] = {c: set() for c in "rgb"}
+    for k in range(m + 2):
+        val["rgb"[k % 3]].add(f"b{k}")
+    for i in range((m + 1) // 3 + 1):
+        val[f"p{i}"] = {f"b{k}" for k in (3 * i, 3 * i + 1) if k <= m + 1}
+    return KripkeModel(Frame(worlds, frozenset(rel)), val)

@@ -705,6 +705,41 @@ def test_fixture_refuses_an_output_over_the_limit_before_building_it(
     assert peak < 1 << 20
 
 
+@pytest.fixture(scope="module")
+def oversized(tmp_path_factory):
+    """A model of 100,003 worlds and no pairs, and a space of as many points
+    with only the empty and the whole set open, past the world limit."""
+    names = [f"w{i}" for i in range(100_003)]
+    folder = tmp_path_factory.mktemp("oversized")
+    (folder / "model.json").write_text(json.dumps({"worlds": names, "rel": []}))
+    (folder / "space.json").write_text(json.dumps({"points": names, "opens": [[], names]}))
+    return {"MODEL": str(folder / "model.json"), "SPACE": str(folder / "space.json")}
+
+
+@pytest.mark.parametrize("argv, what, n", [
+    (["fixture", "figure3", "--m", "200000"], "a frame of 400003 worlds", 400_003),
+    (["mc", "MODEL", "p"], "a frame of 100003 worlds", 100_003),
+    (["analyze", "MODEL"], "a frame of 100003 worlds", 100_003),
+    (["tmc", "SPACE", "p"], "a space of 100003 points", 100_003),
+])
+def test_an_oversized_frame_or_space_is_refused_before_its_bit_table(
+    capsys, oversized, argv, what, n
+):
+    from tangles.kripke import _WORLD_LIMIT
+
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *[oversized.get(arg, arg) for arg in argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err == f"error: {what} is over the limit of {_WORLD_LIMIT}\n"
+    # linear in the input, a few hundred bytes a world, where the table of
+    # world bits alone would take n²/15 bytes for n worlds
+    assert peak < 512 * n < n * n // 15 // 8
+
+
 def test_fixture_dot_builds_no_constraints(capsys, monkeypatch):
     # DOT draws the model alone, so --constraints builds none
     plain = run(capsys, "fixture", "figure3", "--m", "30", "--format", "dot")

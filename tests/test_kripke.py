@@ -702,6 +702,8 @@ def test_frame_index_is_lazy_and_not_part_of_the_value():
     h = Frame.from_rows(("a", "b"), (0b10, 0))
     assert h == f and hash(h) == hash(f) and "rel" not in vars(h)
     assert repr(h) == repr(f) and vars(h)["rel"] == f.rel
+    # frames compare and hash through the record base, on their rows
+    assert "__eq__" not in vars(Frame) and "__hash__" not in vars(Frame)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -719,6 +721,13 @@ def test_row_built_frames_match_pair_built_ones(seed):
         assert copied == frame and copied.succ == frame.succ
     check_against_oracles(built)
     assert built == frame and hash(built) == hash(frame)
+    # a frame built from pairs, as a set or as a list, keeps only its rows
+    # and spells the pairs from them when they are read
+    for given in (frame.rel, sorted(frame.rel)):
+        paired = Frame(frame.worlds, given)
+        assert "rel" not in vars(paired) and paired.succ == frame.succ
+        assert paired == built and hash(paired) == hash(built)
+        assert paired.rel == frozenset(given) and "rel" in vars(paired)
     # the loader builds the successor rows in its one pass over the pairs,
     # in any order and with repeats; the predecessor rows wait for a reader
     pairs = [list(p) for p in sorted(frame.rel)]
@@ -829,6 +838,40 @@ def test_row_built_frame_validation():
         Frame.from_rows(("w",), (-1,))
     with pytest.raises(AttributeError):
         Frame.from_rows(("w",), (1,)).missing
+
+
+def test_the_world_limit_admits_itself_and_refuses_one_more(monkeypatch):
+    # the limit patched small: each way in builds a frame or space of 5,
+    # and refuses 6 before it reads a row or the relation
+    monkeypatch.setattr(kmod, "_WORLD_LIMIT", 5)
+    names = [f"w{i}" for i in range(6)]
+
+    def unread():
+        raise AssertionError("a row was read")
+        yield
+
+    over = re.escape("a frame of 6 worlds is over the limit of 5")
+    assert len(Frame.from_rows(names[:5], [0] * 5).worlds) == 5
+    with pytest.raises(kmod.BudgetExceededError, match=f"^{over}$"):
+        Frame.from_rows(names, unread())
+    assert Frame(names[:5], {("w0", "w4")}).succ[0] == 0b10000
+    with pytest.raises(kmod.BudgetExceededError, match=f"^{over}$"):
+        Frame(names, {("w0", "w5")})
+    assert len(model_from_dict({"worlds": names[:5], "rel": []}).frame.worlds) == 5
+    with pytest.raises(kmod.BudgetExceededError, match=f"^{over}$"):
+        model_from_dict({"worlds": names, "rel": [["w0", "w5"]]})
+    assert FiniteSpace(names[:5], [set(), set(names[:5])]).frame.succ[0] == 0b11111
+    with pytest.raises(kmod.BudgetExceededError, match="^a space of 6 points is over the limit of 5$"):
+        FiniteSpace(names, [set(), set(names)])
+    # the fence has 2m+3 worlds
+    assert len(figure3_model(1).frame.worlds) == 5
+    with pytest.raises(kmod.BudgetExceededError, match="^a frame of 7 worlds is over the limit of 5$"):
+        figure3_model(2)
+    # an empty or repeated world set is named as before
+    with pytest.raises(ValueError, match="^a frame needs at least one world$"):
+        Frame.from_rows((), ())
+    with pytest.raises(ValueError, match="^duplicate world ids$"):
+        Frame.from_rows(names + names, unread())
 
 
 @pytest.mark.parametrize("seed", range(24))

@@ -36,6 +36,7 @@ from tangles import (
     instantiate,
     locally_n_connected,
     model_check,
+    model_to_dict,
     named_frames,
     parse,
     parse_profile,
@@ -52,6 +53,7 @@ from gen import random_formula, random_member_set, random_model, random_tangle_f
 from oracles import (
     tree_bounded_sat,
     tree_enumerate_frames,
+    tree_figure3_model,
     tree_frame_validates,
     tree_instantiate,
 )
@@ -559,6 +561,16 @@ def test_figure3_larger():
     assert len(path_components(m.frame)) == 1
     with pytest.raises(ValueError):
         figure3_model(-1)
+
+
+def test_figure3_model_is_the_fence_built_from_pairs():
+    # the rows set by position give the frame and the file the pairs give,
+    # and the fixture's frame holds no pair set until one is read
+    for m in [*range(40), 333]:
+        model, fence = figure3_model(m), tree_figure3_model(m)
+        assert "rel" not in vars(model.frame)
+        assert model == fence and hash(model.frame) == hash(fence.frame)
+        assert model_to_dict(model) == model_to_dict(fence)
 
 
 def test_figure3_constraint_counts():
